@@ -314,7 +314,7 @@ def detect_video(model, frames, cfg):
         for i in top:
             vec, _ = model._tube_features(acts["conv2"], acts["conv5"],
                                           cands[i])
-            deltas = model._regress(vec)
+            deltas, _ = model._regress(vec)
             for f in range(8):
                 b = decode_regression(cands[i], RegressionTarget(*deltas[f]))
                 b = _clip_box(b, cfg.height, cfg.width)
@@ -381,27 +381,23 @@ def run_segment(cfg, split="test"):
         num_frames = frames.shape[1]
         vdir = out / f"{vid:03d}"
         vdir.mkdir(parents=True, exist_ok=True)
-        all_masks = []
-        concat_boxes = []
-        for clip in _clips_of(frames):
-            masks, p_fg, concat1 = model.segment_clip(
-                clip, cfg.mask_threshold)
-            all_masks.extend(masks)
-        all_masks = all_masks[:num_frames]
-        for t, m in enumerate(all_masks):
-            save_mask(vdir / f"frame_{t:04d}.sm", m.bits)
-            b = mask_to_box(m)
-            concat_boxes.append(b if b is not None
-                                else Box(0, 0, cfg.width - 1, cfg.height - 1))
-        # classify the full tube implied by the predicted masks
+        # classify the tube implied by the predicted masks, one clip at a
+        # time, from the concat1 each clip's segmentation already computed
+        clips = _clips_of(frames)
         logits_sum = None
-        for ci, clip in enumerate(_clips_of(frames)):
-            _, concat1, _ = model.forward(clip)
-            boxes = concat_boxes[ci * 8:(ci + 1) * 8]
+        for ci, clip in enumerate(clips):
+            masks, _, concat1 = model.segment_clip(clip, cfg.mask_threshold)
+            boxes = []
+            for t, m in enumerate(masks[:num_frames - ci * 8], ci * 8):
+                save_mask(vdir / f"frame_{t:04d}.sm", m.bits)
+                b = mask_to_box(m)
+                boxes.append(b if b is not None
+                             else Box(0, 0, cfg.width - 1, cfg.height - 1))
             boxes += [boxes[-1]] * (8 - len(boxes))
             logits, _ = model.recognition_forward(concat1, boxes)
+            del concat1  # before the next clip's forward
             logits_sum = logits if logits_sum is None else logits_sum + logits
-        probs = softmax(logits_sum / max(1, len(_clips_of(frames))))
+        probs = softmax(logits_sum / max(1, len(clips)))
         label = int(np.argmax(probs[1:]) + 1)
         rows.append((vid, label, float(probs[label])))
     with open(out / "labels.csv", "w") as fh:

@@ -41,26 +41,40 @@ class Encoder:
         self.pools = [Pool3D(k) for k in ENC_POOLS]
 
     def forward(self, x):
-        acts = {}
+        """The activations conv1..conv5 and this call's cache.
+
+        The cache holds, for each of the five stages, the caches of its
+        conv, its ReLU and its pool (None after conv5): the input each of
+        them saw, and the pool's argmax map. `backward` takes it back, so
+        the caches of several clips can be held at once.
+        """
+        acts, cache = {}, []
         h = x
         for i in range(5):
-            h = self.relus[i].forward(self.convs[i].forward(h))
+            z, conv_cache = self.convs[i].forward(h)
+            h, relu_cache = self.relus[i].forward(z)
             acts[f"conv{i + 1}"] = h
+            pool_cache = None
             if i < 4:
-                h = self.pools[i].forward(h)
-        return acts
+                h, pool_cache = self.pools[i].forward(h)
+            cache.append((conv_cache, relu_cache, pool_cache))
+        return acts, cache
 
-    def backward(self, taps):
+    def backward(self, taps, cache):
+        """Backpropagate gradients of the activations named in `taps`
+        through the forward that returned `cache`."""
         g = taps.get("conv5")
         if g is None:
-            g = np.zeros_like(self.relus[4]._x)
-        g = self.convs[4].backward(self.relus[4].backward(g))
-        for i in (3, 2, 1, 0):
-            g = self.pools[i].backward(g)
-            t = taps.get(f"conv{i + 1}")
-            if t is not None:
-                g = g + t
-            g = self.convs[i].backward(self.relus[i].backward(g))
+            g = np.zeros_like(cache[4][1])
+        for i in (4, 3, 2, 1, 0):
+            conv_cache, relu_cache, pool_cache = cache[i]
+            if i < 4:
+                g = self.pools[i].backward(g, pool_cache)
+                t = taps.get(f"conv{i + 1}")
+                if t is not None:
+                    g = g + t
+            g = self.convs[i].backward(self.relus[i].backward(g, relu_cache),
+                                       conv_cache)
         return g
 
     def trainables(self):
@@ -72,6 +86,20 @@ class Encoder:
     def load_state(self, st):
         for i, c in enumerate(self.convs):
             c.load_state(st[f"conv{i + 1}"])
+
+
+def _head_forward(fc1, fc2, x):
+    """fc1, ReLU, fc2. Returns the output and the cache `_head_backward`
+    takes."""
+    z, fc1_cache = fc1.forward(x)
+    y, fc2_cache = fc2.forward(tz.relu(z))
+    return y, (fc1_cache, z, fc2_cache)
+
+
+def _head_backward(fc1, fc2, g, cache):
+    fc1_cache, z, fc2_cache = cache
+    g = tz.relu_backward(fc2.backward(g, fc2_cache), z)
+    return fc1.backward(g, fc1_cache)
 
 
 def _flatten_state(state, prefix=""):
@@ -142,11 +170,9 @@ class TCNN(_ModelBase):
         _, h5, w5 = self.POOL5
         vec_len = 8 * d2 * h2 * w2 + 16 * d2 * h5 * w5
         self.reg_fc1 = FC(vec_len, 128, rng)
-        self.reg_relu = ReLU()
         self.reg_fc2 = FC(128, 8 * 4, rng)
         rec_len = c2 * d2 * h2 * w2
         self.rec_fc1 = FC(rec_len, 128, rng)
-        self.rec_relu = ReLU()
         self.rec_fc2 = FC(128, num_classes + 1, rng)
         self._grid_hw = None
 
@@ -154,10 +180,6 @@ class TCNN(_ModelBase):
         return (self.encoder.trainables()
                 + [self.act_head, self.reg_fc1, self.reg_fc2,
                    self.rec_fc1, self.rec_fc2])
-
-    # projector params are plain arrays; fold them into the update manually
-    def sgd_update(self, lr):
-        super().sgd_update(lr)
 
     def state(self):
         return {
@@ -180,9 +202,12 @@ class TCNN(_ModelBase):
             getattr(self, name).load_state(st[name])
 
     # ------------------------------------------------------------------
-    def encode_clip(self, frames):
-        acts = self.encoder.forward(frames)
-        logits = self.act_head.forward(acts["conv5"])
+    def encode_clip(self, frames, cache=None):
+        """Encoder activations and actionness logits of one clip. A dict
+        passed as `cache` receives the encoder's and the head's caches."""
+        cache = {} if cache is None else cache
+        acts, cache["encoder"] = self.encoder.forward(frames)
+        logits, cache["act_head"] = self.act_head.forward(acts["conv5"])
         if self._grid_hw is None:
             self._grid_hw = acts["conv5"].shape[2:]
         return acts, logits
@@ -203,13 +228,16 @@ class TCNN(_ModelBase):
         return vec, (cache, map2, map5)
 
     def _regress(self, vec):
-        h = self.reg_relu.forward(self.reg_fc1.forward(vec.astype(np.float32)))
-        return self.reg_fc2.forward(h).reshape(8, 4) * self.REG_SCALE
+        """Per-frame box deltas (8, 4) and the cache `_regress_backward`
+        takes."""
+        out, cache = _head_forward(self.reg_fc1, self.reg_fc2,
+                                   vec.astype(np.float32))
+        return out.reshape(8, 4) * self.REG_SCALE, cache
 
-    def _regress_backward(self, gdeltas):
-        g = self.reg_fc2.backward(
-            (gdeltas * self.REG_SCALE).reshape(-1).astype(np.float32))
-        return self.reg_fc1.backward(self.reg_relu.backward(g))
+    def _regress_backward(self, gdeltas, cache):
+        return _head_backward(
+            self.reg_fc1, self.reg_fc2,
+            (gdeltas * self.REG_SCALE).reshape(-1).astype(np.float32), cache)
 
     def tpn_step(self, frames, gt_boxes, rng, lr, reg_candidates=4,
                  reg_weight=1.0):
@@ -218,7 +246,8 @@ class TCNN(_ModelBase):
         from .proposals import POSITIVE, assign_actionness_labels
 
         self.zero_grads()
-        acts, logits = self.encode_clip(frames)
+        clip_cache = {}
+        acts, logits = self.encode_clip(frames, clip_cache)
         cands = self.clip_candidates()
         labeled = assign_actionness_labels(cands, gt_boxes)
         pos_idx = [i for i, lb in enumerate(labeled) if lb.label == POSITIVE]
@@ -240,7 +269,8 @@ class TCNN(_ModelBase):
                      + (1 - y) * np.log(max(1 - p, 1e-12)))
             glogits[i] = (p - y) / len(sampled)
         bce /= max(len(sampled), 1)
-        g5 = self.act_head.backward(glogits.reshape(logits.shape))
+        g5 = self.act_head.backward(glogits.reshape(logits.shape),
+                                    clip_cache["act_head"])
 
         g2 = np.zeros_like(acts["conv2"])
         reg_loss = 0.0
@@ -248,7 +278,7 @@ class TCNN(_ModelBase):
         for i in picks:
             vec, (cache, map2, map5) = self._tube_features(
                 acts["conv2"], acts["conv5"], cands[i])
-            deltas = self._regress(vec)
+            deltas, reg_cache = self._regress(vec)
             diffs = np.empty((8, 4))
             for f in range(8):
                 t = encode_regression(cands[i], gt_boxes[min(f, len(gt_boxes) - 1)])
@@ -256,7 +286,8 @@ class TCNN(_ModelBase):
                     [t.d_cx, t.d_cy, t.d_w, t.d_h])
             loss, gdiff = smooth_l1(diffs)
             reg_loss += loss / 8.0
-            gvec = self._regress_backward(gdiff * reg_weight / 8.0)
+            gvec = self._regress_backward(gdiff * reg_weight / 8.0,
+                                          reg_cache)
             gp2, gp5, gw2, gw5 = self.projector.backward(
                 gvec.astype(np.float64), cache)
             gw2, gw5 = clip_grads(gw2, gw5)
@@ -264,47 +295,54 @@ class TCNN(_ModelBase):
             self.projector.w5 = tz.sgd_step(self.projector.w5, gw5, lr)
             g2 += toi.toi_pool_backward(gp2.astype(np.float32), map2)
             g5 += toi.toi_pool_backward(gp5.astype(np.float32), map5)
-        self.encoder.backward({"conv5": g5, "conv2": g2})
-        super().sgd_update(lr)
+        self.encoder.backward({"conv5": g5, "conv2": g2},
+                              clip_cache["encoder"])
+        self.sgd_update(lr)
         return float(bce), float(reg_loss / max(len(picks), 1))
 
     # ------------------------------------------------------------------
     def recognition_forward(self, conv2_cubes, pixel_boxes):
-        """Pool a tube spanning the concatenated clips and classify it."""
-        cube = np.concatenate(conv2_cubes, axis=1)
+        """Pool a tube spanning the concatenated clips and classify it.
+
+        The tube has one box per frame of the video. Frames past the last
+        box, the zero padding of a short last clip, are left out of the
+        pool.
+        """
+        depths = [c.shape[1] for c in conv2_cubes]
+        cube = np.concatenate(conv2_cubes, axis=1)[:, :len(pixel_boxes)]
         cells = [pixel_box_to_cells(b, cube.shape[2:], self.frame_hw)
                  for b in pixel_boxes]
         pooled, pmap = toi.toi_pool_forward(cube, Tube(tuple(cells)),
                                             self.POOL2)
-        vec = pooled.ravel().astype(np.float32)
-        h = self.rec_relu.forward(self.rec_fc1.forward(vec))
-        logits = self.rec_fc2.forward(h)
-        return logits, (pmap, pooled.shape, [c.shape[1] for c in conv2_cubes])
+        logits, head_cache = _head_forward(
+            self.rec_fc1, self.rec_fc2, pooled.ravel().astype(np.float32))
+        return logits, (pmap, pooled.shape, depths, head_cache)
 
     def recognition_backward(self, glogits, cache):
-        pmap, pooled_shape, depths = cache
-        g = self.rec_fc2.backward(glogits.astype(np.float32))
-        g = self.rec_fc1.backward(self.rec_relu.backward(g))
+        """Per-clip gradients of the conv2 cubes; padded frames get zero."""
+        pmap, pooled_shape, depths, head_cache = cache
+        g = _head_backward(self.rec_fc1, self.rec_fc2,
+                           glogits.astype(np.float32), head_cache)
         gcube = toi.toi_pool_backward(g.reshape(pooled_shape), pmap)
+        tail = sum(depths) - gcube.shape[1]
+        if tail:
+            gcube = np.pad(gcube, ((0, 0), (0, tail), (0, 0), (0, 0)))
         return np.split(gcube, np.cumsum(depths)[:-1], axis=1)
 
     def recognition_step(self, clips, gt_boxes, label, rng, lr):
         """Joint update over a whole-video tube (label is 1..N, or 0 for a
-        background tube)."""
+        background tube). Each clip's encoder runs forward once; its cache
+        is handed back for that clip's backward."""
         self.zero_grads()
-        acts_list = [self.encoder.forward(fr) for fr in clips]
-        # the encoder layer caches hold only the last clip; re-run per clip
-        total = 0.0
-        conv2_cubes = [a["conv2"] for a in acts_list]
-        logits, cache = self.recognition_forward(conv2_cubes, gt_boxes)
+        passes = [self.encoder.forward(fr) for fr in clips]
+        logits, cache = self.recognition_forward(
+            [acts["conv2"] for acts, _ in passes], gt_boxes)
         loss, glog = softmax_xent(logits, label)
-        total += loss
         gsplit = self.recognition_backward(glog, cache)
-        for frames, g2 in zip(clips, gsplit):
-            self.encoder.forward(frames)  # restore this clip's caches
-            self.encoder.backward({"conv2": g2})
-        super().sgd_update(lr)
-        return float(total)
+        for (_, enc_cache), g2 in zip(passes, gsplit):
+            self.encoder.backward({"conv2": g2}, enc_cache)
+        self.sgd_update(lr)
+        return float(loss) + 0.0  # a saturated softmax gives -0.0
 
 
 class STCNN(_ModelBase):
@@ -338,7 +376,6 @@ class STCNN(_ModelBase):
         self.conv7 = Conv3D(16, 2, (1, 1, 1), rng=rng)
         d, h, w = self.POOL
         self.rec_fc1 = FC(self.concat1_c * d * h * w, 64, rng)
-        self.rec_relu = ReLU()
         self.rec_fc2 = FC(64, num_classes + 1, rng)
 
     def trainables(self):
@@ -361,67 +398,79 @@ class STCNN(_ModelBase):
             getattr(self, name).load_state(st[name])
 
     # ------------------------------------------------------------------
-    def forward(self, frames):
-        acts = self.encoder.forward(frames)
-        h = self.up4.forward(acts["conv5"])
-        h = self.relu4c.forward(self.conv4c.forward(
-            np.concatenate([h, acts["conv4"]], axis=0)))
-        h = self.up3.forward(h)
-        h = self.relu3c.forward(self.conv3c.forward(
-            np.concatenate([h, acts["conv3"]], axis=0)))
-        h = self.up2.forward(h)
-        h = self.relu2c.forward(self.conv2c.forward(
-            np.concatenate([h, acts["conv2"]], axis=0)))
-        h = self.up1.forward(h)
+    def forward(self, frames, cache=None):
+        """Encoder activations, the final concatenation cube (concat1) and
+        the segmentation logits of one clip. A dict passed as `cache`
+        receives what `backward` takes: the encoder's cache and each
+        decoder layer's, by name."""
+        cache = {} if cache is None else cache
+        acts, cache["encoder"] = self.encoder.forward(frames)
+
+        def run(name, x):
+            y, cache[name] = getattr(self, name).forward(x)
+            return y
+
+        h = run("up4", acts["conv5"])
+        h = run("relu4c", run("conv4c",
+                              np.concatenate([h, acts["conv4"]], axis=0)))
+        h = run("up3", h)
+        h = run("relu3c", run("conv3c",
+                              np.concatenate([h, acts["conv3"]], axis=0)))
+        h = run("up2", h)
+        h = run("relu2c", run("conv2c",
+                              np.concatenate([h, acts["conv2"]], axis=0)))
+        h = run("up1", h)
         concat1 = np.concatenate([h, acts["conv1"]], axis=0)
-        seg_logits = self.conv7.forward(
-            self.relu6.forward(self.conv6.forward(concat1)))
+        seg_logits = run("conv7", run("relu6", run("conv6", concat1)))
         return acts, concat1, seg_logits
 
-    def backward(self, g_seg_logits, g_concat1_extra=None):
-        g = self.conv6.backward(
-            self.relu6.backward(self.conv7.backward(g_seg_logits)))
+    def backward(self, cache, g_seg_logits, g_concat1_extra=None):
+        def back(name, g):
+            return getattr(self, name).backward(g, cache[name])
+
+        g = back("conv6", back("relu6", back("conv7", g_seg_logits)))
         if g_concat1_extra is not None:
             g = g + g_concat1_extra
         g_up1, g_skip1 = g[:8], g[8:]
-        g = self.up1.backward(np.ascontiguousarray(g_up1))
-        g = self.conv2c.backward(self.relu2c.backward(g))
+        g = back("up1", np.ascontiguousarray(g_up1))
+        g = back("conv2c", back("relu2c", g))
         g_up2, g_skip2 = g[:8], g[8:]
-        g = self.up2.backward(np.ascontiguousarray(g_up2))
-        g = self.conv3c.backward(self.relu3c.backward(g))
+        g = back("up2", np.ascontiguousarray(g_up2))
+        g = back("conv3c", back("relu3c", g))
         g_up3, g_skip3 = g[:8], g[8:]
-        g = self.up3.backward(np.ascontiguousarray(g_up3))
-        g = self.conv4c.backward(self.relu4c.backward(g))
+        g = back("up3", np.ascontiguousarray(g_up3))
+        g = back("conv4c", back("relu4c", g))
         g_up4, g_skip4 = g[:8], g[8:]
-        g5 = self.up4.backward(np.ascontiguousarray(g_up4))
+        g5 = back("up4", np.ascontiguousarray(g_up4))
         self.encoder.backward({
             "conv5": g5,
             "conv4": np.ascontiguousarray(g_skip4),
             "conv3": np.ascontiguousarray(g_skip3),
             "conv2": np.ascontiguousarray(g_skip2),
             "conv1": np.ascontiguousarray(g_skip1),
-        })
+        }, cache["encoder"])
 
     def recognition_forward(self, concat1, pixel_boxes):
         cells = [pixel_box_to_cells(b, concat1.shape[2:], self.frame_hw)
                  for b in pixel_boxes]
         pooled, pmap = toi.toi_pool_forward(concat1, Tube(tuple(cells)),
                                             self.POOL)
-        vec = pooled.ravel().astype(np.float32)
-        h = self.rec_relu.forward(self.rec_fc1.forward(vec))
-        return self.rec_fc2.forward(h), (pmap, pooled.shape)
+        logits, head_cache = _head_forward(
+            self.rec_fc1, self.rec_fc2, pooled.ravel().astype(np.float32))
+        return logits, (pmap, pooled.shape, head_cache)
 
     def recognition_backward(self, glogits, cache):
-        pmap, pooled_shape = cache
-        g = self.rec_fc2.backward(glogits.astype(np.float32))
-        g = self.rec_fc1.backward(self.rec_relu.backward(g))
+        pmap, pooled_shape, head_cache = cache
+        g = _head_backward(self.rec_fc1, self.rec_fc2,
+                           glogits.astype(np.float32), head_cache)
         return toi.toi_pool_backward(g.reshape(pooled_shape), pmap)
 
     def train_step(self, frames, gt_masks, gt_boxes, label, lr,
                    seg_weight=1.0, rec_weight=1.0):
         """Joint segmentation + recognition update on one clip."""
         self.zero_grads()
-        acts, concat1, seg_logits = self.forward(frames)
+        cache = {}
+        acts, concat1, seg_logits = self.forward(frames, cache)
         seg_loss, g_seg = segmentation_loss(seg_logits, gt_masks)
         # rebalance the gradient so the sparse foreground class is not
         # swamped by background pixels (the reported loss stays unweighted)
@@ -433,10 +482,10 @@ class STCNN(_ModelBase):
         rec_loss = 0.0
         g_extra = None
         if label is not None and gt_boxes is not None:
-            logits, cache = self.recognition_forward(concat1, gt_boxes)
+            logits, rec_cache = self.recognition_forward(concat1, gt_boxes)
             rec_loss, glog = softmax_xent(logits, label)
-            g_extra = self.recognition_backward(glog * rec_weight, cache)
-        self.backward(g_seg * seg_weight, g_extra)
+            g_extra = self.recognition_backward(glog * rec_weight, rec_cache)
+        self.backward(cache, g_seg * seg_weight, g_extra)
         self.sgd_update(lr)
         return float(seg_loss), float(rec_loss)
 

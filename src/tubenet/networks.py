@@ -1,8 +1,10 @@
 """Layer objects with hand-written backward passes, plus the reference
 architecture tables of both pipelines and a forward shape-fidelity runner.
 
-Layers cache what their backward needs; parameter gradients accumulate on
-the layer until `zero_grads`/`sgd_update`.
+Every layer's `forward(x)` returns `(y, cache)` and its `backward(gy,
+cache)` takes that cache back: layers keep no per-call state, so a caller
+can hold the caches of several forwards at once. Parameter gradients
+accumulate on the layer until `zero_grads`/`sgd_update`.
 """
 
 from __future__ import annotations
@@ -40,14 +42,12 @@ class Conv3D:
         self.kernels = tz.make_kernels(out_c, in_c, kdhw, rng, dtype)
         self.gw = np.zeros_like(self.kernels.weights)
         self.gb = np.zeros_like(self.kernels.bias)
-        self._x = None
 
     def forward(self, x):
-        self._x = x
-        return tz.conv3d(x, self.kernels, pad=self.pad)
+        return tz.conv3d(x, self.kernels, pad=self.pad), x
 
-    def backward(self, gy):
-        gx, gw, gb = tz.conv3d_backward(gy, self._x, self.kernels, pad=self.pad)
+    def backward(self, gy, x):
+        gx, gw, gb = tz.conv3d_backward(gy, x, self.kernels, pad=self.pad)
         self.gw += gw
         self.gb += gb
         return gx
@@ -77,23 +77,20 @@ class Conv3D:
 class Pool3D:
     def __init__(self, kernel):
         self.kernel = kernel
-        self._map = None
 
     def forward(self, x):
-        y, self._map = tz.maxpool3d(x, self.kernel)
-        return y
+        return tz.maxpool3d(x, self.kernel)
 
-    def backward(self, gy):
-        return tz.maxpool3d_backward(gy, self._map)
+    def backward(self, gy, amap):
+        return tz.maxpool3d_backward(gy, amap)
 
 
 class ReLU:
     def forward(self, x):
-        self._x = x
-        return tz.relu(x)
+        return tz.relu(x), x
 
-    def backward(self, gy):
-        return tz.relu_backward(gy, self._x)
+    def backward(self, gy, x):
+        return tz.relu_backward(gy, x)
 
 
 class FC:
@@ -104,11 +101,10 @@ class FC:
         self.gb = np.zeros_like(self.b)
 
     def forward(self, x):
-        self._x = x
-        return tz.fully_connected(x, self.w, self.b)
+        return tz.fully_connected(x, self.w, self.b), x
 
-    def backward(self, gy):
-        gx, gw, gb = tz.fully_connected_backward(gy, self._x, self.w)
+    def backward(self, gy, x):
+        gx, gw, gb = tz.fully_connected_backward(gy, x, self.w)
         self.gw += gw
         self.gb += gb
         return gx
@@ -139,10 +135,12 @@ class SubpixelUp:
         self.conv = Conv3D(in_c, out_c * p.volume, kdhw, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        return channel_to_spacedepth(self.conv.forward(x), self.p)
+        y, cache = self.conv.forward(x)
+        return channel_to_spacedepth(y, self.p), cache
 
-    def backward(self, gy):
-        return self.conv.backward(channel_to_spacedepth_backward(gy, self.p))
+    def backward(self, gy, cache):
+        return self.conv.backward(channel_to_spacedepth_backward(gy, self.p),
+                                  cache)
 
     def zero_grads(self):
         self.conv.zero_grads()
@@ -164,14 +162,16 @@ class UnpoolUp:
                  dtype=np.float32):
         self.p = p
         self.conv = Conv3D(in_c, out_c, kdhw, rng=rng, dtype=dtype)
-        self._placement = None
 
     def forward(self, x):
-        self._placement = corner_placement_map(x.shape, self.p)
-        return self.conv.forward(unpool3d(x, self._placement))
+        placement = corner_placement_map(x.shape, self.p)
+        y, cache = self.conv.forward(unpool3d(x, placement))
+        return y, (cache, placement)
 
-    def backward(self, gy):
-        return unpool3d_backward(self.conv.backward(gy), self._placement)
+    def backward(self, gy, cache):
+        conv_cache, placement = cache
+        return unpool3d_backward(self.conv.backward(gy, conv_cache),
+                                 placement)
 
     def zero_grads(self):
         self.conv.zero_grads()
@@ -343,10 +343,10 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     shapes.append(("1x1 conv", vec.shape))
     del acts
     fc6 = FC(vec.shape[0], 4096, rng)
-    v = tz.relu(fc6.forward(vec.astype(np.float32)))
+    v = tz.relu(fc6.forward(vec.astype(np.float32))[0])
     shapes.append(("fc6", v.shape))
     fc7 = FC(4096, 4096, rng)
-    v = fc7.forward(v)
+    v, _ = fc7.forward(v)
     shapes.append(("fc7", v.shape))
     return rows, shapes
 
@@ -412,10 +412,10 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     shapes.append(("toi-pool", pooled.shape))
     vec = pooled.ravel().astype(np.float32)
     fc6 = FC(vec.shape[0], 4096, rng)
-    v = tz.relu(fc6.forward(vec))
+    v = tz.relu(fc6.forward(vec)[0])
     shapes.append(("fc6", v.shape))
     del fc6
     fc7 = FC(4096, 4096, rng)
-    v = fc7.forward(v)
+    v, _ = fc7.forward(v)
     shapes.append(("fc7", v.shape))
     return rows, shapes

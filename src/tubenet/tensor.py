@@ -23,10 +23,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 T4_MAGIC = b"T4"
 T4_VERSION = 1
+T4_HEADER_BYTES = 2 + struct.calcsize("<H4I")
 
 
 class ShapeError(ValueError):
@@ -86,9 +87,12 @@ def save_tensor(path, values: np.ndarray) -> None:
 
 def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        header = fh.read(20)
+        header = fh.read(T4_HEADER_BYTES)
         if header[:2] != T4_MAGIC:
             raise ValueError(f"{path}: bad magic {header[:2]!r}")
+        if len(header) < T4_HEADER_BYTES:
+            raise ValueError(f"{path}: truncated header, {len(header)} of "
+                             f"{T4_HEADER_BYTES} bytes")
         version, c, d, h, w = struct.unpack("<H4I", header[2:])
         if version != T4_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
@@ -252,12 +256,65 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
 # 3D max pooling
 
 
+class PoolArgmax:
+    """Where each output of `maxpool3d` came from: the winner's offset in
+    its window, row-major over (kd, kh, kw); one byte per output for
+    windows of up to 256 elements.
+
+    `indices` gives the flat input index of each winner, as an `ArgmaxMap`
+    does; it is built on first read, since the pool's own backward needs
+    only the offsets.
+    """
+
+    def __init__(self, offsets: np.ndarray, kernel, in_shape):
+        self.offsets = offsets
+        self.kernel = tuple(kernel)
+        self.in_shape = tuple(in_shape)
+
+    @property
+    def shape(self):
+        return self.offsets.shape
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        c, d, h, w = self.in_shape
+        kd, kh, kw = self.kernel
+        a, rem = np.divmod(self.offsets.astype(np.int64), kh * kw)
+        b, cc = np.divmod(rem, kw)
+        _, od, oh, ow = self.offsets.shape
+        flat = (np.arange(c).reshape(c, 1, 1, 1) * d
+                + np.arange(od).reshape(od, 1, 1) * kd + a) * h
+        flat = (flat + np.arange(oh).reshape(oh, 1) * kh + b) * w
+        flat += np.arange(ow) * kw + cc
+        return ArgmaxMap(flat, self.in_shape).indices
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The same memory seen as unsigned integers of the same width."""
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+def _pool_windows(x: np.ndarray, kernel) -> list:
+    """One (C, oD, oH, oW) strided view per window offset, row-major over
+    (kd, kh, kw). `x` must be a whole number of windows along each axis."""
+    c, d, h, w = x.shape
+    kd, kh, kw = kernel
+    sc, sd, sh, sw = x.strides
+    win = as_strided(x, (c, d // kd, h // kh, w // kw, kd, kh, kw),
+                     (sc, sd * kd, sh * kh, sw * kw, sd, sh, sw),
+                     writeable=x.flags.writeable)
+    return [win[..., a, b, cc]
+            for a in range(kd) for b in range(kh) for cc in range(kw)]
+
+
 def maxpool3d(x: np.ndarray, kernel, stride=None):
-    """Max pool a (C,D,H,W) cube. Returns (output, ArgmaxMap).
+    """Max pool a (C,D,H,W) cube. Returns (output, PoolArgmax).
 
     Stride defaults to the kernel (the only configuration the networks use).
     Trailing windows that do not fit are pooled over the available elements.
-    Ties go to the lowest flat index.
+    Each output is the first maximum of its window in row-major (d, h, w)
+    order, bytes included (of a -0.0 and +0.0 the first wins), and as in
+    `np.argmax` a NaN beats any number and the first NaN wins.
     """
     if stride is None:
         stride = kernel
@@ -267,30 +324,59 @@ def maxpool3d(x: np.ndarray, kernel, stride=None):
     c, d, h, w = x.shape
     if kd > d or kh > h or kw > w:
         raise ShapeError(f"pool kernel {kernel} larger than input {x.shape}")
-    od, oh, ow = -(-d // kd), -(-h // kh), -(-w // kw)
-    pads = (od * kd - d, oh * kh - h, ow * kw - w)
-    xp = np.pad(x, ((0, 0), (0, pads[0]), (0, pads[1]), (0, pads[2])),
-                constant_values=-np.inf)
-    r = xp.reshape(c, od, kd, oh, kh, ow, kw).transpose(0, 1, 3, 5, 2, 4, 6)
-    r = np.ascontiguousarray(r).reshape(c, od, oh, ow, kd * kh * kw)
-    win_arg = r.argmax(axis=-1)  # first max: lowest offset, lexicographic (d,h,w)
-    out = np.take_along_axis(r, win_arg[..., None], axis=-1)[..., 0]
-    a, rem = np.divmod(win_arg, kh * kw)
-    b, cc = np.divmod(rem, kw)
-    ci, di, hi, wi = np.meshgrid(np.arange(c), np.arange(od), np.arange(oh),
-                                 np.arange(ow), indexing="ij")
-    flat = ((ci * d + di * kd + a) * h + hi * kh + b) * w + wi * kw + cc
-    return out.astype(x.dtype, copy=False), ArgmaxMap(flat, x.shape)
+    pads = (-d % kd, -h % kh, -w % kw)
+    xp = x
+    if any(pads):
+        xp = np.pad(x, ((0, 0), (0, pads[0]), (0, pads[1]), (0, pads[2])),
+                    constant_values=-np.inf)
+    views = _pool_windows(xp, kernel)
+    out = views[0].copy()
+    bits = _bits(out)
+    offsets = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+    better = np.empty(out.shape, dtype=bool)
+    flips = np.empty_like(bits)
+    step = np.empty_like(offsets)
+    for k, view in enumerate(views[1:], 1):
+        np.greater(view, out, out=better)  # strict: a tie keeps the first
+        # out = where(better, view, out), bit for bit, without a masked copy
+        np.bitwise_xor(bits, _bits(view), out=flips)
+        np.multiply(flips, better, out=flips)
+        bits ^= flips
+        # offsets only grow, so the latest winner's k is the largest
+        np.multiply(better, offsets.dtype.type(k), out=step)
+        np.maximum(offsets, step, out=offsets)
+    if np.isnan(xp.sum()):  # a NaN anywhere makes the sum NaN
+        # the first NaN of a window wins: assign the last-offset ones first
+        for k in range(len(views) - 1, -1, -1):
+            np.isnan(views[k], out=better)
+            np.copyto(out, views[k], where=better)
+            np.copyto(offsets, k, where=better)
+    return out, PoolArgmax(offsets, kernel, x.shape)
 
 
-def maxpool3d_backward(grad_out: np.ndarray, amap: ArgmaxMap) -> np.ndarray:
-    if grad_out.shape != amap.indices.shape:
+def maxpool3d_backward(grad_out: np.ndarray, amap: PoolArgmax) -> np.ndarray:
+    """Route each output gradient to its window's winner.
+
+    The windows do not overlap, so each input receives at most one
+    gradient, added to zero: a -0.0 gradient arrives as +0.0.
+    """
+    if grad_out.shape != amap.shape:
         raise ShapeError(
-            f"grad shape {grad_out.shape} != pooled shape {amap.indices.shape}"
+            f"grad shape {grad_out.shape} != pooled shape {amap.shape}"
         )
-    grad_in = np.zeros(int(np.prod(amap.in_shape)), dtype=grad_out.dtype)
-    np.add.at(grad_in, amap.indices.ravel(), grad_out.ravel())
-    return grad_in.reshape(amap.in_shape)
+    c, d, h, w = amap.in_shape
+    kd, kh, kw = amap.kernel
+    _, od, oh, ow = amap.shape
+    # every element is written below: the windows tile the padded cube
+    grad_in = np.empty((c, od * kd, oh * kh, ow * kw), dtype=grad_out.dtype)
+    gbits = _bits(grad_out + grad_out.dtype.type(0))
+    hit = np.empty(amap.shape, dtype=bool)
+    for k, view in enumerate(_pool_windows(grad_in, amap.kernel)):
+        np.equal(amap.offsets, k, out=hit)
+        np.multiply(gbits, hit, out=_bits(view))  # zero bits are +0.0
+    if grad_in.shape != amap.in_shape:
+        grad_in = np.ascontiguousarray(grad_in[:, :d, :h, :w])
+    return grad_in
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from tubenet.cli import main
-from tubenet.harness import (RunConfig, _clips_of, _unflatten,
-                             load_model_state, save_model)
+from tubenet.harness import (RunConfig, _clips_of, _split_videos, _unflatten,
+                             load_model_state, run_gen, run_segment,
+                             save_model)
 from tubenet.models import STCNN, TCNN
 from tubenet.proposals import Anchor
+from tubenet.synth import load_annotations
 
 
 # ----------------------------------------------------------------------
@@ -165,3 +167,48 @@ def test_cli_gen_respects_config_file(tmp_path):
                        "num_frames=8\nheight=48\nwidth=64\n")
     main(["gen", "--config", str(cfgfile)])
     assert (tmp_path / "d2" / "videos" / "000").exists()
+
+
+# ----------------------------------------------------------------------
+# videos whose length is not a multiple of the 8-frame clip
+
+def test_train_tcnn_and_detect_on_20_frame_videos(tmp_path):
+    sets = {"data_dir": tmp_path / "data", "out_dir": tmp_path / "out",
+            "num_videos": 4, "num_frames": 20, "height": 48, "width": 64,
+            "epochs_tpn": 1, "epochs_rec": 1, "epochs_refine": 1}
+    args = sum((["--set", f"{k}={v}"] for k, v in sets.items()), [])
+    for verb in ("gen", "train-tcnn", "detect"):
+        assert main([verb] + args) == 0
+    with open(tmp_path / "out" / "tcnn_loss.csv") as fh:
+        phases = [line.split(",")[1] for line in list(fh)[1:]]
+    assert "rec" in phases
+    with open(tmp_path / "out" / "detections" / "detections.csv") as fh:
+        rows = [line.split(",") for line in list(fh)[1:]]
+    by_tube = {}
+    for video, rank, *_, frame, _x1, _y1, _x2, _y2 in rows:
+        by_tube.setdefault((video, rank), []).append(int(frame))
+    assert by_tube
+    assert all(frames == list(range(20)) for frames in by_tube.values())
+
+
+def test_run_segment_one_stcnn_forward_per_clip(tmp_path, monkeypatch):
+    cfg = RunConfig(data_dir=str(tmp_path / "data"),
+                    out_dir=str(tmp_path / "out"), num_videos=3,
+                    num_frames=16, height=48, width=64)
+    run_gen(cfg)
+    save_model(STCNN(2, (48, 64)), tmp_path / "out" / "stcnn_model")
+    test_vids = _split_videos(load_annotations(cfg.data_dir), "test")
+    calls = []
+    forward = STCNN.forward
+
+    def counting(self, frames):
+        calls.append(frames.shape)
+        return forward(self, frames)
+
+    monkeypatch.setattr(STCNN, "forward", counting)
+    rows = run_segment(cfg)
+    assert len(rows) == len(test_vids) == 1
+    assert len(calls) == 2  # two 8-frame clips, one forward each
+    masks = sorted((tmp_path / "out" / "segmentations"
+                    / f"{test_vids[0]:03d}").glob("*.sm"))
+    assert len(masks) == 16

@@ -3,9 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tubenet import tensor
-from tubenet.tensor import (KernelSet, ShapeError, blas_thread_count,
+from tubenet.tensor import (ArgmaxMap, KernelSet, ShapeError,
+                            blas_thread_count,
                             blas_threads, conv3d, conv3d_backward,
                             conv3d_out_shape, finite_diff_grad,
                             fully_connected, fully_connected_backward,
@@ -51,6 +55,13 @@ def test_tensor_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.t4"
     p.write_bytes(b"XX" + b"\x00" * 30)
     with pytest.raises(ValueError):
+        load_tensor(p)
+
+
+def test_tensor_truncated_header_rejected(tmp_path):
+    p = tmp_path / "short.t4"
+    p.write_bytes(b"T4" + struct.pack("<H2I", 1, 3, 4))
+    with pytest.raises(ValueError, match="short.t4: truncated header"):
         load_tensor(p)
 
 
@@ -166,6 +177,91 @@ def test_pool_backward_matches_finite_differences():
     fx = finite_diff_grad(lambda v: float((maxpool3d(v, (2, 2, 2))[0]
                                            * gy).sum()), x)
     assert rel_err(gx, fx) < 1e-5
+
+
+def _maxpool3d_oracle(x, kernel):
+    """Reference max pool: pad with -inf, copy the windows into a trailing
+    axis, take numpy's argmax (first max; a NaN beats any number) and build
+    every flat index from a meshgrid."""
+    kd, kh, kw = kernel
+    c, d, h, w = x.shape
+    od, oh, ow = -(-d // kd), -(-h // kh), -(-w // kw)
+    xp = np.pad(x, ((0, 0), (0, od * kd - d), (0, oh * kh - h),
+                    (0, ow * kw - w)), constant_values=-np.inf)
+    r = xp.reshape(c, od, kd, oh, kh, ow, kw).transpose(0, 1, 3, 5, 2, 4, 6)
+    r = np.ascontiguousarray(r).reshape(c, od, oh, ow, kd * kh * kw)
+    win_arg = r.argmax(axis=-1)
+    out = np.take_along_axis(r, win_arg[..., None], axis=-1)[..., 0]
+    a, rem = np.divmod(win_arg, kh * kw)
+    b, cc = np.divmod(rem, kw)
+    ci, di, hi, wi = np.meshgrid(np.arange(c), np.arange(od), np.arange(oh),
+                                 np.arange(ow), indexing="ij")
+    flat = ((ci * d + di * kd + a) * h + hi * kh + b) * w + wi * kw + cc
+    return out.astype(x.dtype, copy=False), ArgmaxMap(flat, x.shape)
+
+
+def _maxpool3d_backward_oracle(grad_out, amap):
+    grad_in = np.zeros(int(np.prod(amap.in_shape)), dtype=grad_out.dtype)
+    np.add.at(grad_in, amap.indices.ravel(), grad_out.ravel())
+    return grad_in.reshape(amap.in_shape)
+
+
+# values that tie (ReLU zeros, -0.0 beside +0.0), never win (-inf) or
+# always win (NaN), mixed with arbitrary finite ones
+_POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, -np.inf, np.nan]),
+    st.floats(-4.0, 4.0, width=32))
+
+
+@st.composite
+def _pool_cases(draw):
+    kernel = draw(st.sampled_from([(1, 2, 2), (2, 2, 2), (2, 3, 2)]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    # extents of one to three windows, often with a partial trailing one
+    shape = (draw(st.integers(1, 3)),) + tuple(
+        draw(st.integers(k, 3 * k)) for k in kernel)
+    x = draw(hnp.arrays(dtype, shape, elements=_POOL_VALUES))
+    if draw(st.booleans()):  # a ReLU output: many tied zeros
+        x = np.maximum(x, 0)
+    if draw(st.booleans()):  # one whole window of -inf
+        c, i, j, k = (draw(st.integers(0, s // kk - 1)) if kk else 0
+                      for s, kk in zip(shape, (1,) + kernel))
+        kd, kh, kw = kernel
+        x[c, i * kd:(i + 1) * kd, j * kh:(j + 1) * kh,
+          k * kw:(k + 1) * kw] = -np.inf
+    return x, kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pool_cases(), st.data())
+def test_pool_matches_oracle_bytes(case, data):
+    x, kernel = case
+    y, amap = maxpool3d(x, kernel)
+    y_ref, amap_ref = _maxpool3d_oracle(x, kernel)
+    assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(amap.indices, amap_ref.indices)
+    grads = data.draw(hnp.arrays(x.dtype, y.shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.nan]),
+        st.floats(-4.0, 4.0, width=32))))
+    gx = maxpool3d_backward(grads, amap)
+    gx_ref = _maxpool3d_backward_oracle(grads, amap_ref)
+    assert gx.dtype == gx_ref.dtype and gx.shape == gx_ref.shape
+    assert gx.tobytes() == gx_ref.tobytes()
+
+
+def test_pool_signed_zero_nan_and_all_minus_inf_windows():
+    x = np.array([[-0.0, 0.0, 1.0, np.nan, -np.inf, -np.inf],
+                  [0.0, -0.0, 2.0, np.nan, -np.inf, -np.inf]],
+                 dtype=np.float32).reshape(1, 1, 2, 6)
+    y, amap = maxpool3d(x, (1, 2, 2))
+    # the first of tied zeros keeps its sign; the first NaN wins; an all
+    # -inf window picks its first element
+    assert np.signbit(y[0, 0, 0, 0])
+    assert np.isnan(y[0, 0, 0, 1]) and y[0, 0, 0, 2] == -np.inf
+    assert amap.indices.ravel().tolist() == [0, 3, 4]
+    gx = maxpool3d_backward(np.full(y.shape, -0.0, np.float32), amap)
+    assert not np.signbit(gx).any()
 
 
 # ---------------------------------------------------------------------------
