@@ -7,7 +7,7 @@ segmentation with 3D sub-pixel upsampling, plus the detection and
 segmentation evaluation metrics and a synthetic desk-scale harness.
 """
 
-from .tensor import (ArgmaxMap, KernelSet, ShapeError, Tensor4, conv3d,
+from .tensor import (ArgmaxMap, KernelSet, ShapeError, conv3d,
                      conv3d_backward, finite_diff_grad, fully_connected,
                      maxpool3d, maxpool3d_backward, sgd_step, softmax_xent)
 from .toi import Box, Tube, bin_edges, toi_pool_backward, toi_pool_forward

@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics as mx
 from .linking import (LinkedSequence, TubeProposal, link_top_k,
                       nms_sequences, save_sequences)
-from .models import STCNN, TCNN
+from .models import STCNN, TCNN, UPSAMPLERS
 from .proposals import decode_regression, kmeans_anchors
 from .segmentation import mask_to_box
 from .synth import (SyntheticSpec, gen_dataset, load_annotations,
@@ -87,7 +87,25 @@ class RunConfig:
             cur = getattr(cfg, key)
             setattr(cfg, key, type(cur)(val) if not isinstance(val, type(cur))
                     else val)
+        cfg.validate()
         return cfg
+
+    def validate(self):
+        """Raise ValueError, naming the field, for a value no run can use."""
+        def bad(name, rule):
+            raise ValueError(f"config {name}={getattr(self, name)!r}: {rule}")
+
+        if self.upsampler not in UPSAMPLERS:
+            bad("upsampler", f"must be one of {', '.join(UPSAMPLERS)}")
+        if not 0.0 < self.nms_iou <= 1.0:
+            bad("nms_iou", "must lie in (0, 1]")
+        if not 0.0 <= self.mask_threshold <= 1.0:  # NaN fails this too
+            bad("mask_threshold", "must lie in [0, 1]")
+        for f in dataclasses.fields(self):
+            if f.name.startswith("epochs_") and getattr(self, f.name) < 0:
+                bad(f.name, "must be >= 0")
+        if self.num_frames < 8:
+            bad("num_frames", "must be >= 8, the frames of one clip")
 
     def save(self, path):
         lines = [f"{f.name}={getattr(self, f.name)}"

@@ -23,6 +23,7 @@ from .upsample import UpscaleFactors
 
 ENC_CHANNELS = (8, 16, 24, 32, 32)
 ENC_POOLS = ((1, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2))
+STAGES = ("conv1", "conv2", "conv3", "conv4", "conv5")
 
 
 class Encoder:
@@ -61,21 +62,30 @@ class Encoder:
         return acts, cache
 
     def backward(self, taps, cache):
-        """Backpropagate gradients of the activations named in `taps`
-        through the forward that returned `cache`."""
-        g = taps.get("conv5")
-        if g is None:
-            g = np.zeros_like(cache[4][1])
-        for i in (4, 3, 2, 1, 0):
+        """Accumulate the conv gradients of the activations named in `taps`
+        (a dict from "conv1".."conv5" to their gradients), backpropagated
+        through the forward that returned `cache`.
+
+        Only the deepest tap's stage and those below it run: above it every
+        gradient is zero, and so is every weight gradient it would add. No
+        gradient of the input frames is computed; no caller reads one.
+        """
+        top = max((STAGES.index(name) for name in taps), default=-1)
+        g = None
+        for i in range(top, -1, -1):
             conv_cache, relu_cache, pool_cache = cache[i]
-            if i < 4:
+            t = taps.get(STAGES[i])
+            if i == 4:
+                g = t
+            elif i == top:
+                # as if a zero gradient came from above: -0.0 arrives as +0.0
+                g = t + 0
+            else:
                 g = self.pools[i].backward(g, pool_cache)
-                t = taps.get(f"conv{i + 1}")
                 if t is not None:
                     g = g + t
             g = self.convs[i].backward(self.relus[i].backward(g, relu_cache),
-                                       conv_cache)
-        return g
+                                       conv_cache, input_grad=i > 0)
 
     def trainables(self):
         return list(self.convs)
@@ -345,6 +355,9 @@ class TCNN(_ModelBase):
         return float(loss) + 0.0  # a saturated softmax gives -0.0
 
 
+UPSAMPLERS = {"subpixel": SubpixelUp, "unpool": UnpoolUp}
+
+
 class STCNN(_ModelBase):
     """Bottom-up pipeline: encoder-decoder with skip concatenations, a
     per-frame two-class segmentation head, and a recognition head on the
@@ -356,10 +369,13 @@ class STCNN(_ModelBase):
         rng = np.random.default_rng(seed)
         self.num_classes = num_classes
         self.frame_hw = frame_hw
+        if upsampler not in UPSAMPLERS:
+            raise ValueError(f"upsampler {upsampler!r} is not one of "
+                             f"{', '.join(UPSAMPLERS)}")
         self.upsampler = upsampler
         self.encoder = Encoder(rng)
         c1, c2, c3, c4, c5 = ENC_CHANNELS
-        up = SubpixelUp if upsampler == "subpixel" else UnpoolUp
+        up = UPSAMPLERS[upsampler]
         self.up4 = up(c5, 8, UpscaleFactors(2, 2, 2), rng)
         self.conv4c = Conv3D(8 + c4, 16, rng=rng)
         self.relu4c = ReLU()

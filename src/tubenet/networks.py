@@ -46,8 +46,11 @@ class Conv3D:
     def forward(self, x):
         return tz.conv3d(x, self.kernels, pad=self.pad), x
 
-    def backward(self, gy, x):
-        gx, gw, gb = tz.conv3d_backward(gy, x, self.kernels, pad=self.pad)
+    def backward(self, gy, x, input_grad=True):
+        """Accumulate the parameter gradients; return the input's, or None
+        when `input_grad` is false."""
+        gx, gw, gb = tz.conv3d_backward(gy, x, self.kernels, pad=self.pad,
+                                        input_grad=input_grad)
         self.gw += gw
         self.gb += gb
         return gx

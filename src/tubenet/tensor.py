@@ -3,8 +3,7 @@ backward passes, a finite-difference gradient oracle, and the binary tensor
 file format.
 
 Tensors are plain numpy arrays in fixed (C, D, H, W) layout: channels, then
-depth (frames), height, width. The `Tensor4` wrapper carries the layout
-contract and the file format; all numerical kernels accept the raw array.
+depth (frames), height, width.
 
 Every GEMM goes through the BLAS that numpy loaded. How that BLAS splits a
 GEMM across threads changes the last bits of the result, so runs hold it at
@@ -32,46 +31,6 @@ T4_HEADER_BYTES = 2 + struct.calcsize("<H4I")
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-@dataclass(frozen=True)
-class Tensor4:
-    """A C x D x H x W feature cube. `values` owns the layout contract."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 4:
-            raise ShapeError(f"Tensor4 needs 4 dims, got shape {self.values.shape}")
-        if min(self.values.shape) < 1:
-            raise ShapeError(f"all dims must be >= 1, got {self.values.shape}")
-
-    @property
-    def C(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def H(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def W(self) -> int:
-        return self.values.shape[3]
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def save(self, path) -> None:
-        save_tensor(path, self.values)
-
-    @classmethod
-    def load(cls, path) -> "Tensor4":
-        return cls(load_tensor(path))
 
 
 def save_tensor(path, values: np.ndarray) -> None:
@@ -190,64 +149,80 @@ def conv3d_out_shape(in_shape, kernels: KernelSet, stride=(1, 1, 1), pad=(1, 1, 
     return (kernels.out_channels,) + tuple(outs)
 
 
-def conv3d(x: np.ndarray, kernels: KernelSet, stride=(1, 1, 1), pad=(1, 1, 1)
-           ) -> np.ndarray:
-    """Cross-correlation of a (C,D,H,W) cube with a KernelSet.
+def _im2col_frames(x: np.ndarray, kdhw, pad):
+    """The im2col matrix of each output frame of a stride-1 convolution, in
+    frame order: (C*kd*kh*kw, oh*ow), rows ordered (C, kd, kh, kw).
 
-    Computed one output frame at a time via im2col + GEMM to bound the
-    scratch memory on large feature maps.
+    Every frame is copied into one buffer allocated per call, so a caller
+    must finish with one matrix before asking for the next.
     """
-    out_shape = conv3d_out_shape(x.shape, kernels, stride, pad)
-    oc, od, oh, ow = out_shape
-    kd, kh, kw = kernels.kdhw
-    sd, sh, sw = stride
-    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]), (pad[2], pad[2])))
-    # (C, D*, H*, W*, kd, kh, kw) view, strided spatially
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))[:, :, ::sh, ::sw]
+    kd, kh, kw = kdhw
+    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
+                    (pad[2], pad[2])))
+    # (C, oD, oH, oW, kd, kh, kw) view
+    win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
+    c, od, oh, ow = win.shape[:4]
+    buf = np.empty((c, kd, kh, kw, oh, ow), dtype=xp.dtype)
+    col = buf.reshape(c * kd * kh * kw, oh * ow)
+    for d in range(od):
+        np.copyto(buf, win[:, d].transpose(0, 3, 4, 5, 1, 2))
+        yield col
+
+
+def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
+    """Stride-1 cross-correlation of a (C,D,H,W) cube with a KernelSet.
+
+    Computed one output frame at a time via im2col + GEMM, through one
+    im2col buffer per call, to bound the scratch memory on large feature
+    maps.
+    """
+    out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
+    oc, _, oh, ow = out_shape
     w2 = kernels.weights.reshape(oc, -1)
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
-    for d in range(od):
-        # (C, kd, kh, kw, oh, ow) -> (C*kd*kh*kw, oh*ow)
-        col = np.ascontiguousarray(
-            win[:, d * sd].transpose(0, 3, 4, 5, 1, 2)
-        ).reshape(w2.shape[1], oh * ow)
+    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad)):
         out[:, d] = (w2 @ col).reshape(oc, oh, ow)
     out += kernels.bias[:, None, None, None]
     return out
 
 
 def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
-                    stride=(1, 1, 1), pad=(1, 1, 1)):
-    """Gradients of sum(grad_out * conv3d(x, k)) w.r.t. x, weights, bias."""
-    out_shape = conv3d_out_shape(x.shape, kernels, stride, pad)
+                    *, pad=(1, 1, 1), input_grad=True):
+    """Gradients of sum(grad_out * conv3d(x, k)) w.r.t. x, weights, bias.
+
+    With `input_grad` false the gradient w.r.t. x is neither computed nor
+    returned: the first element is None. The weight and bias gradients are
+    the same bytes either way.
+    """
+    out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad shape {grad_out.shape} != conv output {out_shape}")
-    oc, od, oh, ow = out_shape
+    oc, _, oh, ow = out_shape
     kd, kh, kw = kernels.kdhw
-    sd, sh, sw = stride
     pd_, ph_, pw_ = pad
-    xp = np.pad(x, ((0, 0), (pd_, pd_), (ph_, ph_), (pw_, pw_)))
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))[:, :, ::sh, ::sw]
     w2 = kernels.weights.reshape(oc, -1)
 
     grad_w = np.zeros_like(w2, dtype=np.float64)
-    gxp = np.zeros(xp.shape, dtype=np.float64)
-    for d in range(od):
-        col = np.ascontiguousarray(
-            win[:, d * sd].transpose(0, 3, 4, 5, 1, 2)
-        ).reshape(w2.shape[1], oh * ow)
+    if input_grad:
+        gxp = np.zeros((x.shape[0],) + tuple(
+            e + 2 * p for e, p in zip(x.shape[1:], pad)), dtype=np.float64)
+    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad)):
         g = grad_out[:, d].reshape(oc, oh * ow)
         grad_w += g @ col.T
+        if not input_grad:
+            continue
         gcol = (w2.T @ g).reshape(x.shape[0], kd, kh, kw, oh, ow)
         for a in range(kd):
             for b in range(kh):
                 for c in range(kw):
-                    gxp[:, d * sd + a, b:b + sh * oh:sh, c:c + sw * ow:sw] += \
-                        gcol[:, a, b, c]
-    grad_x = gxp[:, pd_:pd_ + x.shape[1], ph_:ph_ + x.shape[2], pw_:pw_ + x.shape[3]]
+                    gxp[:, d + a, b:b + oh, c:c + ow] += gcol[:, a, b, c]
     grad_b = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
     dt = x.dtype
-    return (grad_x.astype(dt, copy=False),
+    grad_x = None
+    if input_grad:
+        grad_x = gxp[:, pd_:pd_ + x.shape[1], ph_:ph_ + x.shape[2],
+                     pw_:pw_ + x.shape[3]].astype(dt, copy=False)
+    return (grad_x,
             grad_w.reshape(kernels.weights.shape).astype(dt, copy=False),
             grad_b.astype(dt, copy=False))
 

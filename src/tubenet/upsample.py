@@ -114,8 +114,7 @@ def subpixel_upsample3d(lr: np.ndarray, kernels: KernelSet, p: UpscaleFactors
             f"factor volume {p.volume}"
         )
     kd, kh, kw = kernels.kdhw
-    expanded = conv3d(lr, kernels, stride=(1, 1, 1),
-                      pad=(kd // 2, kh // 2, kw // 2))
+    expanded = conv3d(lr, kernels, pad=(kd // 2, kh // 2, kw // 2))
     return channel_to_spacedepth(expanded, p)
 
 
@@ -161,4 +160,4 @@ def unpool_conv3d_reference(lr: np.ndarray, placement: ArgmaxMap,
         )
     hr = unpool3d(lr, placement)
     kd, kh, kw = kernels.kdhw
-    return conv3d(hr, kernels, stride=(1, 1, 1), pad=(kd // 2, kh // 2, kw // 2))
+    return conv3d(hr, kernels, pad=(kd // 2, kh // 2, kw // 2))

@@ -66,6 +66,42 @@ def test_config_type_coercion():
     assert cfg.upsampler == "unpool"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("upsampler", "subpixl"), ("nms_iou", "1.5"), ("nms_iou", "0"),
+    ("nms_iou", "nan"), ("epochs_tpn", "-3"), ("epochs_rec", "-1"),
+    ("epochs_refine", "-1"), ("epochs_seg", "-1"), ("mask_threshold", "nan"),
+    ("mask_threshold", "inf"), ("mask_threshold", "-0.5"),
+    ("mask_threshold", "1.5"), ("num_frames", "4")])
+def test_config_rejects_bad_value_naming_the_field(key, value):
+    with pytest.raises(ValueError, match=f"^config {key}="):
+        RunConfig.load(overrides={key: value})
+
+
+def test_config_rejects_bad_value_from_file_and_env(tmp_path, monkeypatch):
+    p = tmp_path / "run.cfg"
+    p.write_text("upsampler=subpixl\n")
+    with pytest.raises(ValueError, match="upsampler='subpixl'"):
+        RunConfig.load(p)
+    monkeypatch.setenv("TUBENET_NUM_FRAMES", "4")
+    with pytest.raises(ValueError, match="num_frames=4"):
+        RunConfig.load()
+
+
+def test_config_accepts_boundary_values():
+    cfg = RunConfig.load(overrides={
+        "nms_iou": "1", "mask_threshold": "0", "num_frames": "8",
+        "epochs_tpn": "0", "epochs_rec": "0", "epochs_refine": "0",
+        "epochs_seg": "0", "upsampler": "unpool"})
+    assert (cfg.nms_iou, cfg.mask_threshold, cfg.num_frames) == (1.0, 0.0, 8)
+    assert RunConfig.load(overrides={"mask_threshold": "1"}).mask_threshold \
+        == 1.0
+
+
+def test_stcnn_rejects_unknown_upsampler():
+    with pytest.raises(ValueError, match="upsampler 'subpixl'"):
+        STCNN(2, (48, 64), upsampler="subpixl")
+
+
 # ----------------------------------------------------------------------
 # clip slicing
 

@@ -132,6 +132,104 @@ def test_conv_grads_match_finite_differences():
     assert rel_err(gb, fb) < 1e-5
 
 
+def _conv3d_oracle(x, kernels, stride=(1, 1, 1), pad=(1, 1, 1)):
+    """Reference convolution: a fresh contiguous im2col copy per output
+    frame, one GEMM each."""
+    out_shape = conv3d_out_shape(x.shape, kernels, stride, pad)
+    oc, od, oh, ow = out_shape
+    kd, kh, kw = kernels.kdhw
+    sd, sh, sw = stride
+    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
+                    (pad[2], pad[2])))
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (kd, kh, kw), axis=(1, 2, 3))[:, :, ::sh, ::sw]
+    w2 = kernels.weights.reshape(oc, -1)
+    out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
+    for d in range(od):
+        col = np.ascontiguousarray(
+            win[:, d * sd].transpose(0, 3, 4, 5, 1, 2)
+        ).reshape(w2.shape[1], oh * ow)
+        out[:, d] = (w2 @ col).reshape(oc, oh, ow)
+    out += kernels.bias[:, None, None, None]
+    return out
+
+
+def _conv3d_backward_oracle(grad_out, x, kernels, stride=(1, 1, 1),
+                            pad=(1, 1, 1)):
+    """Reference backward: always computes the input gradient, scattering
+    each frame's column gradient into a float64 buffer."""
+    out_shape = conv3d_out_shape(x.shape, kernels, stride, pad)
+    oc, od, oh, ow = out_shape
+    kd, kh, kw = kernels.kdhw
+    sd, sh, sw = stride
+    pd_, ph_, pw_ = pad
+    xp = np.pad(x, ((0, 0), (pd_, pd_), (ph_, ph_), (pw_, pw_)))
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (kd, kh, kw), axis=(1, 2, 3))[:, :, ::sh, ::sw]
+    w2 = kernels.weights.reshape(oc, -1)
+    grad_w = np.zeros_like(w2, dtype=np.float64)
+    gxp = np.zeros(xp.shape, dtype=np.float64)
+    for d in range(od):
+        col = np.ascontiguousarray(
+            win[:, d * sd].transpose(0, 3, 4, 5, 1, 2)
+        ).reshape(w2.shape[1], oh * ow)
+        g = grad_out[:, d].reshape(oc, oh * ow)
+        grad_w += g @ col.T
+        gcol = (w2.T @ g).reshape(x.shape[0], kd, kh, kw, oh, ow)
+        for a in range(kd):
+            for b in range(kh):
+                for c in range(kw):
+                    gxp[:, d * sd + a, b:b + sh * oh:sh, c:c + sw * ow:sw] += \
+                        gcol[:, a, b, c]
+    grad_x = gxp[:, pd_:pd_ + x.shape[1], ph_:ph_ + x.shape[2],
+                 pw_:pw_ + x.shape[3]]
+    grad_b = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
+    dt = x.dtype
+    return (grad_x.astype(dt, copy=False),
+            grad_w.reshape(kernels.weights.shape).astype(dt, copy=False),
+            grad_b.astype(dt, copy=False))
+
+
+# signed zeros (a ReLU's output and gradient are full of them) mixed with
+# arbitrary finite values
+_CONV_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]),
+                         st.floats(-4.0, 4.0, width=32))
+
+
+@st.composite
+def _conv_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k = draw(st.sampled_from([1, 3]))
+    p = draw(st.sampled_from([0, 1]))
+    ic, oc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # every extent fits the kernel: at least one output per axis
+    shape = (ic,) + tuple(draw(st.integers(max(1, k - 2 * p), 5))
+                          for _ in range(3))
+    x = draw(hnp.arrays(dtype, shape, elements=_CONV_VALUES))
+    w = draw(hnp.arrays(dtype, (oc, ic, k, k, k), elements=_CONV_VALUES))
+    b = draw(hnp.arrays(dtype, (oc,), elements=_CONV_VALUES))
+    return x, KernelSet(w, b), (p, p, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conv_cases(), st.data())
+def test_conv_matches_oracle_bytes(case, data):
+    x, k, pad = case
+    y, y_ref = conv3d(x, k, pad=pad), _conv3d_oracle(x, k, pad=pad)
+    assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+    assert y.tobytes() == y_ref.tobytes()
+    gy = data.draw(hnp.arrays(x.dtype, y.shape, elements=_CONV_VALUES))
+    got = conv3d_backward(gy, x, k, pad=pad)
+    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    gx, gw, gb = conv3d_backward(gy, x, k, pad=pad, input_grad=False)
+    assert gx is None
+    assert gw.tobytes() == want[1].tobytes()
+    assert gb.tobytes() == want[2].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # maxpool3d
 
