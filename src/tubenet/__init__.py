@@ -12,17 +12,13 @@ from .tensor import (ArgmaxMap, KernelSet, ShapeError, conv3d,
                      maxpool3d, maxpool3d_backward, sgd_step, softmax_xent)
 from .toi import Box, Tube, bin_edges, toi_pool_backward, toi_pool_forward
 from .upsample import (UpscaleFactors, channel_to_spacedepth,
-                       channel_to_spacedepth_backward, subpixel_upsample3d,
-                       unpool_conv3d_reference)
+                       channel_to_spacedepth_backward, subpixel_upsample3d)
 from .proposals import (Anchor, LabeledBox, RegressionTarget,
                         assign_actionness_labels, decode_regression,
-                        encode_regression, kmeans_anchors, pair_tube_features,
-                        temporal_skip_map)
+                        encode_regression, kmeans_anchors)
 from .linking import (LinkedSequence, TubeProposal, brute_force_link,
                       link_top_k, nms_sequences, overlap, score_sequence)
-from .segmentation import (ClipSample, SegMask, augment_background_replace,
-                           augment_flip_shift, augment_illumination,
-                           hard_negative_mine, mask_to_box, segmentation_loss)
+from .segmentation import SegMask, mask_to_box, segmentation_loss
 from .metrics import (Detection, EvalReport, average_precision, contour_f,
                       frame_map, iou_box, iou_mask, mean_recall_decay,
                       roc_auc, temporal_stability, video_map)

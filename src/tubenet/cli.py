@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Verbs: gen, train-tcnn, train-stcnn, detect, segment, eval, bench.
+Verbs: gen, train-tcnn, train-stcnn, detect, segment, eval. The
+benchmark is a separate program: ``python3 bench/run.py --workload <w>``.
 Every verb accepts ``--config FILE`` plus ``--set key=value`` overrides;
 ``TUBENET_<KEY>`` environment variables sit between the file and the CLI
 overrides in priority.
@@ -11,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (RunConfig, run_bench, run_detect, run_eval, run_gen,
-                      run_segment, train_stcnn, train_tcnn)
+from .harness import (RunConfig, run_detect, run_eval, run_gen, run_segment,
+                      train_stcnn, train_tcnn)
 
 
 def _add_common(parser):
@@ -44,8 +45,7 @@ def main(argv=None):
             ("train-stcnn", "train the segmentation network"),
             ("detect", "run detection on the test split"),
             ("segment", "run segmentation on the test split"),
-            ("eval", "score written detections/segmentations"),
-            ("bench", "time the pipeline stages")):
+            ("eval", "score written detections/segmentations")):
         _add_common(sub.add_parser(verb, help=help_text))
 
     args = parser.parse_args(argv)
@@ -73,9 +73,6 @@ def main(argv=None):
             val = report[key]
             if isinstance(val, float):
                 print(f"{key}: {val:.4f}")
-    elif args.verb == "bench":
-        for name, secs in run_bench(cfg).items():
-            print(f"{name}: {secs:.3f}s")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""End-to-end runs: configuration, training loops, inference, evaluation,
-and benchmarking over the on-disk dataset layout.
+"""End-to-end runs: configuration, training loops, inference and
+evaluation over the on-disk dataset layout.
 
 Model checkpoints are a directory of ``.t4`` weight blobs plus a plain-text
 ``manifest.txt`` recording each parameter's name, true shape, and file.
@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as mx
-from .linking import (LinkedSequence, TubeProposal, link_top_k,
-                      nms_sequences, save_sequences)
+from .linking import TubeProposal, link_top_k, nms_sequences, save_sequences
 from .models import STCNN, TCNN, UPSAMPLERS
 from .proposals import decode_regression, kmeans_anchors
 from .segmentation import mask_to_box
@@ -84,9 +82,14 @@ class RunConfig:
         for key, val in values.items():
             if key not in fields:
                 raise KeyError(f"unknown config key: {key}")
-            cur = getattr(cfg, key)
-            setattr(cfg, key, type(cur)(val) if not isinstance(val, type(cur))
-                    else val)
+            kind = type(getattr(cfg, key))
+            if not isinstance(val, kind):
+                try:
+                    val = kind(val)
+                except ValueError:
+                    raise ValueError(f"config {key}={val!r}: not a valid "
+                                     f"{kind.__name__}") from None
+            setattr(cfg, key, val)
         cfg.validate()
         return cfg
 
@@ -106,6 +109,8 @@ class RunConfig:
                 bad(f.name, "must be >= 0")
         if self.num_frames < 8:
             bad("num_frames", "must be >= 8, the frames of one clip")
+        if not 0.0 < self.alpha < 1.0:
+            bad("alpha", "must lie in (0, 1)")
 
     def save(self, path):
         lines = [f"{f.name}={getattr(self, f.name)}"
@@ -153,14 +158,14 @@ def _unflatten(flat):
 # ----------------------------------------------------------------------
 # data access
 
-def _clips_of(frames, stride=8):
+def _clips_of(frames):
     """Non-overlapping 8-frame clips; the tail is zero-padded."""
-    _, F, H, W = frames.shape
+    C, F, H, W = frames.shape
     clips = []
-    for start in range(0, F, stride):
+    for start in range(0, F, 8):
         clip = frames[:, start:start + 8]
         if clip.shape[1] < 8:
-            pad = np.zeros((3, 8 - clip.shape[1], H, W), dtype=frames.dtype)
+            pad = np.zeros((C, 8 - clip.shape[1], H, W), dtype=frames.dtype)
             clip = np.concatenate([clip, pad], axis=1)
         clips.append(clip)
     return clips
@@ -528,38 +533,3 @@ def run_eval(cfg, split="test"):
     mx.write_report_csv(out / "report.csv", ev)
     return report
 
-
-# ----------------------------------------------------------------------
-# benchmarking
-
-@blas_threads(1)
-def run_bench(cfg, repeats=3):
-    """Median wall-clock seconds of each pipeline stage on one video."""
-    ann = load_annotations(cfg.data_dir)
-    vid = _split_videos(ann, "test")[0]
-    frames = load_video_frames(cfg.data_dir, vid)
-    timings = {}
-
-    tcnn, _ = load_tcnn(cfg)
-
-    def _detect():
-        detect_video(tcnn, frames, cfg)
-
-    stcnn, _ = load_stcnn(cfg)
-
-    def _segment():
-        for clip in _clips_of(frames):
-            stcnn.segment_clip(clip, cfg.mask_threshold)
-
-    def _encode():
-        tcnn.encoder.forward(_clips_of(frames)[0])
-
-    for name, fn in (("encode_clip", _encode), ("detect_video", _detect),
-                     ("segment_video", _segment)):
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - t0)
-        timings[name] = float(np.median(samples))
-    return timings

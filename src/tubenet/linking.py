@@ -131,9 +131,10 @@ def sequence_iou(a: LinkedSequence, b: LinkedSequence) -> float:
 
 def nms_sequences(seqs, iou_thresh: float):
     """Greedy NMS: keep the best-scoring sequence, drop any survivor whose
-    sequence IoU with it exceeds the threshold, repeat."""
-    if not 0.0 < iou_thresh < 1.0:
-        raise ValueError(f"iou_thresh {iou_thresh} outside (0,1)")
+    sequence IoU with it exceeds the threshold, repeat. At threshold 1
+    every sequence is kept."""
+    if not 0.0 < iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh {iou_thresh} outside (0,1]")
     order = sorted(range(len(seqs)), key=lambda i: (-seqs[i].score, i))
     kept = []
     for i in order:
@@ -142,7 +143,7 @@ def nms_sequences(seqs, iou_thresh: float):
     return [seqs[i] for i in kept]
 
 
-def save_sequences(path, seqs, frames_per_clip: int = 8) -> None:
+def save_sequences(path, seqs) -> None:
     """Line format: clip index, frame index, x1 y1 x2 y2, actionness."""
     with open(path, "w") as fh:
         for seq in seqs:

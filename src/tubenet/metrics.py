@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .proposals import iou as iou_box_raw
+from .proposals import iou as iou_box
 from .segmentation import SegMask
 from .tensor import ShapeError
 from .toi import Box
@@ -45,10 +45,6 @@ class EvalReport:
     t_mean: float | None = None
 
 
-def iou_box(a: Box, b: Box) -> float:
-    return iou_box_raw(a, b)
-
-
 def iou_mask(a: SegMask, b: SegMask) -> float:
     """Mask IoU; two empty masks agree perfectly (J = 1)."""
     if a.bits.shape != b.bits.shape:
@@ -65,7 +61,7 @@ def tube_iou(a: dict, b: dict) -> float:
     frames = sorted(set(a) | set(b))
     if not frames:
         return 0.0
-    vals = [iou_box_raw(a[f], b[f]) if f in a and f in b else 0.0
+    vals = [iou_box(a[f], b[f]) if f in a and f in b else 0.0
             for f in frames]
     return float(np.mean(vals))
 
@@ -115,7 +111,7 @@ def average_precision(detections, gts, match_fn, alpha: float) -> float:
 def _frame_match(det, gt):
     if det.frame != gt["frame"]:
         return 0.0
-    return iou_box_raw(det.box, gt["box"])
+    return iou_box(det.box, gt["box"])
 
 
 def _video_match(det, gt):

@@ -14,10 +14,9 @@ from . import tensor as tz
 from . import toi
 from .networks import (FC, Conv3D, Pool3D, ReLU, SubpixelUp, UnpoolUp,
                        clip_grads)
-from .proposals import (PairedFeatureProjector, decode_regression,
-                        encode_regression, smooth_l1)
+from .proposals import PairedFeatureProjector, encode_regression, smooth_l1
 from .segmentation import segmentation_loss
-from .tensor import softmax, softmax_xent
+from .tensor import softmax_xent
 from .toi import Box, Tube, pixel_box_to_cells
 from .upsample import UpscaleFactors
 
@@ -176,13 +175,11 @@ class TCNN(_ModelBase):
         self.act_head = Conv3D(c5, len(self.anchors), (1, 1, 1), rng=rng)
         self.projector = PairedFeatureProjector(c2, c5, proj2=8, proj5=16,
                                                 rng=rng)
-        d2, h2, w2 = self.POOL2
-        _, h5, w5 = self.POOL5
-        vec_len = 8 * d2 * h2 * w2 + 16 * d2 * h5 * w5
+        vec_len = self.projector.output_length((c2,) + self.POOL2,
+                                               (c5,) + self.POOL5)
         self.reg_fc1 = FC(vec_len, 128, rng)
         self.reg_fc2 = FC(128, 8 * 4, rng)
-        rec_len = c2 * d2 * h2 * w2
-        self.rec_fc1 = FC(rec_len, 128, rng)
+        self.rec_fc1 = FC(c2 * int(np.prod(self.POOL2)), 128, rng)
         self.rec_fc2 = FC(128, num_classes + 1, rng)
         self._grid_hw = None
 
@@ -249,8 +246,7 @@ class TCNN(_ModelBase):
             self.reg_fc1, self.reg_fc2,
             (gdeltas * self.REG_SCALE).reshape(-1).astype(np.float32), cache)
 
-    def tpn_step(self, frames, gt_boxes, rng, lr, reg_candidates=4,
-                 reg_weight=1.0):
+    def tpn_step(self, frames, gt_boxes, rng, lr, reg_candidates=4):
         """One alternated-TPN update on a clip: balanced actionness BCE plus
         smooth-L1 per-frame regression on a few positive candidates."""
         from .proposals import POSITIVE, assign_actionness_labels
@@ -296,8 +292,7 @@ class TCNN(_ModelBase):
                     [t.d_cx, t.d_cy, t.d_w, t.d_h])
             loss, gdiff = smooth_l1(diffs)
             reg_loss += loss / 8.0
-            gvec = self._regress_backward(gdiff * reg_weight / 8.0,
-                                          reg_cache)
+            gvec = self._regress_backward(gdiff / 8.0, reg_cache)
             gp2, gp5, gw2, gw5 = self.projector.backward(
                 gvec.astype(np.float64), cache)
             gw2, gw5 = clip_grads(gw2, gw5)
@@ -481,8 +476,7 @@ class STCNN(_ModelBase):
                            glogits.astype(np.float32), head_cache)
         return toi.toi_pool_backward(g.reshape(pooled_shape), pmap)
 
-    def train_step(self, frames, gt_masks, gt_boxes, label, lr,
-                   seg_weight=1.0, rec_weight=1.0):
+    def train_step(self, frames, gt_masks, gt_boxes, label, lr):
         """Joint segmentation + recognition update on one clip."""
         self.zero_grads()
         cache = {}
@@ -500,8 +494,8 @@ class STCNN(_ModelBase):
         if label is not None and gt_boxes is not None:
             logits, rec_cache = self.recognition_forward(concat1, gt_boxes)
             rec_loss, glog = softmax_xent(logits, label)
-            g_extra = self.recognition_backward(glog * rec_weight, rec_cache)
-        self.backward(cache, g_seg * seg_weight, g_extra)
+            g_extra = self.recognition_backward(glog, rec_cache)
+        self.backward(cache, g_seg, g_extra)
         self.sgd_update(lr)
         return float(seg_loss), float(rec_loss)
 

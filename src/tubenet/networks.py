@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .tensor import KernelSet, ShapeError
+from .tensor import KernelSet
 from .upsample import (UpscaleFactors, channel_to_spacedepth,
-                       channel_to_spacedepth_backward, corner_placement_map,
-                       unpool3d, unpool3d_backward)
+                       channel_to_spacedepth_backward, unpool3d,
+                       unpool3d_backward)
 
 
 GRAD_CLIP = 5.0
@@ -159,7 +159,7 @@ class SubpixelUp:
 
 
 class UnpoolUp:
-    """Reference upsampling: corner-placement un-pool into HR, then conv."""
+    """Alternative upsampling: corner-placement un-pool into HR, then conv."""
 
     def __init__(self, in_c, out_c, p: UpscaleFactors, rng, kdhw=(3, 3, 3),
                  dtype=np.float32):
@@ -167,14 +167,10 @@ class UnpoolUp:
         self.conv = Conv3D(in_c, out_c, kdhw, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        placement = corner_placement_map(x.shape, self.p)
-        y, cache = self.conv.forward(unpool3d(x, placement))
-        return y, (cache, placement)
+        return self.conv.forward(unpool3d(x, self.p))
 
     def backward(self, gy, cache):
-        conv_cache, placement = cache
-        return unpool3d_backward(self.conv.backward(gy, conv_cache),
-                                 placement)
+        return unpool3d_backward(self.conv.backward(gy, cache), self.p)
 
     def zero_grads(self):
         self.conv.zero_grads()
@@ -342,7 +338,7 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     # per-tube 1x1 channel projections sized so the halves total 8192
     proj = PairedFeatureProjector(conv2.shape[0], conv5.shape[0],
                                   proj2=8, proj5=32, rng=rng)
-    vec = proj(pooled2, pooled5)
+    vec, _ = proj.forward(pooled2, pooled5)
     shapes.append(("1x1 conv", vec.shape))
     del acts
     fc6 = FC(vec.shape[0], 4096, rng)

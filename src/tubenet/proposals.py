@@ -1,5 +1,6 @@
 """Tube Proposal Network machinery: data-driven anchors, actionness labels,
-box regression encoding, temporal skip pooling and paired tube features.
+box regression encoding, and the projection of paired conv2/conv5 tube
+features to a fixed-length descriptor.
 """
 
 from __future__ import annotations
@@ -9,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import toi
-from .tensor import ShapeError
-from .toi import Box, Tube
+from .toi import Box
 
 
 @dataclass(frozen=True)
@@ -64,19 +63,13 @@ def iou(a: Box, b: Box) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def _wh_iou(wa, ha, wb, hb) -> float:
-    # IoU of two center-aligned boxes, depends on (w, h) only
-    inter = min(wa, wb) * min(ha, hb)
-    return inter / (wa * ha + wb * hb - inter)
+def kmeans_anchors(boxes, k: int, seed: int):
+    """Cluster (w, h) pairs into k anchors under the distance 1 - IoU of
+    center-aligned boxes.
 
-
-def kmeans_anchors(boxes, k: int, seed: int, max_iters: int = 100,
-                   distance: str = "iou"):
-    """Cluster (w, h) pairs into k anchors.
-
-    `distance` is "iou" (1 - IoU of center-aligned boxes) or "euclidean".
-    Deterministic given the seed; distortion is non-increasing over the
-    reported iterations (an iteration that would raise it is discarded).
+    Runs at most 100 iterations. Deterministic given the seed; distortion
+    is non-increasing over the reported iterations (an iteration that would
+    raise it is discarded).
     """
     pts = np.asarray([(float(w), float(h)) for w, h in boxes], dtype=np.float64)
     if pts.size == 0:
@@ -86,8 +79,6 @@ def kmeans_anchors(boxes, k: int, seed: int, max_iters: int = 100,
         raise ValueError(f"k={k} not in [1, {len(distinct)} distinct boxes]")
 
     def dists(points, centers):
-        if distance == "euclidean":
-            return np.linalg.norm(points[:, None] - centers[None], axis=-1)
         inter = (np.minimum(points[:, None, 0], centers[None, :, 0])
                  * np.minimum(points[:, None, 1], centers[None, :, 1]))
         areas = points[:, 0] * points[:, 1]
@@ -97,7 +88,7 @@ def kmeans_anchors(boxes, k: int, seed: int, max_iters: int = 100,
     rng = np.random.default_rng(seed)
     centers = distinct[rng.choice(len(distinct), size=k, replace=False)]
     prev_distortion = np.inf
-    for _ in range(max_iters):
+    for _ in range(100):
         d = dists(pts, centers)
         assign = d.argmin(axis=1)
         distortion = float(d[np.arange(len(pts)), assign].sum())
@@ -160,33 +151,20 @@ def assign_actionness_labels(candidates, gt, pos_iou: float = 0.7,
     return out
 
 
-def encode_regression(anchor_box: Box, gt: Box, log_scale: bool = False
-                      ) -> RegressionTarget:
-    """Raw center/size displacements (the default); log-scale optional."""
+def encode_regression(anchor_box: Box, gt: Box) -> RegressionTarget:
+    """Raw center and size displacements, in pixels."""
     acx, acy = anchor_box.center
     gcx, gcy = gt.center
-    if log_scale:
-        return RegressionTarget((gcx - acx) / anchor_box.width,
-                                (gcy - acy) / anchor_box.height,
-                                math.log(gt.width / anchor_box.width),
-                                math.log(gt.height / anchor_box.height))
     return RegressionTarget(gcx - acx, gcy - acy,
                             gt.width - anchor_box.width,
                             gt.height - anchor_box.height)
 
 
-def decode_regression(anchor_box: Box, t: RegressionTarget,
-                      log_scale: bool = False) -> Box:
+def decode_regression(anchor_box: Box, t: RegressionTarget) -> Box:
     acx, acy = anchor_box.center
-    if log_scale:
-        cx = acx + t.d_cx * anchor_box.width
-        cy = acy + t.d_cy * anchor_box.height
-        w = anchor_box.width * math.exp(t.d_w)
-        h = anchor_box.height * math.exp(t.d_h)
-    else:
-        cx, cy = acx + t.d_cx, acy + t.d_cy
-        w = anchor_box.width + t.d_w
-        h = anchor_box.height + t.d_h
+    cx, cy = acx + t.d_cx, acy + t.d_cy
+    w = anchor_box.width + t.d_w
+    h = anchor_box.height + t.d_h
     return Box(cx - (w - 1) / 2.0, cy - (h - 1) / 2.0,
                cx + (w - 1) / 2.0, cy + (h - 1) / 2.0)
 
@@ -198,22 +176,6 @@ def smooth_l1(diff: np.ndarray):
     loss = np.where(small, 0.5 * d * d, np.abs(d) - 0.5).sum()
     grad = np.where(small, d, np.sign(d))
     return float(loss), grad
-
-
-def temporal_skip_map(box5: Box, conv5_dims, conv2_dims, depth: int = 8) -> Tube:
-    """Map a box on the temporally collapsed conv5 grid into a tube of
-    identical boxes on every conv2 slice, scaling with outward rounding."""
-    h5, w5 = conv5_dims
-    h2, w2 = conv2_dims
-    if min(h5, w5, h2, w2, depth) < 1:
-        raise ValueError("dims and depth must be positive")
-    sy, sx = h2 / h5, w2 / w5
-    x1 = max(0, math.floor(box5.x1 * sx))
-    y1 = max(0, math.floor(box5.y1 * sy))
-    x2 = min(w2 - 1, max(x1, math.ceil((box5.x2 + 1) * sx) - 1))
-    y2 = min(h2 - 1, max(y1, math.ceil((box5.y2 + 1) * sy) - 1))
-    scaled = Box(x1, y1, x2, y2)
-    return Tube(tuple(scaled for _ in range(depth)))
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -243,10 +205,6 @@ class PairedFeatureProjector:
         _, _, h5, w5 = tube5_shape
         return (self.w2.shape[0] * d2 * h2 * w2
                 + self.w5.shape[0] * d2 * h5 * w5)
-
-    def __call__(self, pooled2: np.ndarray, pooled5: np.ndarray) -> np.ndarray:
-        feats, _ = self.forward(pooled2, pooled5)
-        return feats
 
     def forward(self, pooled2: np.ndarray, pooled5: np.ndarray):
         n2 = l2_normalize(pooled2)
@@ -280,41 +238,3 @@ def _l2_normalize_backward(grad_n: np.ndarray, x: np.ndarray) -> np.ndarray:
         return grad_n
     n = x / norm
     return (grad_n - n * np.vdot(n, grad_n)) / norm
-
-
-def pair_tube_features(conv2_cube: np.ndarray, tube: Tube,
-                       conv5_cube: np.ndarray, box5: Box,
-                       pool2_shape=(8, 8, 8), pool5_shape=(1, 4, 4),
-                       projector: PairedFeatureProjector | None = None
-                       ) -> np.ndarray:
-    """ToI-pool the conv2 tube and the conv5 box, L2-normalize both,
-    duplicate the conv5 result along depth, vectorize, concatenate, and
-    project to a fixed length."""
-    pooled2, _ = toi.toi_pool_forward(conv2_cube, tube, pool2_shape)
-    tube5 = Tube(tuple(box5 for _ in range(conv5_cube.shape[1])))
-    pooled5, _ = toi.toi_pool_forward(conv5_cube, tube5, pool5_shape)
-    if pooled2.shape[1] % pooled5.shape[1]:
-        raise ShapeError(
-            f"conv2 pooled depth {pooled2.shape[1]} not a multiple of "
-            f"conv5 pooled depth {pooled5.shape[1]}"
-        )
-    if projector is None:
-        n2 = l2_normalize(pooled2)
-        n5 = l2_normalize(pooled5)
-        dup5 = np.repeat(n5, pooled2.shape[1] // pooled5.shape[1], axis=1)
-        return np.concatenate([n2.ravel(), dup5.ravel()])
-    return projector(pooled2, pooled5)
-
-
-def balanced_sample(labeled, rng, max_per_side=None):
-    """Equal positive/negative sampling for a training batch."""
-    pos = [lb for lb in labeled if lb.label == POSITIVE]
-    neg = [lb for lb in labeled if lb.label == NEGATIVE]
-    n = min(len(pos), len(neg))
-    if max_per_side is not None:
-        n = min(n, max_per_side)
-    pos_pick = list(rng.choice(len(pos), size=min(n, len(pos)), replace=False)) \
-        if len(pos) > n else range(len(pos))
-    neg_pick = list(rng.choice(len(neg), size=n, replace=False)) \
-        if len(neg) > n else range(len(neg))
-    return [pos[i] for i in pos_pick], [neg[i] for i in neg_pick]

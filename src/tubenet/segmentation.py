@@ -1,21 +1,20 @@
 """Per-pixel foreground prediction utilities for the bottom-up pipeline:
-binary masks and their file format, mask-to-box inference, the segmentation
-loss, hard negative mining, and the clip augmentations.
+binary masks and their file format, mask-to-box inference and the
+segmentation loss.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .proposals import NEGATIVE
 from .tensor import ShapeError
 from .toi import Box
 
 SM_MAGIC = b"SM"
+SM_HEADER_BYTES = 2 + struct.calcsize("<2I")
 
 
 @dataclass(frozen=True)
@@ -37,13 +36,6 @@ class SegMask:
     def width(self) -> int:
         return self.bits.shape[1]
 
-    def save(self, path) -> None:
-        save_mask(path, self.bits)
-
-    @classmethod
-    def load(cls, path) -> "SegMask":
-        return cls(load_mask(path))
-
 
 def save_mask(path, bits: np.ndarray) -> None:
     """Header: magic "SM", H and W as LE u32; payload: row-major packed bits."""
@@ -54,34 +46,22 @@ def save_mask(path, bits: np.ndarray) -> None:
 
 
 def load_mask(path) -> np.ndarray:
+    """Read a `save_mask` file; a short header or payload is an error."""
     with open(path, "rb") as fh:
-        header = fh.read(10)
+        header = fh.read(SM_HEADER_BYTES)
         if header[:2] != SM_MAGIC:
             raise ValueError(f"{path}: bad magic {header[:2]!r}")
+        if len(header) < SM_HEADER_BYTES:
+            raise ValueError(f"{path}: truncated header, {len(header)} of "
+                             f"{SM_HEADER_BYTES} bytes")
         h, w = struct.unpack("<2I", header[2:])
         packed = np.frombuffer(fh.read(), dtype=np.uint8)
+    need = (h * w + 7) // 8
+    if packed.size < need:
+        raise ValueError(f"{path}: truncated payload, {packed.size} of "
+                         f"{need} bytes")
     bits = np.unpackbits(packed, count=h * w).astype(bool)
     return bits.reshape(h, w)
-
-
-@dataclass
-class ClipSample:
-    """One 8-frame training/inference clip with optional annotations."""
-
-    frames: np.ndarray  # (3, 8, H, W)
-    gt_masks: list | None = None
-    gt_boxes: list | None = None
-    class_label: int | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.frames.ndim != 4 or self.frames.shape[0] != 3 \
-                or self.frames.shape[1] != 8:
-            raise ShapeError(f"clip frames must be (3,8,H,W), got {self.frames.shape}")
-        if self.gt_masks is not None:
-            for m in self.gt_masks:
-                if m.bits.shape != self.frames.shape[2:]:
-                    raise ShapeError("mask dims differ from frame dims")
 
 
 def mask_to_box(mask: SegMask) -> Box | None:
@@ -116,169 +96,3 @@ def segmentation_loss(logits: np.ndarray, gt_masks):
     grad -= onehot
     grad /= n
     return loss, grad.astype(logits.dtype, copy=False)
-
-
-def hard_negative_mine(negative_clip_boxes, pool_size: int):
-    """The pool_size highest-actionness boxes among negative-clip boxes.
-    Ties keep input order."""
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
-    neg = [lb for lb in negative_clip_boxes if lb.label == NEGATIVE]
-    order = sorted(range(len(neg)), key=lambda i: (-neg[i].actionness, i))
-    return [neg[i].box for i in order[:pool_size]]
-
-
-# ---------------------------------------------------------------------------
-# Augmentations. All are pure given the seed and preserve frame geometry.
-
-
-def _rgb_to_hsv(rgb):
-    # rgb: (..., 3) in [0, 1]
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=-1)
-    minc = rgb.min(axis=-1)
-    v = maxc
-    delta = maxc - minc
-    s = np.where(maxc > 0, delta / np.maximum(maxc, 1e-12), 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rc = (maxc - r) / np.maximum(delta, 1e-12)
-        gc = (maxc - g) / np.maximum(delta, 1e-12)
-        bc = (maxc - b) / np.maximum(delta, 1e-12)
-    h = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc,
-                                              4.0 + gc - rc))
-    h = np.where(delta > 0, (h / 6.0) % 1.0, 0.0)
-    return np.stack([h, s, v], axis=-1)
-
-
-def _hsv_to_rgb(hsv):
-    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(int) % 6
-    conds = [i == k for k in range(6)]
-    r = np.select(conds, [v, q, p, p, t, v])
-    g = np.select(conds, [t, v, v, q, p, p])
-    b = np.select(conds, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
-
-
-def augment_illumination(clip: ClipSample, seed) -> ClipSample:
-    """Scale the HSV value channel by one uniform draw a ~ U[0.9, 1.1]."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.9, 1.1)
-    rgb = np.moveaxis(clip.frames, 0, -1)  # (8, H, W, 3)
-    hsv = _rgb_to_hsv(np.clip(rgb, 0.0, 1.0))
-    hsv[..., 2] = np.clip(hsv[..., 2] * a, 0.0, 1.0)
-    out = np.moveaxis(_hsv_to_rgb(hsv), -1, 0).astype(clip.frames.dtype)
-    return ClipSample(out, clip.gt_masks, clip.gt_boxes, clip.class_label,
-                      dict(clip.meta))
-
-
-def augment_background_replace(clip: ClipSample, side: str) -> ClipSample:
-    """Replace the foreground half on `side` with the nearest background
-    pixel values and clear the mask there."""
-    if side not in ("top", "bottom", "left", "right"):
-        raise ValueError(f"unknown side {side!r}")
-    if clip.gt_masks is None:
-        raise ValueError("background replacement needs gt masks")
-    frames = clip.frames.copy()
-    masks = []
-    for t, mask in enumerate(clip.gt_masks):
-        bits = mask.bits.copy()
-        box = mask_to_box(mask)
-        if box is None:
-            masks.append(SegMask(bits))
-            continue
-        if not (~bits).any():
-            raise ValueError("full-frame foreground leaves no background source")
-        half = np.zeros_like(bits)
-        cy = int((box.y1 + box.y2) // 2)
-        cx = int((box.x1 + box.x2) // 2)
-        if side == "top":
-            half[: cy + 1] = True
-        elif side == "bottom":
-            half[cy + 1:] = True
-        elif side == "left":
-            half[:, : cx + 1] = True
-        else:
-            half[:, cx + 1:] = True
-        target = bits & half
-        if target.any():
-            # nearest background pixel for every location
-            _, (iy, ix) = ndimage.distance_transform_edt(
-                bits, return_indices=True)
-            ty, tx = np.nonzero(target)
-            frames[:, t, ty, tx] = frames[:, t, iy[ty, tx], ix[ty, tx]]
-            bits[target] = False
-        masks.append(SegMask(bits))
-    return ClipSample(frames, masks, [mask_to_box(m) for m in masks],
-                      clip.class_label, dict(clip.meta))
-
-
-def _shift2d(arr, dy: int, dx: int, replicate: bool):
-    """Translate the last two axes by (dy, dx), edge-replicating the border."""
-    out = arr
-    if dy:
-        out = np.roll(out, dy, axis=-2)
-        if replicate:
-            if dy > 0:
-                out[..., :dy, :] = out[..., dy:dy + 1, :]
-            else:
-                out[..., dy:, :] = out[..., dy - 1:dy, :]
-        else:
-            if dy > 0:
-                out[..., :dy, :] = 0
-            else:
-                out[..., dy:, :] = 0
-    if dx:
-        out = np.roll(out, dx, axis=-1)
-        if replicate:
-            if dx > 0:
-                out[..., :dx] = out[..., dx:dx + 1]
-            else:
-                out[..., dx:] = out[..., dx - 1:dx]
-        else:
-            if dx > 0:
-                out[..., :dx] = 0
-            else:
-                out[..., dx:] = 0
-    return out
-
-
-def augment_flip_shift(clip: ClipSample, flip: bool, shift=(0, 0)) -> ClipSample:
-    """Horizontal mirror and/or one-pixel shift applied consistently to
-    frames, masks and boxes; the vacated border replicates the edge."""
-    dx, dy = shift
-    if dx not in (-1, 0, 1) or dy not in (-1, 0, 1):
-        raise ValueError(f"shift components must be in -1..1, got {shift}")
-    frames = clip.frames.copy()
-    w = frames.shape[3]
-    if flip:
-        frames = frames[..., ::-1].copy()
-    frames = _shift2d(frames, dy, dx, replicate=True)
-
-    masks = None
-    if clip.gt_masks is not None:
-        masks = []
-        for m in clip.gt_masks:
-            bits = m.bits[:, ::-1].copy() if flip else m.bits.copy()
-            masks.append(SegMask(_shift2d(bits, dy, dx, replicate=True)))
-
-    boxes = None
-    if clip.gt_boxes is not None:
-        boxes = []
-        for b in clip.gt_boxes:
-            if b is None:
-                boxes.append(None)
-                continue
-            if flip:
-                b = Box(w - 1 - b.x2, b.y1, w - 1 - b.x1, b.y2)
-            h = frames.shape[2]
-            boxes.append(Box(min(max(b.x1 + dx, 0), w - 1),
-                             min(max(b.y1 + dy, 0), h - 1),
-                             min(max(b.x2 + dx, 0), w - 1),
-                             min(max(b.y2 + dy, 0), h - 1)))
-    return ClipSample(frames, masks, boxes, clip.class_label, dict(clip.meta))

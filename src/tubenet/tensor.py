@@ -106,13 +106,11 @@ class ArgmaxMap:
 
 def glorot_uniform(shape, rng: np.random.Generator, fan_in: int, fan_out: int,
                    dtype=np.float32) -> np.ndarray:
+    """Uniform weights in +-sqrt(6 / (fan_in + fan_out)); `dtype` is
+    float32 or float64, the two dtypes the generator draws in."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    dtype = np.dtype(dtype)
-    if dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-        # draw directly in the target dtype; avoids a float64 copy of big layers
-        r = rng.random(size=shape, dtype=dtype)
-        return (r * (2 * limit) - limit).astype(dtype, copy=False)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    r = rng.random(size=shape, dtype=dtype)
+    return (r * (2 * limit) - limit).astype(dtype, copy=False)
 
 
 def make_kernels(out_channels: int, in_channels: int, kdhw, rng,
@@ -282,19 +280,15 @@ def _pool_windows(x: np.ndarray, kernel) -> list:
             for a in range(kd) for b in range(kh) for cc in range(kw)]
 
 
-def maxpool3d(x: np.ndarray, kernel, stride=None):
-    """Max pool a (C,D,H,W) cube. Returns (output, PoolArgmax).
+def maxpool3d(x: np.ndarray, kernel):
+    """Max pool a (C,D,H,W) cube with stride equal to the kernel. Returns
+    (output, PoolArgmax).
 
-    Stride defaults to the kernel (the only configuration the networks use).
     Trailing windows that do not fit are pooled over the available elements.
     Each output is the first maximum of its window in row-major (d, h, w)
     order, bytes included (of a -0.0 and +0.0 the first wins), and as in
     `np.argmax` a NaN beats any number and the first NaN wins.
     """
-    if stride is None:
-        stride = kernel
-    if tuple(stride) != tuple(kernel):
-        raise ShapeError("maxpool3d supports stride == kernel only")
     kd, kh, kw = kernel
     c, d, h, w = x.shape
     if kd > d or kh > h or kw > w:
@@ -397,21 +391,12 @@ def softmax_xent(logits: np.ndarray, label: int):
     return float(loss), grad.astype(logits.dtype, copy=False)
 
 
-def sgd_step(params, grads, lr: float):
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     """One plain SGD update, params <- params - lr * grads. Pure."""
-    if isinstance(params, dict):
-        if set(params) != set(grads):
-            raise ShapeError("param/grad keys differ")
-        return {k: sgd_step(params[k], grads[k], lr) for k in params}
-    if isinstance(params, (list, tuple)):
-        if len(params) != len(grads):
-            raise ShapeError("param/grad lengths differ")
-        return type(params)(sgd_step(p, g, lr) for p, g in zip(params, grads))
-    p = np.asarray(params)
-    g = np.asarray(grads)
-    if p.shape != g.shape:
-        raise ShapeError(f"param shape {p.shape} != grad shape {g.shape}")
-    return p - lr * g
+    if params.shape != grads.shape:
+        raise ShapeError(f"param shape {params.shape} != grad shape "
+                         f"{grads.shape}")
+    return params - lr * grads
 
 
 def finite_diff_grad(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -13,7 +13,9 @@ offsets are still distinct but leave gaps, so they are compacted by rank to
 keep the index map a bijection. When p_d = p_w the compaction is the
 identity and the formula above holds verbatim.
 
-The un-pool + convolution path is kept as the reference alternative.
+Un-pooling is the alternative the upsampler ablation runs: each LR value
+lands on the first corner of its p_d x p_h x p_w block, zeros elsewhere,
+and a convolution in high resolution follows (`networks.UnpoolUp`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ArgmaxMap, KernelSet, ShapeError, conv3d
+from .tensor import KernelSet, ShapeError, conv3d
 
 
 @dataclass(frozen=True)
@@ -118,46 +120,18 @@ def subpixel_upsample3d(lr: np.ndarray, kernels: KernelSet, p: UpscaleFactors
     return channel_to_spacedepth(expanded, p)
 
 
-def corner_placement_map(lr_shape, p: UpscaleFactors) -> ArgmaxMap:
-    """Deterministic placement for un-pooling: each LR value lands on the
-    top-left-front corner of its p-block in the HR grid."""
-    c, d, h, w = lr_shape
-    hr = (c, d * p.p_d, h * p.p_h, w * p.p_w)
-    ci, di, hi, wi = np.meshgrid(np.arange(c), np.arange(d), np.arange(h),
-                                 np.arange(w), indexing="ij")
-    flat = ((ci * hr[1] + di * p.p_d) * hr[2] + hi * p.p_h) * hr[3] + wi * p.p_w
-    return ArgmaxMap(flat, hr)
+def unpool3d(lr: np.ndarray, p: UpscaleFactors) -> np.ndarray:
+    """Place each LR value on the first corner of its p-block of the HR
+    grid, zeros elsewhere."""
+    c, d, h, w = lr.shape
+    hr = np.zeros((c, d * p.p_d, h * p.p_h, w * p.p_w), dtype=lr.dtype)
+    hr[:, ::p.p_d, ::p.p_h, ::p.p_w] = lr
+    return hr
 
 
-def unpool3d(lr: np.ndarray, placement: ArgmaxMap) -> np.ndarray:
-    """Scatter LR values to their recorded HR positions, zeros elsewhere."""
-    if placement.indices.shape != lr.shape:
-        raise ShapeError(
-            f"placement shape {placement.indices.shape} != input {lr.shape}"
-        )
-    hr = np.zeros(int(np.prod(placement.in_shape)), dtype=lr.dtype)
-    hr[placement.indices.ravel()] = lr.ravel()
-    return hr.reshape(placement.in_shape)
-
-
-def unpool3d_backward(grad_hr: np.ndarray, placement: ArgmaxMap) -> np.ndarray:
-    if grad_hr.shape != tuple(placement.in_shape):
-        raise ShapeError(
-            f"grad shape {grad_hr.shape} != HR shape {placement.in_shape}"
-        )
-    return grad_hr.ravel()[placement.indices.ravel()].reshape(
-        placement.indices.shape)
-
-
-def unpool_conv3d_reference(lr: np.ndarray, placement: ArgmaxMap,
-                            kernels: KernelSet, p: UpscaleFactors) -> np.ndarray:
-    """Reference upsampling: un-pool into the HR grid, then convolve."""
-    expected = (lr.shape[0], lr.shape[1] * p.p_d,
-                lr.shape[2] * p.p_h, lr.shape[3] * p.p_w)
-    if tuple(placement.in_shape) != expected:
-        raise ShapeError(
-            f"placement HR shape {placement.in_shape} != {expected} for factors {p}"
-        )
-    hr = unpool3d(lr, placement)
-    kd, kh, kw = kernels.kdhw
-    return conv3d(hr, kernels, pad=(kd // 2, kh // 2, kw // 2))
+def unpool3d_backward(grad_hr: np.ndarray, p: UpscaleFactors) -> np.ndarray:
+    """The gradient at each block's first corner, as an LR cube."""
+    _, dh, hh, wh = grad_hr.shape
+    if dh % p.p_d or hh % p.p_h or wh % p.p_w:
+        raise ShapeError(f"HR shape {grad_hr.shape} not divisible by factors {p}")
+    return np.ascontiguousarray(grad_hr[:, ::p.p_d, ::p.p_h, ::p.p_w])

@@ -71,7 +71,8 @@ def test_config_type_coercion():
     ("nms_iou", "nan"), ("epochs_tpn", "-3"), ("epochs_rec", "-1"),
     ("epochs_refine", "-1"), ("epochs_seg", "-1"), ("mask_threshold", "nan"),
     ("mask_threshold", "inf"), ("mask_threshold", "-0.5"),
-    ("mask_threshold", "1.5"), ("num_frames", "4")])
+    ("mask_threshold", "1.5"), ("num_frames", "4"), ("alpha", "1.5"),
+    ("alpha", "0"), ("epochs_tpn", "abc"), ("lr", "fast")])
 def test_config_rejects_bad_value_naming_the_field(key, value):
     with pytest.raises(ValueError, match=f"^config {key}="):
         RunConfig.load(overrides={key: value})
@@ -120,6 +121,8 @@ def test_clips_of_pads_tail_with_zeros():
     assert clips[1].shape == (3, 8, 4, 4)
     assert np.array_equal(clips[1][:, :3], frames[:, 8:])
     assert not clips[1][:, 3:].any()
+    # the pad takes the channel count of the frames
+    assert _clips_of(np.ones((2, 11, 4, 4)))[1].shape == (2, 8, 4, 4)
 
 
 # ----------------------------------------------------------------------

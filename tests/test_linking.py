@@ -127,6 +127,16 @@ def test_nms_threshold_boundary():
     assert kept == [s1, s3]
 
 
+def test_nms_threshold_one_keeps_every_sequence():
+    s1 = LinkedSequence((prop(0, Box(0, 0, 9, 9), 0.9),), 0.9)
+    s2 = LinkedSequence((prop(0, Box(0, 0, 9, 9), 0.8),), 0.8)  # IoU 1
+    s3 = LinkedSequence((prop(0, Box(2, 0, 11, 9), 0.7),), 0.7)
+    assert nms_sequences([s3, s1, s2], 1.0) == [s1, s2, s3]
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            nms_sequences([s1], bad)
+
+
 def test_sequence_file_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     per_clip = random_instance(rng, 3, 3)

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubenet.proposals import (NEGATIVE, POSITIVE, PairedFeatureProjector,
-                               assign_actionness_labels, balanced_sample,
-                               decode_regression, encode_regression, iou,
-                               kmeans_anchors, l2_normalize, load_anchors,
-                               pair_tube_features, save_anchors, smooth_l1,
-                               temporal_skip_map)
-from tubenet.toi import Box, Tube, full_frame_tube
+                               assign_actionness_labels, decode_regression,
+                               encode_regression, iou, kmeans_anchors,
+                               l2_normalize, load_anchors, save_anchors,
+                               smooth_l1)
+from tubenet.toi import Box, Tube, pixel_box_to_cells, toi_pool_forward
 
 
 def test_iou_examples():
@@ -117,10 +116,8 @@ def test_regression_hand_case():
 def test_regression_roundtrip(ax, ay, aw, ah, gx, gy, gw, gh):
     anchor = Box(ax, ay, ax + aw, ay + ah)
     gt = Box(gx, gy, gx + gw, gy + gh)
-    for log_scale in (False, True):
-        t = encode_regression(anchor, gt, log_scale)
-        back = decode_regression(anchor, t, log_scale)
-        assert np.allclose(back.astuple(), gt.astuple(), atol=1e-9)
+    back = decode_regression(anchor, encode_regression(anchor, gt))
+    assert np.allclose(back.astuple(), gt.astuple(), atol=1e-9)
 
 
 def test_smooth_l1_regions():
@@ -130,17 +127,16 @@ def test_smooth_l1_regions():
 
 
 def test_temporal_skip_map_full_frame():
-    tube = temporal_skip_map(Box(0, 0, 24, 18), (19, 25), (150, 200))
-    assert len(tube) == 8
-    for b in tube:
-        assert b.astuple() == (0, 0, 199, 149)
+    # the conv5 box that covers the whole 19x25 grid covers the whole
+    # 150x200 conv2 grid of the skip-pooled tube
+    cells = pixel_box_to_cells(Box(0, 0, 24, 18), (150, 200), (19, 25))
+    assert cells.astuple() == (0, 0, 199, 149)
 
 
 def test_temporal_skip_map_outward_rounding():
     # floor the near corner, ceil the far corner in conv2 cells
-    tube = temporal_skip_map(Box(0, 0, 9, 12), (19, 25), (150, 200))
-    assert tube[0].astuple() == (0, 0, 79, 102)
-    assert all(b == tube[0] for b in tube)
+    cells = pixel_box_to_cells(Box(0, 0, 9, 12), (150, 200), (19, 25))
+    assert cells.astuple() == (0, 0, 79, 102)
 
 
 def test_l2_normalize():
@@ -151,14 +147,19 @@ def test_l2_normalize():
 
 
 def test_paired_features_unit_halves_and_zero_conv5():
+    # with identity projections the descriptor is the two L2-normalized
+    # pooled tubes, the conv5 one repeated along depth
     rng = np.random.default_rng(4)
     conv2 = rng.standard_normal((16, 8, 20, 24))
     conv5 = np.zeros((32, 1, 5, 6))
-    cells = Box(2, 2, 10, 12)
-    tube = Tube(tuple(cells for _ in range(8)))
-    vec = pair_tube_features(conv2, tube, conv5, Box(0, 0, 5, 4),
-                             pool2_shape=(8, 4, 4), pool5_shape=(1, 2, 2))
+    tube2 = Tube(tuple(Box(2, 2, 10, 12) for _ in range(8)))
+    pooled2, _ = toi_pool_forward(conv2, tube2, (8, 4, 4))
+    pooled5, _ = toi_pool_forward(conv5, Tube((Box(0, 0, 5, 4),)), (1, 2, 2))
+    proj = PairedFeatureProjector(16, 32, proj2=16, proj5=32, rng=rng)
+    proj.w2, proj.w5 = np.eye(16), np.eye(32)
+    vec, _ = proj.forward(pooled2, pooled5)
     half = 16 * 8 * 4 * 4
+    assert vec.shape == (half + 32 * 8 * 2 * 2,)
     assert np.linalg.norm(vec[:half]) == pytest.approx(1.0)
     assert np.all(vec[half:] == 0.0)
 
@@ -209,14 +210,3 @@ def test_projector_backward_matches_finite_differences():
 
     fw2 = finite_diff_grad(loss_w2, w2)
     assert np.allclose(gw2, fw2, atol=1e-6)
-
-
-def test_balanced_sample_counts():
-    labeled = assign_actionness_labels(
-        [Box(0, 0, 9, 9), Box(1, 1, 10, 10), Box(50, 50, 59, 59),
-         Box(70, 70, 79, 79), Box(30, 30, 39, 39)],
-        [Box(0, 0, 9, 9)])
-    pos, neg = balanced_sample(labeled, np.random.default_rng(0))
-    assert len(pos) == len(neg) > 0
-    assert all(lb.label == POSITIVE for lb in pos)
-    assert all(lb.label == NEGATIVE for lb in neg)

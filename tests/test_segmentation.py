@@ -3,26 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from tubenet.proposals import NEGATIVE, LabeledBox
-from tubenet.segmentation import (ClipSample, SegMask,
-                                  augment_background_replace,
-                                  augment_flip_shift, augment_illumination,
-                                  hard_negative_mine, load_mask, mask_to_box,
-                                  save_mask, segmentation_loss)
+from tubenet.segmentation import (SegMask, load_mask, mask_to_box, save_mask,
+                                  segmentation_loss)
 from tubenet.tensor import finite_diff_grad
-from tubenet.toi import Box
-
-
-def make_clip(h=16, w=20, box=(4, 3, 11, 9), seed=0):
-    rng = np.random.default_rng(seed)
-    frames = rng.random((3, 8, h, w)).astype(np.float32) * 0.2
-    x1, y1, x2, y2 = box
-    bits = np.zeros((h, w), dtype=bool)
-    bits[y1:y2 + 1, x1:x2 + 1] = True
-    frames[:, :, y1:y2 + 1, x1:x2 + 1] = 0.9
-    masks = [SegMask(bits.copy()) for _ in range(8)]
-    boxes = [Box(*box) for _ in range(8)]
-    return ClipSample(frames, masks, boxes, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +36,29 @@ def test_mask_bad_magic(tmp_path):
     p = tmp_path / "m.sm"
     p.write_bytes(b"XY" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_mask(p)
+
+
+def test_mask_truncated_header_rejected(tmp_path):
+    p = tmp_path / "m.sm"
+    p.write_bytes(b"SM" + struct.pack("<I", 5))
+    with pytest.raises(ValueError, match="truncated header, 6 of 10 bytes"):
+        load_mask(p)
+
+
+def test_mask_truncated_payload_rejected(tmp_path):
+    # half of an all-foreground 80x112 mask
+    p = tmp_path / "m.sm"
+    save_mask(p, np.ones((80, 112), dtype=bool))
+    p.write_bytes(p.read_bytes()[:10 + 80 * 112 // 16])
+    with pytest.raises(ValueError, match="truncated payload, 560 of 1120 "
+                                         "bytes") as err:
+        load_mask(p)
+    assert str(p) in str(err.value)
+    # one bit short: 13*17 = 221 bits need 28 bytes
+    save_mask(p, np.ones((13, 17), dtype=bool))
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="27 of 28 bytes"):
         load_mask(p)
 
 
@@ -111,115 +117,3 @@ def test_loss_grad_matches_finite_differences():
     fg = finite_diff_grad(lambda v: segmentation_loss(v, masks)[0], logits)
     denom = max(np.abs(fg).max(), 1e-12)
     assert np.abs(grad - fg).max() / denom < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# hard negative mining
-
-
-def lb(score):
-    return LabeledBox(Box(0, 0, 4, 4), score, NEGATIVE)
-
-
-def test_hard_negatives_top_k_by_score():
-    pool = hard_negative_mine([lb(0.9), lb(0.1), lb(0.5)], 2)
-    assert len(pool) == 2
-
-
-def test_hard_negatives_tie_keeps_input_order():
-    boxes = [LabeledBox(Box(i, 0, i + 4, 4), 0.5, NEGATIVE)
-             for i in range(5)]
-    pool = hard_negative_mine(boxes, 3)
-    assert [b.x1 for b in pool] == [0, 1, 2]
-
-
-def test_training_batch_composition():
-    # 32 positives + 16 random negatives + 16 hard negatives = 64
-    hard = hard_negative_mine([lb(float(i) / 100) for i in range(64)], 16)
-    assert len(hard) == 16
-    assert 32 + 16 + len(hard) == 64
-
-
-# ---------------------------------------------------------------------------
-# augmentations
-
-
-def test_illumination_identity_and_black():
-    clip = make_clip()
-    out = augment_illumination(clip, seed=3)
-    # value-channel scale only: hue/saturation preserved within rounding
-    assert out.frames.shape == clip.frames.shape
-    black = ClipSample(np.zeros_like(clip.frames), clip.gt_masks,
-                       clip.gt_boxes, 1)
-    out = augment_illumination(black, seed=0)
-    assert np.all(out.frames == 0.0)
-
-
-def test_illumination_scales_value_channel():
-    # pure gray pixel: rgb all equal -> V channel equals that value
-    frames = np.full((3, 8, 4, 4), 200 / 255.0, dtype=np.float64)
-    clip = ClipSample(frames, None, None, None)
-    # find a seed drawing a close to 0.9
-    for seed in range(200):
-        a = np.random.default_rng(seed).uniform(0.9, 1.1)
-        if abs(a - 0.9) < 5e-3:
-            break
-    out = augment_illumination(clip, seed=seed)
-    assert out.frames[0, 0, 0, 0] == pytest.approx(200 / 255.0 * a, rel=1e-9)
-
-
-def test_background_replace_empty_identity():
-    clip = make_clip()
-    empty = ClipSample(clip.frames.copy(),
-                       [SegMask(np.zeros((16, 20), dtype=bool))] * 8,
-                       None, 1)
-    out = augment_background_replace(empty, "left")
-    assert np.array_equal(out.frames, clip.frames)
-
-
-def test_background_replace_full_frame_rejected():
-    clip = make_clip()
-    full = ClipSample(clip.frames.copy(),
-                      [SegMask(np.ones((16, 20), dtype=bool))] * 8, None, 1)
-    with pytest.raises(ValueError):
-        augment_background_replace(full, "left")
-
-
-def test_background_replace_halves_symmetric_foreground():
-    clip = make_clip(box=(4, 3, 11, 10))  # 8x8 block
-    before = int(clip.gt_masks[0].bits.sum())
-    out = augment_background_replace(clip, "top")
-    after = int(out.gt_masks[0].bits.sum())
-    assert after == before // 2
-    # replaced pixels take background values, not actor texture
-    assert out.frames[:, 0, 3, 4].max() < 0.5
-
-
-def test_flip_twice_is_identity():
-    clip = make_clip()
-    out = augment_flip_shift(augment_flip_shift(clip, True), True)
-    assert np.array_equal(out.frames, clip.frames)
-    assert np.array_equal(out.gt_masks[0].bits, clip.gt_masks[0].bits)
-    assert out.gt_boxes[0].astuple() == clip.gt_boxes[0].astuple()
-
-
-def test_shift_roundtrip_away_from_border():
-    clip = make_clip()
-    out = augment_flip_shift(augment_flip_shift(clip, False, (1, 0)),
-                             False, (-1, 0))
-    # interior is restored; only the replicated 1-pixel border may differ
-    assert np.array_equal(out.frames[..., 1:-1], clip.frames[..., 1:-1])
-
-
-def test_flip_box_mirror_arithmetic():
-    frames = np.zeros((3, 8, 240, 320), dtype=np.float32)
-    clip = ClipSample(frames, None, [Box(5, 5, 10, 10)] * 8, 1)
-    out = augment_flip_shift(clip, True)
-    assert out.gt_boxes[0].astuple() == (309, 5, 314, 10)
-
-
-def test_flip_keeps_mask_and_box_consistent():
-    clip = make_clip()
-    out = augment_flip_shift(clip, True, (1, 0))
-    assert mask_to_box(out.gt_masks[0]).astuple() == \
-        out.gt_boxes[0].astuple()

@@ -432,15 +432,6 @@ def test_sgd_quadratic_bowl_monotone():
         prev = cur
 
 
-def test_sgd_step_nested_structures():
-    params = {"a": np.ones(3), "b": [np.ones(2), np.ones(1)]}
-    grads = {"a": np.ones(3), "b": [np.ones(2), np.ones(1)]}
-    out = sgd_step(params, grads, 0.5)
-    assert np.allclose(out["a"], 0.5)
-    assert np.allclose(out["b"][0], 0.5)
-    assert np.allclose(params["a"], 1.0)  # input untouched
-
-
 def test_finite_diff_exact_on_linear():
     a = np.arange(6.0)
     g = finite_diff_grad(lambda v: float(a @ v), np.zeros(6))

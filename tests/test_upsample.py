@@ -2,13 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from tubenet.networks import UnpoolUp
 from tubenet.tensor import KernelSet, finite_diff_grad, make_kernels
 from tubenet.upsample import (UpscaleFactors, channel_to_spacedepth,
                               channel_to_spacedepth_backward,
-                              corner_placement_map, subpixel_upsample3d,
-                              unpool3d, unpool3d_backward,
-                              unpool_conv3d_reference)
+                              subpixel_upsample3d, unpool3d,
+                              unpool3d_backward)
 
 
 def reference_gather(expanded, p):
@@ -123,12 +126,65 @@ def test_subpixel_channel_count_must_divide():
         subpixel_upsample3d(np.zeros((2, 2, 2, 2)), k, p)
 
 
+def _corner_placement_oracle(lr_shape, p):
+    """Flat HR index of each LR element's block corner, from a meshgrid."""
+    c, d, h, w = lr_shape
+    hr = (c, d * p.p_d, h * p.p_h, w * p.p_w)
+    ci, di, hi, wi = np.meshgrid(np.arange(c), np.arange(d), np.arange(h),
+                                 np.arange(w), indexing="ij")
+    flat = ((ci * hr[1] + di * p.p_d) * hr[2] + hi * p.p_h) * hr[3] + wi * p.p_w
+    return flat, hr
+
+
+def _unpool3d_oracle(lr, p):
+    flat, hr_shape = _corner_placement_oracle(lr.shape, p)
+    hr = np.zeros(int(np.prod(hr_shape)), dtype=lr.dtype)
+    hr[flat.ravel()] = lr.ravel()
+    return hr.reshape(hr_shape)
+
+
+def _unpool3d_backward_oracle(grad_hr, p):
+    c, dh, hh, wh = grad_hr.shape
+    flat, _ = _corner_placement_oracle(
+        (c, dh // p.p_d, hh // p.p_h, wh // p.p_w), p)
+    return grad_hr.ravel()[flat.ravel()].reshape(flat.shape)
+
+
+_SIGNED_VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-4.0, 4.0, width=32))
+
+
+@st.composite
+def _unpool_cases(draw):
+    pw = draw(st.integers(1, 3))
+    p = UpscaleFactors(draw(st.integers(1, pw)), draw(st.integers(1, 3)), pw)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(4))
+    lr = draw(hnp.arrays(dtype, shape, elements=_SIGNED_VALUES))
+    hr_shape = (shape[0], shape[1] * p.p_d, shape[2] * p.p_h,
+                shape[3] * p.p_w)
+    grad = draw(hnp.arrays(dtype, hr_shape, elements=_SIGNED_VALUES))
+    return lr, grad, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unpool_cases())
+def test_unpool_matches_scatter_oracle_bytes(case):
+    lr, grad, p = case
+    hr, hr_ref = unpool3d(lr, p), _unpool3d_oracle(lr, p)
+    assert hr.dtype == hr_ref.dtype and hr.shape == hr_ref.shape
+    assert hr.tobytes() == hr_ref.tobytes()
+    g, g_ref = unpool3d_backward(grad, p), _unpool3d_backward_oracle(grad, p)
+    assert g.dtype == g_ref.dtype and g.shape == g_ref.shape
+    assert g.flags.c_contiguous
+    assert g.tobytes() == g_ref.tobytes()
+
+
 def test_unpool_scatter_conserves_mass():
     rng = np.random.default_rng(5)
     p = UpscaleFactors(2, 2, 2)
     x = rng.standard_normal((1, 4, 4, 4))
-    placement = corner_placement_map(x.shape, p)
-    hr = unpool3d(x, placement)
+    hr = unpool3d(x, p)
     assert hr.shape == (1, 8, 8, 8)
     assert hr.sum() == pytest.approx(x.sum())
     # values land on block corners, zeros elsewhere
@@ -137,11 +193,10 @@ def test_unpool_scatter_conserves_mass():
 
 
 def test_unpool_conv_reference_zero_kernels():
-    p = UpscaleFactors(2, 2, 2)
-    x = np.ones((1, 2, 2, 2))
-    placement = corner_placement_map(x.shape, p)
-    k = KernelSet(np.zeros((1, 1, 3, 3, 3)), np.zeros(1))
-    y = unpool_conv3d_reference(x, placement, k, p)
+    # the un-pool + convolution path of the upsampler ablation
+    up = UnpoolUp(1, 1, UpscaleFactors(2, 2, 2), np.random.default_rng(7))
+    up.conv.kernels = KernelSet(np.zeros((1, 1, 3, 3, 3)), np.zeros(1))
+    y, _ = up.forward(np.ones((1, 2, 2, 2)))
     assert y.shape == (1, 4, 4, 4)
     assert np.all(y == 0.0)
 
@@ -150,8 +205,6 @@ def test_unpool_backward_is_adjoint():
     rng = np.random.default_rng(6)
     p = UpscaleFactors(2, 2, 2)
     x = rng.standard_normal((2, 2, 2, 2))
-    placement = corner_placement_map(x.shape, p)
     gy = rng.standard_normal((2, 4, 4, 4))
-    gx = unpool3d_backward(gy, placement)
-    assert np.vdot(gy, unpool3d(x, placement)) == pytest.approx(
-        np.vdot(gx, x))
+    gx = unpool3d_backward(gy, p)
+    assert np.vdot(gy, unpool3d(x, p)) == pytest.approx(np.vdot(gx, x))
