@@ -210,29 +210,37 @@ def contour_f(pred: SegMask, gt: SegMask, tolerance: float | None = None) -> flo
     return 2 * precision * recall / (precision + recall)
 
 
-def _symmetric_contour_distance(a: np.ndarray, b: np.ndarray) -> float:
+def _contour(bits: np.ndarray):
+    """A mask's boundary, and the distance of every pixel to it (None for
+    a mask without boundary)."""
+    b = _boundary(bits)
+    return b, ndimage.distance_transform_edt(~b) if b.any() else None
+
+
+def _symmetric_contour_distance(a, b) -> float:
     """Mean distance from each boundary pixel to the other boundary,
-    averaged over both directions, normalized by the image diagonal."""
-    diag = math.hypot(*a.shape)
-    ab = _boundary(a)
-    bb = _boundary(b)
-    if not ab.any() and not bb.any():
+    averaged over both directions, normalized by the image diagonal.
+    `a` and `b` are `_contour` results."""
+    (ab, da), (bb, db) = a, b
+    if da is None and db is None:
         return 0.0
-    if not ab.any() or not bb.any():
+    if da is None or db is None:
         return 1.0
-    da = ndimage.distance_transform_edt(~ab)
-    db = ndimage.distance_transform_edt(~bb)
-    return float((db[ab].mean() + da[bb].mean()) / 2.0 / diag)
+    return float((db[ab].mean() + da[bb].mean()) / 2.0
+                 / math.hypot(*ab.shape))
 
 
 def temporal_stability(masks) -> float:
     """Mean symmetric contour distance between consecutive masks (lower is
-    more stable; a static sequence scores 0)."""
+    more stable; a static sequence scores 0). Each mask's contour and
+    distance map are computed once, though interior masks take part in
+    two pairs."""
     masks = list(masks)
     if len(masks) < 2:
         raise ValueError("temporal stability needs at least 2 frames")
-    vals = [_symmetric_contour_distance(a.bits, b.bits)
-            for a, b in zip(masks, masks[1:])]
+    contours = [_contour(m.bits) for m in masks]
+    vals = [_symmetric_contour_distance(a, b)
+            for a, b in zip(contours, contours[1:])]
     return float(np.mean(vals))
 
 

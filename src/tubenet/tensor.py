@@ -152,9 +152,17 @@ def _im2col_frames(x: np.ndarray, kdhw, pad):
     frame order: (C*kd*kh*kw, oh*ow), rows ordered (C, kd, kh, kw).
 
     Every frame is copied into one buffer allocated per call, so a caller
-    must finish with one matrix before asking for the next.
+    must finish with one matrix before asking for the next. A 1x1x1
+    kernel without padding on a C-contiguous `x` needs no copy: its matrix
+    is the frame itself, yielded as a view of `x` whose rows BLAS reads
+    in place.
     """
     kd, kh, kw = kdhw
+    if (kd, kh, kw) == (1, 1, 1) and not any(pad) and x.flags.c_contiguous:
+        c, d, h, w = x.shape
+        for t in range(d):
+            yield x[:, t].reshape(c, h * w)
+        return
     xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
                     (pad[2], pad[2])))
     # (C, oD, oH, oW, kd, kh, kw) view

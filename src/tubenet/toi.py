@@ -108,11 +108,24 @@ def _cell_box(box: Box, h: int, w: int) -> tuple:
     return x1, y1, x2, y2
 
 
+def _box_runs(tube: Tube, h: int, w: int):
+    """(first frame, end frame, cell box) of each run of consecutive frames
+    whose boxes land on the same cells."""
+    boxes = [_cell_box(box, h, w) for box in tube]
+    starts = [t for t in range(len(boxes))
+              if t == 0 or boxes[t] != boxes[t - 1]]
+    return [(t0, t1, boxes[t0])
+            for t0, t1 in zip(starts, starts[1:] + [len(boxes)])]
+
+
 def toi_pool_forward(features: np.ndarray, tube: Tube, out_shape):
     """Pool a (C, d, h, w) cube over a d-frame tube to (C, D, H, W).
 
     Returns the pooled cube and an ArgmaxMap of flat indices into
     `features` selected through both the spatial and temporal stages.
+    Each spatial bin holds its first maximum in row-major order, and each
+    temporal bin its first frame's; as in `np.argmax`, a NaN beats any
+    number and the first NaN wins.
     """
     c, d, h, w = features.shape
     if len(tube) != d:
@@ -121,36 +134,34 @@ def toi_pool_forward(features: np.ndarray, tube: Tube, out_shape):
     if D > d:
         raise ShapeError(f"output depth {D} > feature depth {d}")
 
-    # Stage 1: per-frame spatial pooling of each box into H x W bins.
-    spat = np.empty((c, d, H, W), dtype=features.dtype)
+    # Stage 1: spatial pooling of each box into H x W bins. The frames of
+    # a run share their bins, so one argmax per bin pools the whole run.
     spat_idx = np.empty((c, d, H, W), dtype=np.int64)
-    cidx = np.arange(c)
-    for t, box in enumerate(tube):
-        x1, y1, x2, y2 = _cell_box(box, h, w)
-        ybins = bin_edges(y2 - y1 + 1, H)
-        xbins = bin_edges(x2 - x1 + 1, W)
-        frame = features[:, t]
-        for bi, (ys, ye) in enumerate(ybins):
-            for bj, (xs, xe) in enumerate(xbins):
-                win = frame[:, y1 + ys:y1 + ye, x1 + xs:x1 + xe]
-                flat = win.reshape(c, -1)
-                arg = flat.argmax(axis=1)
-                spat[:, t, bi, bj] = flat[cidx, arg]
-                wy, wx = np.divmod(arg, xe - xs)
-                spat_idx[:, t, bi, bj] = (
-                    (cidx * d + t) * h + y1 + ys + wy
-                ) * w + x1 + xs + wx
+    frame_base = (np.arange(c)[:, None] * d + np.arange(d)) * (h * w)
+    cells = np.arange(h * w).reshape(h, w)
+    for t0, t1, (x1, y1, x2, y2) in _box_runs(tube, h, w):
+        run = features[:, t0:t1]
+        base = frame_base[:, t0:t1]
+        for bi, (ys, ye) in enumerate(bin_edges(y2 - y1 + 1, H)):
+            rows = slice(y1 + ys, y1 + ye)
+            for bj, (xs, xe) in enumerate(bin_edges(x2 - x1 + 1, W)):
+                cols = slice(x1 + xs, x1 + xe)
+                arg = run[:, :, rows, cols].reshape(c, t1 - t0, -1) \
+                    .argmax(axis=2)
+                np.add(base, cells[rows, cols].ravel()[arg],
+                       out=spat_idx[:, t0:t1, bi, bj])
+    flat = np.ascontiguousarray(features).reshape(-1)
+    if D == d:  # one frame per temporal bin: stage 2 selects nothing
+        return flat[spat_idx], ArgmaxMap(spat_idx, features.shape)
 
     # Stage 2: temporal max over groups of adjacent frames.
-    out = np.empty((c, D, H, W), dtype=features.dtype)
+    spat = flat[spat_idx]
     idx = np.empty((c, D, H, W), dtype=np.int64)
     for bd, (ts, te) in enumerate(bin_edges(d, D)):
-        seg = spat[:, ts:te]
-        arg = seg.argmax(axis=1)
-        out[:, bd] = np.take_along_axis(seg, arg[:, None], axis=1)[:, 0]
+        arg = spat[:, ts:te].argmax(axis=1)
         idx[:, bd] = np.take_along_axis(
             spat_idx[:, ts:te], arg[:, None], axis=1)[:, 0]
-    return out, ArgmaxMap(idx, features.shape)
+    return flat[idx], ArgmaxMap(idx, features.shape)
 
 
 def toi_pool_backward(grad_out: np.ndarray, amap: ArgmaxMap) -> np.ndarray:

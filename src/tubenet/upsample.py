@@ -13,6 +13,15 @@ offsets are still distinct but leave gaps, so they are compacted by rank to
 keep the index map a bijection. When p_d = p_w the compaction is the
 identity and the formula above holds verbatim.
 
+With a = mod(i,p_d), b = mod(j,p_h) and c = mod(k,p_w), the compacted offset
+is a + p_d*b + p_d*p_h*c whenever p_d <= p_w: a < p_d <= p_w, so a + p_w*b
+stays below p_w*(b + 1) and the raw offsets sort as the triples (c, b, a)
+do, whose rank is that sum. The offset is then a mixed-radix number with
+digits (c, b, a), and the permutation is one reshape of the expanded cube to
+(C, p_w, p_h, p_d, D, H, W) plus one transpose to (C, D, p_d, H, p_h, W,
+p_w), which is the HR cube; it moves every element exactly where the
+formula does. `UpscaleFactors.offset_table` keeps the formula itself.
+
 Un-pooling is the alternative the upsampler ablation runs: each LR value
 lands on the first corner of its p_d x p_h x p_w block, zeros elsewhere,
 and a convolution in high resolution follows (`networks.UnpoolUp`).
@@ -66,28 +75,19 @@ class UpscaleFactors:
         return np.searchsorted(np.sort(raw.ravel()), raw)
 
 
-def _offset_grid(p: UpscaleFactors, out_shape):
-    _, od, oh, ow = out_shape
-    i = np.arange(od)[:, None, None]
-    j = np.arange(oh)[None, :, None]
-    k = np.arange(ow)[None, None, :]
-    off = p.offset_table()[i % p.p_d, j % p.p_h, k % p.p_w]
-    return off, i // p.p_d, j // p.p_h, k // p.p_w
-
-
 def channel_to_spacedepth(expanded: np.ndarray, p: UpscaleFactors) -> np.ndarray:
     """Permute a (C*v, D, H, W) cube into (C, p_d*D, p_h*H, p_w*W)."""
     ce, d, h, w = expanded.shape
     if ce % p.volume:
         raise ShapeError(f"{ce} channels not divisible by factor volume {p.volume}")
     c_out = ce // p.volume
-    out_shape = (c_out, p.p_d * d, p.p_h * h, p.p_w * w)
-    off, i2, j2, k2 = _offset_grid(p, out_shape)
-    cprime = np.arange(c_out)[:, None, None, None] * p.volume + off[None]
-    return expanded[cprime,
-                    np.broadcast_to(i2[None], out_shape),
-                    np.broadcast_to(j2[None], out_shape),
-                    np.broadcast_to(k2[None], out_shape)]
+    out = np.empty((c_out, p.p_d * d, p.p_h * h, p.p_w * w),
+                   dtype=expanded.dtype)
+    # expanded (c*v + a + p_d*b + p_d*p_h*q, i, j, l) lands on HR
+    # (c, p_d*i + a, p_h*j + b, p_w*l + q)
+    out.reshape(c_out, d, p.p_d, h, p.p_h, w, p.p_w)[...] = expanded.reshape(
+        c_out, p.p_w, p.p_h, p.p_d, d, h, w).transpose(0, 4, 3, 5, 2, 6, 1)
+    return out
 
 
 def channel_to_spacedepth_backward(grad_hr: np.ndarray, p: UpscaleFactors
@@ -96,14 +96,10 @@ def channel_to_spacedepth_backward(grad_hr: np.ndarray, p: UpscaleFactors
     c, dh, hh, wh = grad_hr.shape
     if dh % p.p_d or hh % p.p_h or wh % p.p_w:
         raise ShapeError(f"HR shape {grad_hr.shape} not divisible by factors {p}")
-    out = np.empty((c * p.volume, dh // p.p_d, hh // p.p_h, wh // p.p_w),
-                   dtype=grad_hr.dtype)
-    off, i2, j2, k2 = _offset_grid(p, grad_hr.shape)
-    cprime = np.arange(c)[:, None, None, None] * p.volume + off[None]
-    out[cprime,
-        np.broadcast_to(i2[None], grad_hr.shape),
-        np.broadcast_to(j2[None], grad_hr.shape),
-        np.broadcast_to(k2[None], grad_hr.shape)] = grad_hr
+    d, h, w = dh // p.p_d, hh // p.p_h, wh // p.p_w
+    out = np.empty((c * p.volume, d, h, w), dtype=grad_hr.dtype)
+    out.reshape(c, p.p_w, p.p_h, p.p_d, d, h, w)[...] = grad_hr.reshape(
+        c, d, p.p_d, h, p.p_h, w, p.p_w).transpose(0, 6, 4, 2, 1, 3, 5)
     return out
 
 

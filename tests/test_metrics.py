@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -230,6 +231,52 @@ def test_temporal_stability_monotone_in_displacement():
     small = [mask(base), mask(np.roll(base, 2, axis=1))]
     large = [mask(base), mask(np.roll(base, 10, axis=1))]
     assert temporal_stability(large) > temporal_stability(small) > 0.0
+
+
+def _temporal_stability_pairwise(masks):
+    """Reference: each consecutive pair computes both masks' boundaries
+    and distance maps from scratch."""
+    def boundary(bits):
+        if not bits.any():
+            return np.zeros_like(bits)
+        return bits & ~ndimage.binary_erosion(bits, border_value=0)
+
+    vals = []
+    for a, b in zip(masks, masks[1:]):
+        ab, bb = boundary(a.bits), boundary(b.bits)
+        if not ab.any() and not bb.any():
+            vals.append(0.0)
+        elif not ab.any() or not bb.any():
+            vals.append(1.0)
+        else:
+            da = ndimage.distance_transform_edt(~ab)
+            db = ndimage.distance_transform_edt(~bb)
+            vals.append(float((db[ab].mean() + da[bb].mean()) / 2.0
+                              / math.hypot(*a.bits.shape)))
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_temporal_stability_matches_pairwise_formula(seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(3, 30)), int(rng.integers(3, 30)))
+    masks = []
+    for _ in range(int(rng.integers(2, 9))):
+        kind = rng.integers(4)
+        if kind == 0:
+            bits = np.zeros(shape, dtype=bool)
+        elif kind == 1:  # full: its boundary is the image border
+            bits = np.ones(shape, dtype=bool)
+        else:
+            bits = rng.random(shape) < rng.random()
+        masks.append(mask(bits))
+    assert temporal_stability(masks) == _temporal_stability_pairwise(masks)
+
+
+def test_temporal_stability_empty_and_full_neighbours():
+    empty, full = mask(np.zeros((6, 6))), mask(np.ones((6, 6)))
+    assert temporal_stability([empty, empty, full, empty]) == \
+        _temporal_stability_pairwise([empty, empty, full, empty]) == 2 / 3
 
 
 def test_temporal_stability_needs_two_frames():

@@ -230,6 +230,37 @@ def test_conv_matches_oracle_bytes(case, data):
     assert gb.tobytes() == want[2].tobytes()
 
 
+def test_im2col_of_pointwise_kernel_is_a_view_of_each_frame():
+    x = np.random.default_rng(8).standard_normal((3, 4, 5, 6))
+    cols = list(tensor._im2col_frames(x, (1, 1, 1), (0, 0, 0)))
+    assert len(cols) == 4
+    for t, col in enumerate(cols):
+        assert col.shape == (3, 30) and np.shares_memory(col, x)
+        assert np.array_equal(col, x[:, t].reshape(3, 30))
+    # padding (or a larger kernel) still copies into one buffer
+    padded = list(tensor._im2col_frames(x, (1, 1, 1), (0, 1, 1)))
+    assert not any(np.shares_memory(col, x) for col in padded)
+
+
+@pytest.mark.parametrize("out_c", [16, 2])
+def test_pointwise_conv_head_shapes_match_oracle_bytes(out_c):
+    # conv6 (16 -> 16) and conv7 (16 -> 2) of the segmenter on one clip
+    rng = np.random.default_rng(out_c)
+    x = np.maximum(rng.standard_normal((16, 8, 80, 112)), 0) \
+        .astype(np.float32)
+    k = make_kernels(out_c, 16, (1, 1, 1), rng)
+    k = KernelSet(k.weights, rng.standard_normal(out_c).astype(np.float32))
+    pad = (0, 0, 0)
+    y = conv3d(x, k, pad=pad)
+    assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
+    gy = rng.standard_normal(y.shape).astype(np.float32)
+    got = conv3d_backward(gy, x, k, pad=pad)
+    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # maxpool3d
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from tubenet.tensor import finite_diff_grad
-from tubenet.toi import (Box, Tube, bin_edges, full_frame_tube,
+from tubenet.tensor import ArgmaxMap, finite_diff_grad
+from tubenet.toi import (Box, Tube, _cell_box, bin_edges, full_frame_tube,
                          pixel_box_to_cells, toi_pool_backward,
                          toi_pool_forward)
 
@@ -125,3 +126,109 @@ def test_pixel_box_to_cells_outward_rounding():
     # 80x112 pixels onto a 5x7 grid: full frame maps to the full grid
     b = pixel_box_to_cells(Box(0, 0, 111, 79), (5, 7), (80, 112))
     assert (b.x1, b.y1, b.x2, b.y2) == (0, 0, 6, 4)
+
+
+def _toi_pool_forward_oracle(features, tube, out_shape):
+    """Reference ToI pool: every frame's every spatial bin takes its own
+    argmax, then each temporal bin takes the argmax over its frames."""
+    c, d, h, w = features.shape
+    D, H, W = out_shape
+    spat = np.empty((c, d, H, W), dtype=features.dtype)
+    spat_idx = np.empty((c, d, H, W), dtype=np.int64)
+    cidx = np.arange(c)
+    for t, box in enumerate(tube):
+        x1, y1, x2, y2 = _cell_box(box, h, w)
+        ybins = bin_edges(y2 - y1 + 1, H)
+        xbins = bin_edges(x2 - x1 + 1, W)
+        frame = features[:, t]
+        for bi, (ys, ye) in enumerate(ybins):
+            for bj, (xs, xe) in enumerate(xbins):
+                win = frame[:, y1 + ys:y1 + ye, x1 + xs:x1 + xe]
+                flat = win.reshape(c, -1)
+                arg = flat.argmax(axis=1)
+                spat[:, t, bi, bj] = flat[cidx, arg]
+                wy, wx = np.divmod(arg, xe - xs)
+                spat_idx[:, t, bi, bj] = (
+                    (cidx * d + t) * h + y1 + ys + wy
+                ) * w + x1 + xs + wx
+    out = np.empty((c, D, H, W), dtype=features.dtype)
+    idx = np.empty((c, D, H, W), dtype=np.int64)
+    for bd, (ts, te) in enumerate(bin_edges(d, D)):
+        seg = spat[:, ts:te]
+        arg = seg.argmax(axis=1)
+        out[:, bd] = np.take_along_axis(seg, arg[:, None], axis=1)[:, 0]
+        idx[:, bd] = np.take_along_axis(
+            spat_idx[:, ts:te], arg[:, None], axis=1)[:, 0]
+    return out, ArgmaxMap(idx, features.shape)
+
+
+# values that tie (ReLU zeros, -0.0 beside +0.0), never win (-inf) or
+# always win (NaN), mixed with arbitrary finite ones
+_TOI_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, -np.inf, np.nan]),
+    st.floats(-4.0, 4.0, width=32))
+
+
+@st.composite
+def _box(draw, h, w, one_cell=False):
+    x1, y1 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    if one_cell:
+        return Box(x1, y1, x1, y1)
+    return Box(x1, y1, draw(st.integers(x1, w - 1)),
+               draw(st.integers(y1, h - 1)))
+
+
+@st.composite
+def _toi_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    d = draw(st.one_of(st.integers(1, 8), st.just(20)))
+    shape = (draw(st.integers(1, 3)), d, draw(st.integers(1, 7)),
+             draw(st.integers(1, 7)))
+    x = draw(hnp.arrays(dtype, shape, elements=_TOI_VALUES))
+    if draw(st.booleans()):  # a ReLU output: many tied zeros
+        x = np.maximum(x, 0)
+    if draw(st.booleans()):  # one frame all -inf
+        x[:, draw(st.integers(0, d - 1))] = -np.inf
+    h, w = shape[2:]
+    one_cell = draw(st.booleans())
+    layout = draw(st.sampled_from(["one box", "runs", "moving"]))
+    if layout == "one box":
+        boxes = [draw(_box(h, w, one_cell))] * d
+    elif layout == "moving":  # a new box every frame
+        boxes = [draw(_box(h, w, one_cell)) for _ in range(d)]
+    else:  # runs of equal boxes
+        boxes = []
+        while len(boxes) < d:
+            boxes += [draw(_box(h, w, one_cell))] * draw(st.integers(1, d))
+        boxes = boxes[:d]
+    # bin counts up to 5 exceed many box extents, duplicating bins
+    out_shape = (draw(st.integers(1, d)), draw(st.integers(1, 5)),
+                 draw(st.integers(1, 5)))
+    return x, Tube(boxes), out_shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(_toi_cases())
+def test_toi_pool_matches_per_frame_oracle_bytes(case):
+    x, tube, out_shape = case
+    y, amap = toi_pool_forward(x, tube, out_shape)
+    y_ref, amap_ref = _toi_pool_forward_oracle(x, tube, out_shape)
+    assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
+    assert y.tobytes() == y_ref.tobytes()
+    assert amap.indices.dtype == amap_ref.indices.dtype
+    assert np.array_equal(amap.indices, amap_ref.indices)
+    assert amap.in_shape == amap_ref.in_shape
+
+
+def test_toi_pool_run_tie_nan_and_minus_inf_order():
+    # two frames share one box and each output bin is a column of it: of
+    # tied zeros the first frame's first wins, keeping its sign; the first
+    # NaN in frame order wins; an all -inf bin takes its first cell
+    x = np.array([[[-0.0, 1.0, -np.inf], [0.0, np.nan, -np.inf]],
+                  [[0.0, np.nan, -np.inf], [-0.0, 2.0, -np.inf]]],
+                 dtype=np.float32).reshape(1, 2, 2, 3)
+    tube = Tube((Box(0, 0, 2, 1),) * 2)
+    y, amap = toi_pool_forward(x, tube, (1, 1, 3))
+    assert np.signbit(y[0, 0, 0, 0]) and np.isnan(y[0, 0, 0, 1])
+    assert y[0, 0, 0, 2] == -np.inf
+    assert amap.indices.ravel().tolist() == [0, 4, 2]

@@ -32,6 +32,89 @@ def reference_gather(expanded, p):
     return out
 
 
+def _offset_grid_oracle(p, out_shape):
+    """Per HR element: its channel offset and its LR coordinates."""
+    _, od, oh, ow = out_shape
+    i = np.arange(od)[:, None, None]
+    j = np.arange(oh)[None, :, None]
+    k = np.arange(ow)[None, None, :]
+    off = p.offset_table()[i % p.p_d, j % p.p_h, k % p.p_w]
+    return off, i // p.p_d, j // p.p_h, k // p.p_w
+
+
+def _channel_to_spacedepth_oracle(expanded, p):
+    """Gather every HR element through full-size index grids."""
+    ce, d, h, w = expanded.shape
+    c_out = ce // p.volume
+    out_shape = (c_out, p.p_d * d, p.p_h * h, p.p_w * w)
+    off, i2, j2, k2 = _offset_grid_oracle(p, out_shape)
+    cprime = np.arange(c_out)[:, None, None, None] * p.volume + off[None]
+    return expanded[cprime,
+                    np.broadcast_to(i2[None], out_shape),
+                    np.broadcast_to(j2[None], out_shape),
+                    np.broadcast_to(k2[None], out_shape)]
+
+
+def _channel_to_spacedepth_backward_oracle(grad_hr, p):
+    """Scatter every HR element back through the same index grids."""
+    c, dh, hh, wh = grad_hr.shape
+    out = np.empty((c * p.volume, dh // p.p_d, hh // p.p_h, wh // p.p_w),
+                   dtype=grad_hr.dtype)
+    off, i2, j2, k2 = _offset_grid_oracle(p, grad_hr.shape)
+    cprime = np.arange(c)[:, None, None, None] * p.volume + off[None]
+    out[cprime,
+        np.broadcast_to(i2[None], grad_hr.shape),
+        np.broadcast_to(j2[None], grad_hr.shape),
+        np.broadcast_to(k2[None], grad_hr.shape)] = grad_hr
+    return out
+
+
+_SHUFFLE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.nan]),
+                            st.floats(-4.0, 4.0, width=32))
+
+_BIJECTIVE_FACTORS = [(pd, ph, pw) for pd, ph, pw
+                      in itertools.product((1, 2, 3), repeat=3) if pd <= pw]
+
+
+@pytest.mark.parametrize("factors", _BIJECTIVE_FACTORS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subpixel_shuffle_matches_index_grid_oracle_bytes(factors, data):
+    p = UpscaleFactors(*factors)
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    c, d, h, w = (data.draw(st.integers(1, 3)) for _ in range(4))
+    x = data.draw(hnp.arrays(dtype, (c * p.volume, d, h, w),
+                             elements=_SHUFFLE_VALUES))
+    hr, hr_ref = channel_to_spacedepth(x, p), \
+        _channel_to_spacedepth_oracle(x, p)
+    assert hr.dtype == hr_ref.dtype and hr.shape == hr_ref.shape
+    assert hr.flags.c_contiguous
+    assert hr.tobytes() == hr_ref.tobytes()
+    g = data.draw(hnp.arrays(dtype, hr.shape, elements=_SHUFFLE_VALUES))
+    gx, gx_ref = channel_to_spacedepth_backward(g, p), \
+        _channel_to_spacedepth_backward_oracle(g, p)
+    assert gx.dtype == gx_ref.dtype and gx.shape == gx_ref.shape
+    assert gx.flags.c_contiguous
+    assert gx.tobytes() == gx_ref.tobytes()
+
+
+def test_shuffle_returns_new_arrays_for_identity_factors():
+    x = np.arange(6.0).reshape(3, 1, 1, 2)
+    p = UpscaleFactors(1, 1, 1)
+    assert not np.shares_memory(channel_to_spacedepth(x, p), x)
+    assert not np.shares_memory(channel_to_spacedepth_backward(x, p), x)
+
+
+def test_offset_table_is_compact_rank_formula():
+    # for p_d <= p_w, ranking the raw offsets a + p_w*b + p_w*p_h*c
+    # gives a + p_d*b + p_d*p_h*c
+    for pd, ph, pw in _BIJECTIVE_FACTORS:
+        p = UpscaleFactors(pd, ph, pw)
+        a, b, c = np.meshgrid(np.arange(pd), np.arange(ph), np.arange(pw),
+                              indexing="ij")
+        assert np.array_equal(p.offset_table(), a + pd * b + pd * ph * c)
+
+
 def test_index_formula_zero_and_hand_case():
     p = UpscaleFactors(2, 2, 2)
     x = np.arange(8, dtype=np.float64).reshape(8, 1, 1, 1)
