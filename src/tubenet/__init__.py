@@ -19,7 +19,7 @@ from .proposals import (Anchor, LabeledBox, RegressionTarget,
 from .linking import (LinkedSequence, TubeProposal, brute_force_link,
                       link_top_k, nms_sequences, overlap, score_sequence)
 from .segmentation import SegMask, mask_to_box, segmentation_loss
-from .metrics import (Detection, EvalReport, average_precision, contour_f,
+from .metrics import (Detection, average_precision, contour_f,
                       frame_map, iou_box, iou_mask, mean_recall_decay,
                       roc_auc, temporal_stability, video_map)
 

@@ -195,18 +195,38 @@ def _write_loss_csv(path, rows, header):
                               for v in row) + "\n")
 
 
+def _new_model(name, cfg, ann):
+    """The initial "tcnn" or "stcnn" of a run, which `train_*` trains and
+    `load_*` fills from the checkpoint. The class count is the largest
+    label; the detector's anchors are k-means clusters of the training
+    boxes' sizes."""
+    num_classes = max(e["label"] for e in ann.values())
+    frame_hw = (cfg.height, cfg.width)
+    if name == "stcnn":
+        return STCNN(num_classes, frame_hw, seed=cfg.seed,
+                     upsampler=cfg.upsampler)
+    gt_sizes = [(b.width, b.height)
+                for v in _split_videos(ann, "train") for b in ann[v]["boxes"]]
+    k = min(cfg.anchors_k, len(set(gt_sizes)))
+    anchors = kmeans_anchors(gt_sizes, k=k, seed=cfg.seed)
+    return TCNN(num_classes, anchors, frame_hw, seed=cfg.seed)
+
+
+def _load_model(name, cfg):
+    ann = load_annotations(cfg.data_dir)
+    model = _new_model(name, cfg, ann)
+    model.load_state(_unflatten(load_model_state(
+        Path(cfg.out_dir) / f"{name}_model")))
+    return model, ann
+
+
 @blas_threads(1)
 def train_tcnn(cfg, quiet=False):
     """Alternating four-phase training: proposal phases refresh the shared
     encoder for the recognition phases and vice versa."""
     ann = load_annotations(cfg.data_dir)
     train_vids = _split_videos(ann, "train")
-    gt_sizes = [(b.width, b.height)
-                for v in train_vids for b in ann[v]["boxes"]]
-    k = min(cfg.anchors_k, len(set(gt_sizes)))
-    anchors = kmeans_anchors(gt_sizes, k=k, seed=cfg.seed)
-    num_classes = max(e["label"] for e in ann.values())
-    model = TCNN(num_classes, anchors, (cfg.height, cfg.width), seed=cfg.seed)
+    model = _new_model("tcnn", cfg, ann)
     rng = np.random.default_rng(cfg.seed + 1)
     losses = []
     step = 0
@@ -250,26 +270,14 @@ def train_tcnn(cfg, quiet=False):
 
 
 def load_tcnn(cfg):
-    ann = load_annotations(cfg.data_dir)
-    train_vids = _split_videos(ann, "train")
-    gt_sizes = [(b.width, b.height)
-                for v in train_vids for b in ann[v]["boxes"]]
-    k = min(cfg.anchors_k, len(set(gt_sizes)))
-    anchors = kmeans_anchors(gt_sizes, k=k, seed=cfg.seed)
-    num_classes = max(e["label"] for e in ann.values())
-    model = TCNN(num_classes, anchors, (cfg.height, cfg.width), seed=cfg.seed)
-    model.load_state(_unflatten(load_model_state(
-        Path(cfg.out_dir) / "tcnn_model")))
-    return model, ann
+    return _load_model("tcnn", cfg)
 
 
 @blas_threads(1)
 def train_stcnn(cfg, quiet=False):
     ann = load_annotations(cfg.data_dir)
     train_vids = _split_videos(ann, "train")
-    num_classes = max(e["label"] for e in ann.values())
-    model = STCNN(num_classes, (cfg.height, cfg.width), seed=cfg.seed,
-                  upsampler=cfg.upsampler)
+    model = _new_model("stcnn", cfg, ann)
     rng = np.random.default_rng(cfg.seed + 2)
     losses = []
     step = 0
@@ -297,13 +305,7 @@ def train_stcnn(cfg, quiet=False):
 
 
 def load_stcnn(cfg):
-    ann = load_annotations(cfg.data_dir)
-    num_classes = max(e["label"] for e in ann.values())
-    model = STCNN(num_classes, (cfg.height, cfg.width), seed=cfg.seed,
-                  upsampler=cfg.upsampler)
-    model.load_state(_unflatten(load_model_state(
-        Path(cfg.out_dir) / "stcnn_model")))
-    return model, ann
+    return _load_model("stcnn", cfg)
 
 
 # ----------------------------------------------------------------------
@@ -492,9 +494,14 @@ def eval_segmentations(cfg, split="test"):
         gt = load_video_masks(cfg.data_dir, vid)
         vdir = Path(cfg.out_dir) / "segmentations" / f"{vid:03d}"
         pred = [SegMask(load_mask(p)) for p in sorted(vdir.glob("*.sm"))]
+        if len(pred) != len(gt):
+            raise ValueError(f"{vdir}: {len(pred)} predicted masks for "
+                             f"{len(gt)} ground-truth frames")
+        # each predicted contour serves both F and T
+        contours = [mx.mask_contour(p) for p in pred]
         j_scores[vid] = [mx.iou_mask(p, g) for p, g in zip(pred, gt)]
-        f_scores[vid] = [mx.contour_f(p, g) for p, g in zip(pred, gt)]
-        t_scores.append(mx.temporal_stability(pred))
+        f_scores[vid] = [mx.contour_f(c, g) for c, g in zip(contours, gt)]
+        t_scores.append(mx.temporal_stability(contours))
         if label_rows.get(vid) == ann[vid]["label"]:
             correct += 1
     j_mean, j_recall, j_decay = mx.mean_recall_decay(j_scores)
@@ -510,26 +517,12 @@ def eval_segmentations(cfg, split="test"):
 def run_eval(cfg, split="test"):
     report = {}
     out = Path(cfg.out_dir)
-    ev = mx.EvalReport()
-    det_path = out / "detections" / "detections.csv"
-    if det_path.exists():
-        det = eval_detections(cfg, split)
-        report.update(det)
-        ev.per_class_ap = det["frame_ap"]
-        ev.map = det["frame_map"]
-        ev.roc_points = det["roc_points"]
-        ev.auc = det["auc"]
-        mx.write_curve_svg(out / "roc.svg", det["roc_points"],
+    if (out / "detections" / "detections.csv").exists():
+        report.update(eval_detections(cfg, split))
+        mx.write_curve_svg(out / "roc.svg", report["roc_points"],
                            "ROC", "FP per frame", "TPR")
-    seg_dir = out / "segmentations"
-    if seg_dir.exists():
-        seg = eval_segmentations(cfg, split)
-        report.update(seg)
-        ev.j_stats = {"mean": seg["J_mean"], "recall": seg["J_recall"],
-                      "decay": seg["J_decay"]}
-        ev.f_stats = {"mean": seg["F_mean"], "recall": seg["F_recall"],
-                      "decay": seg["F_decay"]}
-        ev.t_mean = seg["T_mean"]
-    mx.write_report_csv(out / "report.csv", ev)
+    if (out / "segmentations").exists():
+        report.update(eval_segmentations(cfg, split))
+    mx.write_report_csv(out / "report.csv", report)
     return report
 

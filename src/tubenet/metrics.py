@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -32,17 +32,6 @@ class Detection:
     def __post_init__(self):
         if not math.isfinite(self.confidence):
             raise ValueError("non-finite confidence")
-
-
-@dataclass
-class EvalReport:
-    per_class_ap: dict = field(default_factory=dict)
-    map: float = 0.0
-    roc_points: list = field(default_factory=list)
-    auc: float = 0.0
-    j_stats: dict = field(default_factory=dict)
-    f_stats: dict = field(default_factory=dict)
-    t_mean: float | None = None
 
 
 def iou_mask(a: SegMask, b: SegMask) -> float:
@@ -188,57 +177,64 @@ def default_contour_tolerance(shape) -> int:
     return math.ceil(0.008 * math.hypot(h, w))
 
 
-def contour_f(pred: SegMask, gt: SegMask, tolerance: float | None = None) -> float:
+@dataclass(frozen=True)
+class Contour:
+    """A mask's boundary pixels, and every pixel's distance to the nearest
+    of them (None for a mask without boundary)."""
+
+    boundary: np.ndarray
+    distance: np.ndarray | None
+
+
+def mask_contour(mask) -> Contour:
+    """The `Contour` of a SegMask; a `Contour` is returned as it is."""
+    if isinstance(mask, Contour):
+        return mask
+    b = _boundary(mask.bits)
+    return Contour(b, ndimage.distance_transform_edt(~b) if b.any() else None)
+
+
+def contour_f(pred, gt, tolerance: float | None = None) -> float:
     """Boundary F-measure: precision/recall of contour pixels within
-    `tolerance` (Euclidean pixels) of the other contour."""
-    if pred.bits.shape != gt.bits.shape:
-        raise ShapeError(f"mask dims differ: {pred.bits.shape} vs {gt.bits.shape}")
+    `tolerance` (Euclidean pixels) of the other contour. `pred` and `gt`
+    are SegMasks or their `mask_contour`s."""
+    p, g = mask_contour(pred), mask_contour(gt)
+    if p.boundary.shape != g.boundary.shape:
+        raise ShapeError(f"mask dims differ: {p.boundary.shape} vs "
+                         f"{g.boundary.shape}")
     if tolerance is None:
-        tolerance = default_contour_tolerance(pred.bits.shape)
-    pb = _boundary(pred.bits)
-    gb = _boundary(gt.bits)
-    if not pb.any() and not gb.any():
+        tolerance = default_contour_tolerance(p.boundary.shape)
+    if p.distance is None and g.distance is None:
         return 1.0
-    if not pb.any() or not gb.any():
+    if p.distance is None or g.distance is None:
         return 0.0
-    dist_to_g = ndimage.distance_transform_edt(~gb)
-    dist_to_p = ndimage.distance_transform_edt(~pb)
-    precision = float((dist_to_g[pb] <= tolerance).mean())
-    recall = float((dist_to_p[gb] <= tolerance).mean())
+    precision = float((g.distance[p.boundary] <= tolerance).mean())
+    recall = float((p.distance[g.boundary] <= tolerance).mean())
     if precision + recall == 0.0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
-def _contour(bits: np.ndarray):
-    """A mask's boundary, and the distance of every pixel to it (None for
-    a mask without boundary)."""
-    b = _boundary(bits)
-    return b, ndimage.distance_transform_edt(~b) if b.any() else None
-
-
-def _symmetric_contour_distance(a, b) -> float:
+def _symmetric_contour_distance(a: Contour, b: Contour) -> float:
     """Mean distance from each boundary pixel to the other boundary,
-    averaged over both directions, normalized by the image diagonal.
-    `a` and `b` are `_contour` results."""
-    (ab, da), (bb, db) = a, b
-    if da is None and db is None:
+    averaged over both directions, normalized by the image diagonal."""
+    if a.distance is None and b.distance is None:
         return 0.0
-    if da is None or db is None:
+    if a.distance is None or b.distance is None:
         return 1.0
-    return float((db[ab].mean() + da[bb].mean()) / 2.0
-                 / math.hypot(*ab.shape))
+    return float((b.distance[a.boundary].mean()
+                  + a.distance[b.boundary].mean()) / 2.0
+                 / math.hypot(*a.boundary.shape))
 
 
 def temporal_stability(masks) -> float:
     """Mean symmetric contour distance between consecutive masks (lower is
-    more stable; a static sequence scores 0). Each mask's contour and
-    distance map are computed once, though interior masks take part in
-    two pairs."""
-    masks = list(masks)
-    if len(masks) < 2:
+    more stable; a static sequence scores 0). `masks` are SegMasks or their
+    `mask_contour`s; each contour is computed once, though interior masks
+    take part in two pairs."""
+    contours = [mask_contour(m) for m in masks]
+    if len(contours) < 2:
         raise ValueError("temporal stability needs at least 2 frames")
-    contours = [_contour(m.bits) for m in masks]
     vals = [_symmetric_contour_distance(a, b)
             for a, b in zip(contours, contours[1:])]
     return float(np.mean(vals))
@@ -268,19 +264,22 @@ def mean_recall_decay(per_item_scores):
     return mean, recall, float(np.mean(decays))
 
 
-def write_report_csv(path, report: EvalReport) -> None:
+def write_report_csv(path, report: dict) -> None:
+    """The per-class frame AP, frame-mAP and AUC of a `run_eval` report
+    (zeros without detections), then its J, F and T statistics when it
+    scored segmentations."""
+    aps = report.get("frame_ap", {})
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["class", "ap"])
-        for cls in sorted(report.per_class_ap):
-            w.writerow([cls, f"{report.per_class_ap[cls]:.6f}"])
-        w.writerow(["mAP", f"{report.map:.6f}"])
-        w.writerow(["AUC", f"{report.auc:.6f}"])
-        for name, stats in (("J", report.j_stats), ("F", report.f_stats)):
-            for key, val in stats.items():
-                w.writerow([f"{name}_{key}", f"{val:.6f}"])
-        if report.t_mean is not None:
-            w.writerow(["T_mean", f"{report.t_mean:.6f}"])
+        for cls in sorted(aps):
+            w.writerow([cls, f"{aps[cls]:.6f}"])
+        w.writerow(["mAP", f"{report.get('frame_map', 0.0):.6f}"])
+        w.writerow(["AUC", f"{report.get('auc', 0.0):.6f}"])
+        for key in ("J_mean", "J_recall", "J_decay", "F_mean", "F_recall",
+                    "F_decay", "T_mean"):
+            if key in report:
+                w.writerow([key, f"{report[key]:.6f}"])
 
 
 def write_curve_svg(path, points, title: str, xlabel: str, ylabel: str) -> None:

@@ -25,7 +25,51 @@ ENC_POOLS = ((1, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2))
 STAGES = ("conv1", "conv2", "conv3", "conv4", "conv5")
 
 
-class Encoder:
+def _flatten_state(state, prefix=""):
+    out = {}
+    for key, val in state.items():
+        name = f"{prefix}{key}"
+        if isinstance(val, dict):
+            out.update(_flatten_state(val, name + "."))
+        else:
+            out[name] = val
+    return out
+
+
+class _ModelBase:
+    """Trainable parts held in the attributes that `LAYERS` names. A part
+    is a `networks` layer or another `_ModelBase` (the encoder); the
+    nested state, the checkpoint's keys, takes the same names."""
+
+    LAYERS = ()
+
+    def _parts(self):
+        return [(name, getattr(self, name)) for name in self.LAYERS]
+
+    def trainables(self):
+        return [layer for _, part in self._parts()
+                for layer in part.trainables()]
+
+    def state(self):
+        return {name: part.state() for name, part in self._parts()}
+
+    def load_state(self, st):
+        for name, part in self._parts():
+            part.load_state(st[name])
+
+    def zero_grads(self):
+        for layer in self.trainables():
+            layer.zero_grads()
+
+    def sgd_update(self, lr):
+        for layer in self.trainables():
+            layer.sgd_update(lr)
+
+    def flat_state(self):
+        return _flatten_state(self.state())
+
+
+class Encoder(_ModelBase):
     """conv1..conv5 3D feature extractor with taps for skip connections.
 
     Activation names conv1..conv5 refer to the post-ReLU outputs; pooling
@@ -86,15 +130,8 @@ class Encoder:
             g = self.convs[i].backward(self.relus[i].backward(g, relu_cache),
                                        conv_cache, input_grad=i > 0)
 
-    def trainables(self):
-        return list(self.convs)
-
-    def state(self):
-        return {f"conv{i + 1}": c.state() for i, c in enumerate(self.convs)}
-
-    def load_state(self, st):
-        for i, c in enumerate(self.convs):
-            c.load_state(st[f"conv{i + 1}"])
+    def _parts(self):
+        return list(zip(STAGES, self.convs))
 
 
 def _head_forward(fc1, fc2, x):
@@ -109,30 +146,6 @@ def _head_backward(fc1, fc2, g, cache):
     fc1_cache, z, fc2_cache = cache
     g = tz.relu_backward(fc2.backward(g, fc2_cache), z)
     return fc1.backward(g, fc1_cache)
-
-
-def _flatten_state(state, prefix=""):
-    out = {}
-    for key, val in state.items():
-        name = f"{prefix}{key}"
-        if isinstance(val, dict):
-            out.update(_flatten_state(val, name + "."))
-        else:
-            out[name] = val
-    return out
-
-
-class _ModelBase:
-    def zero_grads(self):
-        for layer in self.trainables():
-            layer.zero_grads()
-
-    def sgd_update(self, lr):
-        for layer in self.trainables():
-            layer.sgd_update(lr)
-
-    def flat_state(self):
-        return _flatten_state(self.state())
 
 
 def candidate_boxes(anchors, grid_hw, frame_hw):
@@ -164,6 +177,8 @@ class TCNN(_ModelBase):
     # regression targets are raw-pixel offsets (tens of pixels); a fixed
     # output scale lets the head reach them with O(1) weights
     REG_SCALE = 16.0
+    LAYERS = ("encoder", "act_head", "reg_fc1", "reg_fc2", "rec_fc1",
+              "rec_fc2")
 
     def __init__(self, num_classes, anchors, frame_hw, seed=0):
         rng = np.random.default_rng(seed)
@@ -183,30 +198,16 @@ class TCNN(_ModelBase):
         self.rec_fc2 = FC(128, num_classes + 1, rng)
         self._grid_hw = None
 
-    def trainables(self):
-        return (self.encoder.trainables()
-                + [self.act_head, self.reg_fc1, self.reg_fc2,
-                   self.rec_fc1, self.rec_fc2])
-
+    # the projector is not in LAYERS: `tpn_step` updates it, with its own
+    # clip, while it backpropagates each regression candidate
     def state(self):
-        return {
-            "encoder": self.encoder.state(),
-            "act_head": self.act_head.state(),
-            "proj_w2": self.projector.w2,
-            "proj_w5": self.projector.w5,
-            "reg_fc1": self.reg_fc1.state(),
-            "reg_fc2": self.reg_fc2.state(),
-            "rec_fc1": self.rec_fc1.state(),
-            "rec_fc2": self.rec_fc2.state(),
-        }
+        return {**super().state(), "proj_w2": self.projector.w2,
+                "proj_w5": self.projector.w5}
 
     def load_state(self, st):
-        self.encoder.load_state(st["encoder"])
-        self.act_head.load_state(st["act_head"])
+        super().load_state(st)
         self.projector.w2 = st["proj_w2"].astype(np.float64)
         self.projector.w5 = st["proj_w5"].astype(np.float64)
-        for name in ("reg_fc1", "reg_fc2", "rec_fc1", "rec_fc2"):
-            getattr(self, name).load_state(st[name])
 
     # ------------------------------------------------------------------
     def encode_clip(self, frames, cache=None):
@@ -359,6 +360,8 @@ class STCNN(_ModelBase):
     final concatenation cube."""
 
     POOL = (8, 4, 4)
+    LAYERS = ("encoder", "up4", "conv4c", "up3", "conv3c", "up2", "conv2c",
+              "up1", "conv6", "conv7", "rec_fc1", "rec_fc2")
 
     def __init__(self, num_classes, frame_hw, seed=0, upsampler="subpixel"):
         rng = np.random.default_rng(seed)
@@ -388,25 +391,6 @@ class STCNN(_ModelBase):
         d, h, w = self.POOL
         self.rec_fc1 = FC(self.concat1_c * d * h * w, 64, rng)
         self.rec_fc2 = FC(64, num_classes + 1, rng)
-
-    def trainables(self):
-        return (self.encoder.trainables()
-                + [self.up4, self.conv4c, self.up3, self.conv3c,
-                   self.up2, self.conv2c, self.up1, self.conv6, self.conv7,
-                   self.rec_fc1, self.rec_fc2])
-
-    def state(self):
-        st = {"encoder": self.encoder.state()}
-        for name in ("up4", "conv4c", "up3", "conv3c", "up2", "conv2c",
-                     "up1", "conv6", "conv7", "rec_fc1", "rec_fc2"):
-            st[name] = getattr(self, name).state()
-        return st
-
-    def load_state(self, st):
-        self.encoder.load_state(st["encoder"])
-        for name in ("up4", "conv4c", "up3", "conv3c", "up2", "conv2c",
-                     "up1", "conv6", "conv7", "rec_fc1", "rec_fc2"):
-            getattr(self, name).load_state(st[name])
 
     # ------------------------------------------------------------------
     def forward(self, frames, cache=None):

@@ -3,8 +3,13 @@ architecture tables of both pipelines and a forward shape-fidelity runner.
 
 Every layer's `forward(x)` returns `(y, cache)` and its `backward(gy,
 cache)` takes that cache back: layers keep no per-call state, so a caller
-can hold the caches of several forwards at once. Parameter gradients
-accumulate on the layer until `zero_grads`/`sgd_update`.
+can hold the caches of several forwards at once.
+
+Every trainable layer is a `_Trainable`: weights `w`, bias `b` and their
+gradients `gw`/`gb`, which `backward` accumulates until `zero_grads`. The
+base writes the update (`sgd_update`: clip, then step) and the checkpoint
+keys (`state`/`load_state`: "w" and "b") once for `Conv3D`, `FC` and the
+two upsamplers, which are convolutions themselves.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ import numpy as np
 
 from . import tensor as tz
 from .tensor import KernelSet
-from .upsample import (UpscaleFactors, channel_to_spacedepth,
-                       channel_to_spacedepth_backward, unpool3d,
-                       unpool3d_backward)
+from .upsample import (UpscaleFactors, channel_to_spacedepth_backward,
+                       subpixel_upsample3d, unpool3d, unpool3d_backward)
 
 
 GRAD_CLIP = 5.0
@@ -33,15 +37,45 @@ def clip_grads(*grads, max_norm=GRAD_CLIP):
     return tuple(g * np.asarray(scale, dtype=g.dtype) for g in grads)
 
 
-class Conv3D:
-    def __init__(self, in_c, out_c, kdhw=(3, 3, 3), pad=None, rng=None,
+class _Trainable:
+    """Parameters `w` and `b`, the gradients `gw`/`gb` accumulated into
+    them, and the one update and checkpoint contract of every layer."""
+
+    def __init__(self, w, b):
+        self.w, self.b = w, b
+        self.gw = np.zeros_like(w)
+        self.gb = np.zeros_like(b)
+
+    def trainables(self):
+        return [self]
+
+    def zero_grads(self):
+        self.gw[...] = 0
+        self.gb[...] = 0
+
+    def sgd_update(self, lr):
+        gw, gb = clip_grads(self.gw, self.gb)
+        self.w = tz.sgd_step(self.w, gw, lr)
+        self.b = tz.sgd_step(self.b, gb, lr)
+
+    def state(self):
+        return {"w": self.w, "b": self.b}
+
+    def load_state(self, st):
+        self.w = st["w"].astype(self.w.dtype)
+        self.b = st["b"].astype(self.b.dtype)
+
+
+class Conv3D(_Trainable):
+    def __init__(self, in_c, out_c, kdhw=(3, 3, 3), rng=None,
                  dtype=np.float32):
-        if pad is None:
-            pad = tuple(k // 2 for k in kdhw)
-        self.pad = pad
-        self.kernels = tz.make_kernels(out_c, in_c, kdhw, rng, dtype)
-        self.gw = np.zeros_like(self.kernels.weights)
-        self.gb = np.zeros_like(self.kernels.bias)
+        ks = tz.make_kernels(out_c, in_c, kdhw, rng, dtype)
+        super().__init__(ks.weights, ks.bias)
+        self.pad = tuple(k // 2 for k in kdhw)
+
+    @property
+    def kernels(self):
+        return KernelSet(self.w, self.b)
 
     def forward(self, x):
         return tz.conv3d(x, self.kernels, pad=self.pad), x
@@ -54,27 +88,6 @@ class Conv3D:
         self.gw += gw
         self.gb += gb
         return gx
-
-    def params(self):
-        return {"w": self.kernels, "gw": self.gw, "gb": self.gb}
-
-    def zero_grads(self):
-        self.gw[...] = 0
-        self.gb[...] = 0
-
-    def sgd_update(self, lr):
-        gw, gb = clip_grads(self.gw, self.gb)
-        self.kernels = KernelSet(
-            tz.sgd_step(self.kernels.weights, gw, lr),
-            tz.sgd_step(self.kernels.bias, gb, lr),
-        )
-
-    def state(self):
-        return {"w": self.kernels.weights, "b": self.kernels.bias}
-
-    def load_state(self, st):
-        self.kernels = KernelSet(st["w"].astype(self.kernels.weights.dtype),
-                                 st["b"].astype(self.kernels.bias.dtype))
 
 
 class Pool3D:
@@ -96,12 +109,11 @@ class ReLU:
         return tz.relu_backward(gy, x)
 
 
-class FC:
+class FC(_Trainable):
     def __init__(self, in_n, out_n, rng, dtype=np.float32):
-        self.w = tz.glorot_uniform((out_n, in_n), rng, in_n, out_n, dtype)
-        self.b = np.zeros(out_n, dtype=dtype)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+        super().__init__(
+            tz.glorot_uniform((out_n, in_n), rng, in_n, out_n, dtype),
+            np.zeros(out_n, dtype=dtype))
 
     def forward(self, x):
         return tz.fully_connected(x, self.w, self.b), x
@@ -112,77 +124,36 @@ class FC:
         self.gb += gb
         return gx
 
-    def zero_grads(self):
-        self.gw[...] = 0
-        self.gb[...] = 0
 
-    def sgd_update(self, lr):
-        gw, gb = clip_grads(self.gw, self.gb)
-        self.w = tz.sgd_step(self.w, gw, lr)
-        self.b = tz.sgd_step(self.b, gb, lr)
-
-    def state(self):
-        return {"w": self.w, "b": self.b}
-
-    def load_state(self, st):
-        self.w = st["w"].astype(self.w.dtype)
-        self.b = st["b"].astype(self.b.dtype)
-
-
-class SubpixelUp:
-    """Channel-expanding conv in LR space followed by the sub-pixel permutation."""
+class SubpixelUp(Conv3D):
+    """Channel-expanding conv in LR space followed by the sub-pixel
+    permutation (`upsample.subpixel_upsample3d`)."""
 
     def __init__(self, in_c, out_c, p: UpscaleFactors, rng, kdhw=(3, 3, 3),
                  dtype=np.float32):
+        super().__init__(in_c, out_c * p.volume, kdhw, rng=rng, dtype=dtype)
         self.p = p
-        self.conv = Conv3D(in_c, out_c * p.volume, kdhw, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        y, cache = self.conv.forward(x)
-        return channel_to_spacedepth(y, self.p), cache
+        return subpixel_upsample3d(x, self.kernels, self.p), x
 
-    def backward(self, gy, cache):
-        return self.conv.backward(channel_to_spacedepth_backward(gy, self.p),
-                                  cache)
-
-    def zero_grads(self):
-        self.conv.zero_grads()
-
-    def sgd_update(self, lr):
-        self.conv.sgd_update(lr)
-
-    def state(self):
-        return self.conv.state()
-
-    def load_state(self, st):
-        self.conv.load_state(st)
+    def backward(self, gy, x):
+        return super().backward(channel_to_spacedepth_backward(gy, self.p), x)
 
 
-class UnpoolUp:
+class UnpoolUp(Conv3D):
     """Alternative upsampling: corner-placement un-pool into HR, then conv."""
 
     def __init__(self, in_c, out_c, p: UpscaleFactors, rng, kdhw=(3, 3, 3),
                  dtype=np.float32):
+        super().__init__(in_c, out_c, kdhw, rng=rng, dtype=dtype)
         self.p = p
-        self.conv = Conv3D(in_c, out_c, kdhw, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        return self.conv.forward(unpool3d(x, self.p))
+        return super().forward(unpool3d(x, self.p))
 
     def backward(self, gy, cache):
-        return unpool3d_backward(self.conv.backward(gy, cache), self.p)
-
-    def zero_grads(self):
-        self.conv.zero_grads()
-
-    def sgd_update(self, lr):
-        self.conv.sgd_update(lr)
-
-    def state(self):
-        return self.conv.state()
-
-    def load_state(self, st):
-        self.conv.load_state(st)
+        return unpool3d_backward(super().backward(gy, cache), self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -198,43 +169,49 @@ class LayerSpec:
     inputs: tuple = ()
 
 
-def tcnn_table_specs(in_shape=(3, 8, 300, 400)):
-    """Layer-by-layer output shapes of the top-down pipeline reference table
-    for the given input, computed with standard conv/pool arithmetic."""
+# conv1..conv5b with their max-pools, shared by both tables: a conv row
+# gives its output channels, a pool row its kernel
+_ENCODER_ROWS = (("conv1", 64), ("max-pool1", (1, 2, 2)),
+                 ("conv2", 128), ("max-pool2", (2, 2, 2)),
+                 ("conv3a", 256), ("conv3b", 256), ("max-pool3", (2, 2, 2)),
+                 ("conv4a", 512), ("conv4b", 512), ("max-pool4", (2, 2, 2)),
+                 ("conv5a", 512), ("conv5b", 512))
+
+# the bottom-up decoder, deepest first: each upsample (output channels,
+# factors) is concatenated with an encoder skip before its conv
+_DECODER_ROWS = (("upsample4", 64, (2, 2, 2), "conv4b", "conv4c", 448),
+                 ("upsample3", 64, (2, 2, 2), "conv3b", "conv3c", 448),
+                 ("upsample2", 64, (2, 2, 2), "conv2", "conv2c", 128),
+                 ("upsample1", 48, (1, 2, 2), "conv1", "conv1c", 64))
+
+
+def _encoder_specs(in_shape):
+    """The conv and pool rows both reference tables open with, computed
+    with standard conv/pool arithmetic."""
     rows = []
     shape = in_shape
-
-    def conv(name, out_c):
-        nonlocal shape
-        shape = (out_c,) + shape[1:]
-        rows.append(LayerSpec(name, "conv", (3, 3, 3), shape))
-
-    def pool(name, k):
-        nonlocal shape
-        shape = (shape[0],) + tuple(-(-s // kk) for s, kk in zip(shape[1:], k))
-        rows.append(LayerSpec(name, "pool", k, shape))
-
-    conv("conv1", 64)
-    pool("max-pool1", (1, 2, 2))
-    conv("conv2", 128)
-    pool("max-pool2", (2, 2, 2))
-    conv("conv3a", 256)
-    conv("conv3b", 256)
-    pool("max-pool3", (2, 2, 2))
-    conv("conv4a", 512)
-    conv("conv4b", 512)
-    pool("max-pool4", (2, 2, 2))
-    conv("conv5a", 512)
-    conv("conv5b", 512)
-    rows.append(LayerSpec("toi-pool2", "toi-pool", None, (128, 8, 8, 8),
-                          ("conv2",)))
-    rows.append(LayerSpec("toi-pool5", "toi-pool", None, (512, 1, 4, 4),
-                          ("conv5b",)))
-    rows.append(LayerSpec("1x1 conv", "flatten-proj", None, (8192,),
-                          ("toi-pool2", "toi-pool5")))
-    rows.append(LayerSpec("fc6", "fc", None, (4096,)))
-    rows.append(LayerSpec("fc7", "fc", None, (4096,)))
+    for name, arg in _ENCODER_ROWS:
+        if name.startswith("conv"):
+            shape = (arg,) + shape[1:]
+            rows.append(LayerSpec(name, "conv", (3, 3, 3), shape))
+        else:
+            shape = (shape[0],) + tuple(-(-s // k)
+                                        for s, k in zip(shape[1:], arg))
+            rows.append(LayerSpec(name, "pool", arg, shape))
     return rows
+
+
+def tcnn_table_specs(in_shape=(3, 8, 300, 400)):
+    """Layer-by-layer output shapes of the top-down pipeline reference table
+    for the given input."""
+    return _encoder_specs(in_shape) + [
+        LayerSpec("toi-pool2", "toi-pool", None, (128, 8, 8, 8), ("conv2",)),
+        LayerSpec("toi-pool5", "toi-pool", None, (512, 1, 4, 4),
+                  ("conv5b",)),
+        LayerSpec("1x1 conv", "flatten-proj", None, (8192,),
+                  ("toi-pool2", "toi-pool5")),
+        LayerSpec("fc6", "fc", None, (4096,)),
+        LayerSpec("fc7", "fc", None, (4096,))]
 
 
 def stcnn_table_specs(in_shape=(3, 8, 240, 320)):
@@ -243,56 +220,21 @@ def stcnn_table_specs(in_shape=(3, 8, 240, 320)):
     Each upsampleN output is concatenated channel-wise with the encoder cube
     of matching D x H x W before the following convNc layer; conv6/conv7 run
     per frame on the final concatenation (concat1)."""
-    rows = []
-    shape = in_shape
-    skips = {}
-
-    def conv(name, out_c, record_skip=None):
-        nonlocal shape
-        shape = (out_c,) + shape[1:]
-        rows.append(LayerSpec(name, "conv", (3, 3, 3), shape))
-        if record_skip:
-            skips[record_skip] = shape
-
-    def pool(name, k):
-        nonlocal shape
-        shape = (shape[0],) + tuple(-(-s // kk) for s, kk in zip(shape[1:], k))
-        rows.append(LayerSpec(name, "pool", k, shape))
-
-    conv("conv1", 64, record_skip="s1")
-    pool("max-pool1", (1, 2, 2))
-    conv("conv2", 128, record_skip="s2")
-    pool("max-pool2", (2, 2, 2))
-    conv("conv3a", 256)
-    conv("conv3b", 256, record_skip="s3")
-    pool("max-pool3", (2, 2, 2))
-    conv("conv4a", 512)
-    conv("conv4b", 512, record_skip="s4")
-    pool("max-pool4", (2, 2, 2))
-    conv("conv5a", 512)
-    conv("conv5b", 512)
-
-    def up(name, out_c, p, skip):
-        nonlocal shape
-        shape = (out_c, shape[1] * p[0], shape[2] * p[1], shape[3] * p[2])
-        rows.append(LayerSpec(name, "upsample", (3, 3, 3), shape))
+    rows = _encoder_specs(in_shape)
+    byname = {r.name: r for r in rows}
+    shape = rows[-1].out_shape
+    for up_name, up_c, p, skip, conv_name, conv_c in _DECODER_ROWS:
+        shape = (up_c, shape[1] * p[0], shape[2] * p[1], shape[3] * p[2])
+        rows.append(LayerSpec(up_name, "upsample", (3, 3, 3), shape))
         # concat happens implicitly before the next conv
-        shape = (out_c + skips[skip][0],) + shape[1:]
-
-    up("upsample4", 64, (2, 2, 2), "s4")
-    conv("conv4c", 448)
-    up("upsample3", 64, (2, 2, 2), "s3")
-    conv("conv3c", 448)
-    up("upsample2", 64, (2, 2, 2), "s2")
-    conv("conv2c", 128)
-    up("upsample1", 48, (1, 2, 2), "s1")
-    concat1 = shape
-    conv("conv1c", 64)
-    rows.append(LayerSpec("conv6", "conv", (1, 1), (4096,) + concat1[1:],
+        concat = (up_c + byname[skip].out_shape[0],) + shape[1:]
+        shape = (conv_c,) + shape[1:]
+        rows.append(LayerSpec(conv_name, "conv", (3, 3, 3), shape))
+    rows.append(LayerSpec("conv6", "conv", (1, 1), (4096,) + concat[1:],
                           ("concat1",)))
-    rows.append(LayerSpec("conv7", "conv", (1, 1), (2,) + concat1[1:]))
+    rows.append(LayerSpec("conv7", "conv", (1, 1), (2,) + concat[1:]))
     rows.append(LayerSpec("toi-pool", "toi-pool", None,
-                          (concat1[0], 8, 8, 8), ("concat1",)))
+                          (concat[0], 8, 8, 8), ("concat1",)))
     rows.append(LayerSpec("fc6", "fc", None, (4096,)))
     rows.append(LayerSpec("fc7", "fc", None, (4096,)))
     return rows
@@ -304,10 +246,8 @@ def _run_encoder(rows, x, rng, acts):
             k = tz.make_kernels(spec.out_shape[0], x.shape[0], spec.kernel, rng)
             k = KernelSet(k.weights * 0.05, k.bias)  # keep activations bounded
             x = tz.relu(tz.conv3d(x, k))
-        elif spec.kind == "pool":
-            x, _ = tz.maxpool3d(x, spec.kernel)
         else:
-            raise ValueError(spec.kind)
+            x, _ = tz.maxpool3d(x, spec.kernel)
         acts[spec.name] = x
     return x
 
@@ -322,9 +262,9 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     rows = tcnn_table_specs(in_shape)
     acts = {}
     x = rng.standard_normal(in_shape).astype(np.float32)
-    _run_encoder([r for r in rows if r.kind in ("conv", "pool")], x, rng, acts)
-    shapes = [(r.name, acts[r.name].shape)
-              for r in rows if r.kind in ("conv", "pool")]
+    enc_rows = _encoder_specs(in_shape)
+    _run_encoder(enc_rows, x, rng, acts)
+    shapes = [(r.name, acts[r.name].shape) for r in enc_rows]
 
     conv2 = acts["conv2"]
     conv5 = acts["conv5b"]
@@ -359,24 +299,18 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     byname = {r.name: r for r in rows}
     acts = {}
     x = rng.standard_normal(in_shape).astype(np.float32)
-    enc_rows = [r for r in rows if r.name.startswith(("conv", "max-pool"))
-                and r.name not in ("conv4c", "conv3c", "conv2c", "conv1c",
-                                   "conv6", "conv7")]
+    enc_rows = _encoder_specs(in_shape)
     _run_encoder(enc_rows, x, rng, acts)
     shapes = [(r.name, acts[r.name].shape) for r in enc_rows]
 
     cur = acts["conv5b"]
-    for up_name, conv_name, skip in (("upsample4", "conv4c", "conv4b"),
-                                     ("upsample3", "conv3c", "conv3b"),
-                                     ("upsample2", "conv2c", "conv2"),
-                                     ("upsample1", "conv1c", "conv1")):
+    for up_name, _, _, skip, conv_name, _ in _DECODER_ROWS:
         spec = byname[up_name]
         p = UpscaleFactors(*(o // i for o, i in
                              zip(spec.out_shape[1:], cur.shape[1:])))
         k = tz.make_kernels(spec.out_shape[0] * p.volume, cur.shape[0],
                             (3, 3, 3), rng)
         k = KernelSet(k.weights * 0.05, k.bias)
-        from .upsample import subpixel_upsample3d
         cur = subpixel_upsample3d(cur, k, p)
         shapes.append((up_name, cur.shape))
         cur = np.concatenate([cur, acts[skip]], axis=0)

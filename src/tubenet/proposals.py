@@ -161,10 +161,12 @@ def encode_regression(anchor_box: Box, gt: Box) -> RegressionTarget:
 
 
 def decode_regression(anchor_box: Box, t: RegressionTarget) -> Box:
+    """The box `t` displaces `anchor_box` to; a shrink past one pixel
+    leaves a width or height of one pixel."""
     acx, acy = anchor_box.center
     cx, cy = acx + t.d_cx, acy + t.d_cy
-    w = anchor_box.width + t.d_w
-    h = anchor_box.height + t.d_h
+    w = max(anchor_box.width + t.d_w, 1.0)
+    h = max(anchor_box.height + t.d_h, 1.0)
     return Box(cx - (w - 1) / 2.0, cy - (h - 1) / 2.0,
                cx + (w - 1) / 2.0, cy + (h - 1) / 2.0)
 

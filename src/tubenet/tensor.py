@@ -147,7 +147,7 @@ def conv3d_out_shape(in_shape, kernels: KernelSet, stride=(1, 1, 1), pad=(1, 1, 
     return (kernels.out_channels,) + tuple(outs)
 
 
-def _im2col_frames(x: np.ndarray, kdhw, pad):
+def _im2col_frames(x: np.ndarray, kdhw, pad, out_channels=None):
     """The im2col matrix of each output frame of a stride-1 convolution, in
     frame order: (C*kd*kh*kw, oh*ow), rows ordered (C, kd, kh, kw).
 
@@ -155,13 +155,17 @@ def _im2col_frames(x: np.ndarray, kdhw, pad):
     must finish with one matrix before asking for the next. A 1x1x1
     kernel without padding on a C-contiguous `x` needs no copy: its matrix
     is the frame itself, yielded as a view of `x` whose rows BLAS reads
-    in place.
+    in place. With one output channel the GEMMs are matrix-vector
+    products, which numpy sums in another order when the matrix rows are
+    strided, as a frame's rows are when `x` has more than one frame; so
+    there each frame is copied, and the bytes match a copying im2col.
     """
     kd, kh, kw = kdhw
     if (kd, kh, kw) == (1, 1, 1) and not any(pad) and x.flags.c_contiguous:
         c, d, h, w = x.shape
         for t in range(d):
-            yield x[:, t].reshape(c, h * w)
+            col = x[:, t].reshape(c, h * w)
+            yield np.ascontiguousarray(col) if out_channels == 1 else col
         return
     xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
                     (pad[2], pad[2])))
@@ -186,7 +190,7 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     oc, _, oh, ow = out_shape
     w2 = kernels.weights.reshape(oc, -1)
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
-    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad)):
+    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad, oc)):
         out[:, d] = (w2 @ col).reshape(oc, oh, ow)
     out += kernels.bias[:, None, None, None]
     return out
@@ -212,7 +216,7 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     if input_grad:
         gxp = np.zeros((x.shape[0],) + tuple(
             e + 2 * p for e, p in zip(x.shape[1:], pad)), dtype=np.float64)
-    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad)):
+    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad, oc)):
         g = grad_out[:, d].reshape(oc, oh * ow)
         grad_w += g @ col.T
         if not input_grad:

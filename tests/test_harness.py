@@ -1,12 +1,17 @@
-"""Run configuration, checkpointing, clip slicing, and CLI plumbing."""
+"""Run configuration, checkpointing, clip slicing, evaluation, and CLI
+plumbing."""
+
+import csv
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from tubenet.cli import main
 from tubenet.harness import (RunConfig, _clips_of, _split_videos, _unflatten,
-                             load_model_state, run_gen, run_segment,
-                             save_model)
+                             load_model_state, run_eval, run_gen,
+                             run_segment, save_model)
 from tubenet.models import STCNN, TCNN
 from tubenet.proposals import Anchor
 from tubenet.synth import load_annotations
@@ -251,3 +256,47 @@ def test_run_segment_one_stcnn_forward_per_clip(tmp_path, monkeypatch):
     masks = sorted((tmp_path / "out" / "segmentations"
                     / f"{test_vids[0]:03d}").glob("*.sm"))
     assert len(masks) == 16
+
+
+# ----------------------------------------------------------------------
+# evaluation
+
+def _ground_truth_as_predictions(tmp_path):
+    """A dataset whose test videos have their ground-truth masks written
+    as the predicted segmentations."""
+    cfg = RunConfig(data_dir=str(tmp_path / "data"),
+                    out_dir=str(tmp_path / "out"), num_videos=5,
+                    num_frames=8, height=48, width=64)
+    run_gen(cfg)
+    vids = _split_videos(load_annotations(cfg.data_dir), "test")
+    for vid in vids:
+        shutil.copytree(tmp_path / "data" / "masks" / f"{vid:03d}",
+                        tmp_path / "out" / "segmentations" / f"{vid:03d}")
+    return cfg, vids
+
+
+def test_eval_of_ground_truth_masks(tmp_path):
+    cfg, _ = _ground_truth_as_predictions(tmp_path)
+    report = run_eval(cfg)
+    assert report["J_mean"] == report["F_mean"] == 1.0
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    # no detections: no per-class AP, and zero mAP and AUC
+    assert rows[:3] == [["class", "ap"], ["mAP", "0.000000"],
+                        ["AUC", "0.000000"]]
+    assert [r[0] for r in rows[3:]] == ["J_mean", "J_recall", "J_decay",
+                                        "F_mean", "F_recall", "F_decay",
+                                        "T_mean"]
+    assert rows[3][1] == f"{1.0:.6f}"
+    assert rows[9][1] == f"{report['T_mean']:.6f}"
+
+
+@pytest.mark.parametrize("drop", [1, 8])
+def test_eval_rejects_a_short_mask_set_naming_the_directory(tmp_path, drop):
+    cfg, vids = _ground_truth_as_predictions(tmp_path)
+    vdir = tmp_path / "out" / "segmentations" / f"{vids[-1]:03d}"
+    for path in sorted(vdir.glob("*.sm"))[-drop:]:
+        path.unlink()
+    with pytest.raises(ValueError, match=re.escape(
+            f"{vdir}: {8 - drop} predicted masks for 8 ground-truth frames")):
+        run_eval(cfg)

@@ -1,0 +1,169 @@
+"""The trainable-layer contract: the checkpoint keys of both models, which
+layer owns each key's gradients, state round trips, the upsampler layers,
+and the names the benchmark's tracer wraps."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tubenet.models import STCNN, TCNN
+from tubenet.networks import SubpixelUp, UnpoolUp
+from tubenet.proposals import Anchor
+from tubenet.tensor import finite_diff_grad
+from tubenet.upsample import UpscaleFactors, subpixel_upsample3d
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    """A module of the benchmark program, imported from its file; no
+    bytecode cache is written beside it."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def _layer(name, w_shape):
+    return {f"{name}.w": w_shape, f"{name}.b": w_shape[:1]}
+
+
+def _conv(name, out_c, in_c, k=3):
+    return _layer(name, (out_c, in_c, k, k, k))
+
+
+_ENCODER = {**_conv("encoder.conv1", 8, 3), **_conv("encoder.conv2", 16, 8),
+            **_conv("encoder.conv3", 24, 16),
+            **_conv("encoder.conv4", 32, 24),
+            **_conv("encoder.conv5", 32, 32)}
+
+# the sorted flat_state() names and shapes of the models built below
+TCNN_STATE = {**_ENCODER, **_conv("act_head", 2, 32, k=1),
+              "proj_w2": (8, 16), "proj_w5": (16, 32),
+              **_layer("reg_fc1", (128, 1536)), **_layer("reg_fc2", (32, 128)),
+              **_layer("rec_fc1", (128, 2048)), **_layer("rec_fc2", (4, 128))}
+_STCNN = {**_ENCODER, **_conv("conv4c", 16, 40), **_conv("conv3c", 16, 32),
+          **_conv("conv2c", 16, 24), **_conv("conv6", 16, 16, k=1),
+          **_conv("conv7", 2, 16, k=1), **_layer("rec_fc1", (64, 2048)),
+          **_layer("rec_fc2", (4, 64))}
+STCNN_STATE = {
+    "subpixel": {**_STCNN, **_conv("up4", 64, 32), **_conv("up3", 64, 16),
+                 **_conv("up2", 64, 16), **_conv("up1", 32, 16)},
+    "unpool": {**_STCNN, **_conv("up4", 8, 32), **_conv("up3", 8, 16),
+               **_conv("up2", 8, 16), **_conv("up1", 8, 16)}}
+
+MODELS = ["tcnn", "stcnn-subpixel", "stcnn-unpool"]
+
+
+def _model(kind, seed=7):
+    if kind == "tcnn":
+        return TCNN(3, [Anchor(20.0, 16.0), Anchor(12.0, 24.0)], (48, 64),
+                    seed=seed)
+    return STCNN(3, (48, 64), seed=seed, upsampler=kind.split("-")[1])
+
+
+def _want_state(kind):
+    return TCNN_STATE if kind == "tcnn" else STCNN_STATE[kind.split("-")[1]]
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_checkpoint_names_and_shapes(kind):
+    got = {k: v.shape for k, v in _model(kind).flat_state().items()}
+    assert sorted(got.items()) == sorted(_want_state(kind).items())
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_every_parameter_has_one_trainable_owner(kind):
+    model = _model(kind)
+    layers = model.trainables()
+    owner = {id(p): (layer, g) for layer in layers
+             for p, g in ((layer.w, layer.gw), (layer.b, layer.gb))}
+    flat = model.flat_state()
+    trained = {k: v for k, v in flat.items() if not k.startswith("proj_")}
+    assert len(layers) == len(set(map(id, layers))) == len(trained) // 2
+    for key, param in trained.items():
+        _, grad = owner[id(param)]
+        assert grad.shape == param.shape and grad.dtype == param.dtype
+    # the projector is stepped inside tpn_step, not by sgd_update
+    assert all(id(flat[k]) not in owner for k in flat if k not in trained)
+    # the benchmark's gradient check reads each key's gradient by name
+    grads = _bench_module("workloads")._grad_state(model)
+    assert sorted(grads) == sorted(trained)
+    for key, grad in grads.items():
+        assert grad is owner[id(trained[key])][1]
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_state_round_trip_keeps_every_byte(kind):
+    src, dst = _model(kind, seed=7), _model(kind, seed=8)
+    dst.load_state(src.state())
+    want, got = src.flat_state(), dst.flat_state()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype
+        assert got[key].tobytes() == want[key].tobytes()
+        assert not np.shares_memory(got[key], want[key])
+
+
+def test_sgd_update_steps_only_layers_with_gradients():
+    model = _model("stcnn-subpixel")
+    before = {k: v.copy() for k, v in model.flat_state().items()}
+    model.zero_grads()
+    model.conv7.gw[...] = 1.0
+    model.sgd_update(0.1)
+    after = model.flat_state()
+    changed = sorted(k for k in after
+                     if after[k].tobytes() != before[k].tobytes())
+    assert changed == ["conv7.w"]
+
+
+def test_subpixel_layer_is_the_subpixel_upsample():
+    rng = np.random.default_rng(3)
+    p = UpscaleFactors(1, 2, 2)
+    up = SubpixelUp(3, 2, p, rng)
+    x = rng.standard_normal((3, 2, 3, 4)).astype(np.float32)
+    y, _ = up.forward(x)
+    assert y.shape == (2, 2, 6, 8)
+    assert y.tobytes() == subpixel_upsample3d(x, up.kernels, p).tobytes()
+
+
+@pytest.mark.parametrize("layer_cls", [SubpixelUp, UnpoolUp])
+def test_upsampler_gradients_match_finite_differences(layer_cls):
+    rng = np.random.default_rng(4)
+    up = layer_cls(2, 2, UpscaleFactors(1, 2, 2), rng, dtype=np.float64)
+    x = rng.standard_normal((2, 2, 2, 3))
+    y, cache = up.forward(x)
+    gy = rng.standard_normal(y.shape)
+    up.zero_grads()
+    gx = up.backward(gy, cache)
+
+    def loss_at_x(v):
+        return float(np.vdot(gy, up.forward(v)[0]))
+
+    w0, b0 = up.w.copy(), up.b.copy()
+
+    def loss_at(w, b):
+        up.load_state({"w": w, "b": b})
+        return float(np.vdot(gy, up.forward(x)[0]))
+
+    for got, want in (
+            (gx, finite_diff_grad(loss_at_x, x)),
+            (up.gw, finite_diff_grad(lambda w: loss_at(w, b0), w0)),
+            (up.gb, finite_diff_grad(lambda b: loss_at(w0, b), b0))):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's --trace 1 wraps these by name
+    tracer = _bench_module("tracer")
+    for qualname in tracer.traced_names():
+        _, _, fn = tracer._resolve(qualname)
+        assert callable(fn), qualname

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubenet.proposals import (NEGATIVE, POSITIVE, PairedFeatureProjector,
-                               assign_actionness_labels, decode_regression,
+                               RegressionTarget, assign_actionness_labels,
+                               decode_regression,
                                encode_regression, iou, kmeans_anchors,
                                l2_normalize, load_anchors, save_anchors,
                                smooth_l1)
@@ -118,6 +119,16 @@ def test_regression_roundtrip(ax, ay, aw, ah, gx, gy, gw, gh):
     gt = Box(gx, gy, gx + gw, gy + gh)
     back = decode_regression(anchor, encode_regression(anchor, gt))
     assert np.allclose(back.astuple(), gt.astuple(), atol=1e-9)
+
+
+def test_decode_clamps_a_shrink_past_one_pixel():
+    anchor = Box(0, 0, 9, 9)
+    box = decode_regression(anchor, RegressionTarget(0.0, 0.0, -12.0, -30.0))
+    assert (box.width, box.height) == (1.0, 1.0)
+    assert box.center == anchor.center
+    # a shrink that leaves at least one pixel is not touched
+    box = decode_regression(anchor, RegressionTarget(0.0, 0.0, -9.0, -8.5))
+    assert (box.width, box.height) == (1.0, 1.5)
 
 
 def test_smooth_l1_regions():

@@ -261,6 +261,38 @@ def test_pointwise_conv_head_shapes_match_oracle_bytes(out_c):
         assert a.tobytes() == b.tobytes()
 
 
+def test_pointwise_conv_one_output_channel_matches_oracle_bytes():
+    # x filled with one float32 value, zero weights, gradient all ones:
+    # a copy-free frame view once summed grad_w in another order
+    x = np.full((2, 2, 2, 3), 1.4653614, dtype=np.float32)
+    k = KernelSet(np.zeros((1, 2, 1, 1, 1), np.float32),
+                  np.zeros(1, np.float32))
+    pad = (0, 0, 0)
+    gy = np.ones(conv3d(x, k, pad=pad).shape, np.float32)
+    _, gw, _ = conv3d_backward(gy, x, k, pad=pad)
+    want = _conv3d_backward_oracle(gy, x, k, pad=pad)[1]
+    assert gw.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 8, 1, 1), (16, 8, 2, 3)])
+def test_pointwise_conv_one_output_channel_many_frames(shape):
+    # one output channel over several frames: the forward of 1x1 frames
+    # and the weight gradient of 2x3 frames are where a strided frame
+    # view changes the summation order
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(shape).astype(np.float32)
+    k = KernelSet(rng.standard_normal((1, shape[0], 1, 1, 1))
+                  .astype(np.float32), np.zeros(1, np.float32))
+    pad = (0, 0, 0)
+    y = conv3d(x, k, pad=pad)
+    assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
+    gy = rng.standard_normal(y.shape).astype(np.float32)
+    got = conv3d_backward(gy, x, k, pad=pad)
+    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # maxpool3d
 

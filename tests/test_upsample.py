@@ -278,7 +278,7 @@ def test_unpool_scatter_conserves_mass():
 def test_unpool_conv_reference_zero_kernels():
     # the un-pool + convolution path of the upsampler ablation
     up = UnpoolUp(1, 1, UpscaleFactors(2, 2, 2), np.random.default_rng(7))
-    up.conv.kernels = KernelSet(np.zeros((1, 1, 3, 3, 3)), np.zeros(1))
+    up.load_state({"w": np.zeros((1, 1, 3, 3, 3)), "b": np.zeros(1)})
     y, _ = up.forward(np.ones((1, 2, 2, 2)))
     assert y.shape == (1, 4, 4, 4)
     assert np.all(y == 0.0)
