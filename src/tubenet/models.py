@@ -84,13 +84,15 @@ class Encoder(_ModelBase):
         self.relus = [ReLU() for _ in range(5)]
         self.pools = [Pool3D(k) for k in ENC_POOLS]
 
-    def forward(self, x):
-        """The activations conv1..conv5 and this call's cache.
+    def forward(self, x, keep_cache=True):
+        """The activations conv1..conv5 and this call's cache (None when
+        `keep_cache` is false, as inference needs none).
 
         The cache holds, for each of the five stages, the caches of its
-        conv, its ReLU and its pool (None after conv5): the input each of
-        them saw, and the pool's argmax map. `backward` takes it back, so
-        the caches of several clips can be held at once.
+        conv, its ReLU and its pool (None after conv5): the conv's input,
+        the ReLU's output (the stage's activation) and the pool's argmax
+        map. `backward` takes it back, so the caches of several clips can
+        be held at once.
         """
         acts, cache = {}, []
         h = x
@@ -101,8 +103,9 @@ class Encoder(_ModelBase):
             pool_cache = None
             if i < 4:
                 h, pool_cache = self.pools[i].forward(h)
-            cache.append((conv_cache, relu_cache, pool_cache))
-        return acts, cache
+            if keep_cache:
+                cache.append((conv_cache, relu_cache, pool_cache))
+        return acts, cache if keep_cache else None
 
     def backward(self, taps, cache):
         """Accumulate the conv gradients of the activations named in `taps`
@@ -139,12 +142,13 @@ def _head_forward(fc1, fc2, x):
     takes."""
     z, fc1_cache = fc1.forward(x)
     y, fc2_cache = fc2.forward(tz.relu(z))
-    return y, (fc1_cache, z, fc2_cache)
+    return y, (fc1_cache, fc2_cache)
 
 
 def _head_backward(fc1, fc2, g, cache):
-    fc1_cache, z, fc2_cache = cache
-    g = tz.relu_backward(fc2.backward(g, fc2_cache), z)
+    # fc2's cache is its input, the ReLU's output
+    fc1_cache, fc2_cache = cache
+    g = tz.relu_backward(fc2.backward(g, fc2_cache), fc2_cache)
     return fc1.backward(g, fc1_cache)
 
 
@@ -212,10 +216,13 @@ class TCNN(_ModelBase):
     # ------------------------------------------------------------------
     def encode_clip(self, frames, cache=None):
         """Encoder activations and actionness logits of one clip. A dict
-        passed as `cache` receives the encoder's and the head's caches."""
-        cache = {} if cache is None else cache
-        acts, cache["encoder"] = self.encoder.forward(frames)
-        logits, cache["act_head"] = self.act_head.forward(acts["conv5"])
+        passed as `cache` receives the encoder's and the head's caches;
+        without one, none is kept."""
+        keep = cache is not None
+        acts, enc_cache = self.encoder.forward(frames, keep_cache=keep)
+        logits, head_cache = self.act_head.forward(acts["conv5"])
+        if keep:
+            cache["encoder"], cache["act_head"] = enc_cache, head_cache
         if self._grid_hw is None:
             self._grid_hw = acts["conv5"].shape[2:]
         return acts, logits
@@ -397,12 +404,16 @@ class STCNN(_ModelBase):
         """Encoder activations, the final concatenation cube (concat1) and
         the segmentation logits of one clip. A dict passed as `cache`
         receives what `backward` takes: the encoder's cache and each
-        decoder layer's, by name."""
-        cache = {} if cache is None else cache
-        acts, cache["encoder"] = self.encoder.forward(frames)
+        decoder layer's, by name; without one, none is kept."""
+        keep = cache is not None
+        acts, enc_cache = self.encoder.forward(frames, keep_cache=keep)
+        if keep:
+            cache["encoder"] = enc_cache
 
         def run(name, x):
-            y, cache[name] = getattr(self, name).forward(x)
+            y, layer_cache = getattr(self, name).forward(x)
+            if keep:
+                cache[name] = layer_cache
             return y
 
         h = run("up4", acts["conv5"])

@@ -103,7 +103,9 @@ class Pool3D:
 
 class ReLU:
     def forward(self, x):
-        return tz.relu(x), x
+        # the cache is the output, which the next layer holds anyway
+        y = tz.relu(x)
+        return y, y
 
     def backward(self, gy, x):
         return tz.relu_backward(gy, x)
@@ -240,16 +242,23 @@ def stcnn_table_specs(in_shape=(3, 8, 240, 320)):
     return rows
 
 
-def _run_encoder(rows, x, rng, acts):
+def _run_encoder(rows, x, rng, keep):
+    """Run the encoder rows on `x` with random weights. Returns each row's
+    output shape and the outputs of the rows named in `keep`; the others
+    are freed as soon as the next row has read them."""
+    shapes, kept = [], {}
     for spec in rows:
         if spec.kind == "conv":
             k = tz.make_kernels(spec.out_shape[0], x.shape[0], spec.kernel, rng)
             k = KernelSet(k.weights * 0.05, k.bias)  # keep activations bounded
-            x = tz.relu(tz.conv3d(x, k))
+            x = tz.conv3d(x, k)
+            tz.relu(x, out=x)
         else:
-            x, _ = tz.maxpool3d(x, spec.kernel)
-        acts[spec.name] = x
-    return x
+            x = tz.maxpool3d(x, spec.kernel)[0]
+        shapes.append((spec.name, x.shape))
+        if spec.name in keep:
+            kept[spec.name] = x
+    return shapes, kept
 
 
 def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
@@ -260,14 +269,12 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
 
     rng = np.random.default_rng(seed)
     rows = tcnn_table_specs(in_shape)
-    acts = {}
     x = rng.standard_normal(in_shape).astype(np.float32)
-    enc_rows = _encoder_specs(in_shape)
-    _run_encoder(enc_rows, x, rng, acts)
-    shapes = [(r.name, acts[r.name].shape) for r in enc_rows]
-
-    conv2 = acts["conv2"]
-    conv5 = acts["conv5b"]
+    shapes, acts = _run_encoder(_encoder_specs(in_shape), x, rng,
+                                ("conv2", "conv5b"))
+    del x
+    conv2 = acts.pop("conv2")
+    conv5 = acts.pop("conv5b")
     tube2 = toi.full_frame_tube(conv2.shape[1], *conv2.shape[2:])
     pooled2, _ = toi.toi_pool_forward(conv2, tube2, (8, 8, 8))
     shapes.append(("toi-pool2", pooled2.shape))
@@ -280,7 +287,7 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
                                   proj2=8, proj5=32, rng=rng)
     vec, _ = proj.forward(pooled2, pooled5)
     shapes.append(("1x1 conv", vec.shape))
-    del acts
+    del conv2, conv5
     fc6 = FC(vec.shape[0], 4096, rng)
     v = tz.relu(fc6.forward(vec.astype(np.float32))[0])
     shapes.append(("fc6", v.shape))
@@ -297,13 +304,12 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     rng = np.random.default_rng(seed)
     rows = stcnn_table_specs(in_shape)
     byname = {r.name: r for r in rows}
-    acts = {}
     x = rng.standard_normal(in_shape).astype(np.float32)
-    enc_rows = _encoder_specs(in_shape)
-    _run_encoder(enc_rows, x, rng, acts)
-    shapes = [(r.name, acts[r.name].shape) for r in enc_rows]
-
-    cur = acts["conv5b"]
+    shapes, acts = _run_encoder(
+        _encoder_specs(in_shape), x, rng,
+        ("conv5b",) + tuple(row[3] for row in _DECODER_ROWS))
+    del x
+    cur = acts.pop("conv5b")
     for up_name, _, _, skip, conv_name, _ in _DECODER_ROWS:
         spec = byname[up_name]
         p = UpscaleFactors(*(o // i for o, i in
@@ -313,7 +319,7 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
         k = KernelSet(k.weights * 0.05, k.bias)
         cur = subpixel_upsample3d(cur, k, p)
         shapes.append((up_name, cur.shape))
-        cur = np.concatenate([cur, acts[skip]], axis=0)
+        cur = np.concatenate([cur, acts.pop(skip)], axis=0)
         if conv_name == "conv1c":
             concat1 = cur
         kc = tz.make_kernels(byname[conv_name].out_shape[0], cur.shape[0],
@@ -323,7 +329,6 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
         shapes.append((conv_name, out.shape))
         if conv_name != "conv1c":
             cur = out
-    del acts
 
     # segmentation head: per-frame 1x1 maps, streamed one frame at a time
     c1 = concat1.shape[0]

@@ -8,7 +8,11 @@ depth (frames), height, width.
 Every GEMM goes through the BLAS that numpy loaded. How that BLAS splits a
 GEMM across threads changes the last bits of the result, so runs hold it at
 one thread with `blas_threads` to make output bytes independent of the
-core count.
+core count. The second core then goes to whole units of work instead: a
+large `conv3d` hands half of its output frames, each with an im2col buffer
+of its own, and a large `maxpool3d` half of its channels, to one helper
+thread. Every GEMM keeps its shape and operands, so the bytes stay the
+same at one worker or two.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import functools
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +129,68 @@ def make_kernels(out_channels: int, in_channels: int, kdhw, rng,
 
 
 # ---------------------------------------------------------------------------
+# Two workers for large inputs
+
+# The smallest unit of work, in bytes, that `conv3d` (one output frame's
+# im2col matrix) and `maxpool3d` (the whole input) split between two
+# workers. Every desk-scale unit at 80x112 frames is under 6 MB; every
+# full-scale conv frame is at least 38.9 MB (conv1 at 300x400).
+_SPLIT_MIN_BYTES = 16 * 2**20
+
+_helper_pool = None
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
+def _helper():
+    """The one helper thread, started on first use."""
+    global _helper_pool
+    if _helper_pool is None:
+        _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="tubenet")
+    return _helper_pool
+
+
+def _forget_helper():
+    # a forked child has no thread behind its parent's pool
+    global _helper_pool
+    _helper_pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _on_two_workers(work, mine, theirs):
+    """`work(*theirs)` on the helper thread while `work(*mine)` runs here;
+    returns once both have, raising this thread's error, else the
+    helper's. `work` runs numpy only, never a public tubenet function."""
+    future = _helper().submit(work, *theirs)
+    try:
+        work(*mine)
+    finally:
+        wait((future,))
+    future.result()
+
+
+def _in_halves(work, units, unit_bytes, scratch=tuple):
+    """`work(lo, hi, *scratch())` over the units [0, units), each of
+    `unit_bytes`: once here, or the first half here and the second on the
+    helper thread, each with scratch of its own allocated here. It splits
+    only when there are two units or more of at least `_SPLIT_MIN_BYTES`,
+    BLAS is held at one thread (otherwise BLAS itself uses the cores) and
+    the process may run on two CPUs."""
+    if (units < 2 or unit_bytes < _SPLIT_MIN_BYTES
+            or blas_thread_count() != 1 or _usable_cpus() < 2):
+        work(0, units, *scratch())
+        return
+    half = (units + 1) // 2
+    _on_two_workers(work, (0, half, *scratch()), (half, units, *scratch()))
+
+
+# ---------------------------------------------------------------------------
 # 3D convolution
 
 
@@ -147,51 +214,90 @@ def conv3d_out_shape(in_shape, kernels: KernelSet, stride=(1, 1, 1), pad=(1, 1, 
     return (kernels.out_channels,) + tuple(outs)
 
 
-def _im2col_frames(x: np.ndarray, kdhw, pad, out_channels=None):
-    """The im2col matrix of each output frame of a stride-1 convolution, in
-    frame order: (C*kd*kh*kw, oh*ow), rows ordered (C, kd, kh, kw).
+class _Im2col:
+    """The im2col matrix of each output frame of a stride-1 convolution:
+    (C*kd*kh*kw, oh*ow), rows ordered (C, kd, kh, kw).
 
-    Every frame is copied into one buffer allocated per call, so a caller
-    must finish with one matrix before asking for the next. A 1x1x1
-    kernel without padding on a C-contiguous `x` needs no copy: its matrix
-    is the frame itself, yielded as a view of `x` whose rows BLAS reads
-    in place. With one output channel the GEMMs are matrix-vector
-    products, which numpy sums in another order when the matrix rows are
-    strided, as a frame's rows are when `x` has more than one frame; so
-    there each frame is copied, and the bytes match a copying im2col.
+    `frames(ds, buf)` copies each frame of `ds` in turn into `buf`, one
+    buffer from `buffer()`, so a worker must finish with one matrix before
+    asking for the next; workers holding buffers of their own may fill
+    them at once. A 1x1x1 kernel without padding on a C-contiguous `x`
+    needs no copy: its matrix is the frame itself, yielded as a view of
+    `x` whose rows BLAS reads in place. With one output channel the GEMMs
+    are matrix-vector products, which numpy sums in another order when
+    the matrix rows are strided, as a frame's rows are when `x` has more
+    than one frame; so there each frame is copied, and the bytes match a
+    copying im2col.
     """
-    kd, kh, kw = kdhw
-    if (kd, kh, kw) == (1, 1, 1) and not any(pad) and x.flags.c_contiguous:
+
+    def __init__(self, x: np.ndarray, kdhw, pad, out_channels=None):
+        kd, kh, kw = kdhw
         c, d, h, w = x.shape
-        for t in range(d):
-            col = x[:, t].reshape(c, h * w)
-            yield np.ascontiguousarray(col) if out_channels == 1 else col
-        return
-    xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
-                    (pad[2], pad[2])))
-    # (C, oD, oH, oW, kd, kh, kw) view
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
-    c, od, oh, ow = win.shape[:4]
-    buf = np.empty((c, kd, kh, kw, oh, ow), dtype=xp.dtype)
-    col = buf.reshape(c * kd * kh * kw, oh * ow)
-    for d in range(od):
-        np.copyto(buf, win[:, d].transpose(0, 3, 4, 5, 1, 2))
-        yield col
+        self.pointwise = ((kd, kh, kw) == (1, 1, 1) and not any(pad)
+                          and x.flags.c_contiguous)
+        if self.pointwise:
+            self.x, self.copy = x, out_channels == 1
+            self.depth, self.shape = d, (c, h * w)
+        else:
+            xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
+                            (pad[2], pad[2])))
+            # (C, oD, oH, oW, kd, kh, kw) view
+            self.win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
+            _, self.depth, oh, ow = self.win.shape[:4]
+            self.shape = (c * kd * kh * kw, oh * ow)
+        self.frame_bytes = self.shape[0] * self.shape[1] * x.itemsize
+
+    def buffer(self):
+        """Scratch for one worker's frames; None where no frame is copied
+        into it."""
+        if self.pointwise:
+            return None
+        c, _, oh, ow, kd, kh, kw = self.win.shape
+        return np.empty((c, kd, kh, kw, oh, ow), dtype=self.win.dtype)
+
+    def frames(self, ds, buf):
+        for d in ds:
+            if self.pointwise:
+                col = self.x[:, d].reshape(self.shape)
+                yield np.ascontiguousarray(col) if self.copy else col
+            else:
+                np.copyto(buf, self.win[:, d].transpose(0, 3, 4, 5, 1, 2))
+                yield buf.reshape(self.shape)
+
+
+def _im2col_frames(x: np.ndarray, kdhw, pad, out_channels=None):
+    """Every output frame's im2col matrix in frame order, through one
+    buffer."""
+    im2col = _Im2col(x, kdhw, pad, out_channels)
+    return im2col.frames(range(im2col.depth), im2col.buffer())
 
 
 def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     """Stride-1 cross-correlation of a (C,D,H,W) cube with a KernelSet.
 
-    Computed one output frame at a time via im2col + GEMM, through one
-    im2col buffer per call, to bound the scratch memory on large feature
-    maps.
+    Computed one output frame at a time via im2col + GEMM, to bound the
+    scratch memory on large feature maps. Each worker reuses one im2col
+    buffer and one GEMM product buffer of its own, both allocated here. A
+    call whose frames are large enough hands the second half of them to
+    the helper thread (`_in_halves`). Every frame is the same GEMM on the
+    same operands either way, so the bytes do not depend on the worker
+    count.
     """
     out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
-    oc, _, oh, ow = out_shape
+    oc, od, oh, ow = out_shape
     w2 = kernels.weights.reshape(oc, -1)
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
-    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad, oc)):
-        out[:, d] = (w2 @ col).reshape(oc, oh, ow)
+    im2col = _Im2col(x, kernels.kdhw, pad, oc)
+
+    def run(lo, hi, buf, prod):
+        for d, col in zip(range(lo, hi), im2col.frames(range(lo, hi), buf)):
+            np.matmul(w2, col, out=prod)
+            out[:, d] = prod.reshape(oc, oh, ow)
+
+    def scratch():
+        return im2col.buffer(), np.empty((oc, oh * ow), dtype=out.dtype)
+
+    _in_halves(run, od, im2col.frame_bytes, scratch)
     out += kernels.bias[:, None, None, None]
     return out
 
@@ -212,8 +318,14 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     pd_, ph_, pw_ = pad
     w2 = kernels.weights.reshape(oc, -1)
 
+    # a 1x1x1 kernel without padding gives each input one term per frame,
+    # written straight into grad_x, not summed in a float64 buffer
+    pointwise = (kd, kh, kw) == (1, 1, 1) and not any(pad)
     grad_w = np.zeros_like(w2, dtype=np.float64)
-    if input_grad:
+    grad_x = None
+    if input_grad and pointwise:
+        grad_x = np.empty(x.shape, dtype=x.dtype)
+    elif input_grad:
         gxp = np.zeros((x.shape[0],) + tuple(
             e + 2 * p for e, p in zip(x.shape[1:], pad)), dtype=np.float64)
     for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad, oc)):
@@ -221,15 +333,19 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
         grad_w += g @ col.T
         if not input_grad:
             continue
-        gcol = (w2.T @ g).reshape(x.shape[0], kd, kh, kw, oh, ow)
+        gcol = w2.T @ g
+        if pointwise:
+            # added to zero, as in the buffer: -0.0 arrives as +0.0
+            np.add(gcol.reshape(x.shape[0], oh, ow), 0, out=grad_x[:, d])
+            continue
+        gcol = gcol.reshape(x.shape[0], kd, kh, kw, oh, ow)
         for a in range(kd):
             for b in range(kh):
                 for c in range(kw):
                     gxp[:, d + a, b:b + oh, c:c + ow] += gcol[:, a, b, c]
     grad_b = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
     dt = x.dtype
-    grad_x = None
-    if input_grad:
+    if input_grad and not pointwise:
         grad_x = gxp[:, pd_:pd_ + x.shape[1], ph_:ph_ + x.shape[2],
                      pw_:pw_ + x.shape[3]].astype(dt, copy=False)
     return (grad_x,
@@ -299,7 +415,9 @@ def maxpool3d(x: np.ndarray, kernel):
     Trailing windows that do not fit are pooled over the available elements.
     Each output is the first maximum of its window in row-major (d, h, w)
     order, bytes included (of a -0.0 and +0.0 the first wins), and as in
-    `np.argmax` a NaN beats any number and the first NaN wins.
+    `np.argmax` a NaN beats any number and the first NaN wins. A large
+    input is pooled in two channel halves on two workers (`_in_halves`);
+    every step is per channel, so the bytes are the same.
     """
     kd, kh, kw = kernel
     c, d, h, w = x.shape
@@ -311,12 +429,28 @@ def maxpool3d(x: np.ndarray, kernel):
         xp = np.pad(x, ((0, 0), (0, pads[0]), (0, pads[1]), (0, pads[2])),
                     constant_values=-np.inf)
     views = _pool_windows(xp, kernel)
-    out = views[0].copy()
+    out = np.empty(views[0].shape, dtype=x.dtype)
+    offsets = np.empty(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+    # every array is allocated here, not in the helper thread: memory a
+    # thread frees stays in its own malloc arena
+    arrays = (out, offsets, np.empty(out.shape, dtype=bool),
+              np.empty_like(_bits(out)), np.empty_like(offsets))
+
+    def run(lo, hi):
+        _pool_channels(xp[lo:hi], [v[lo:hi] for v in views],
+                       *(a[lo:hi] for a in arrays))
+
+    _in_halves(run, c, x.nbytes)
+    return out, PoolArgmax(offsets, kernel, x.shape)
+
+
+def _pool_channels(xp, views, out, offsets, better, flips, step):
+    """Max pool a range of channels: their padded input `xp` and its
+    window views, into `out` and `offsets`, with scratch `better`,
+    `flips` and `step`."""
+    np.copyto(out, views[0])
+    offsets[...] = 0
     bits = _bits(out)
-    offsets = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
-    better = np.empty(out.shape, dtype=bool)
-    flips = np.empty_like(bits)
-    step = np.empty_like(offsets)
     for k, view in enumerate(views[1:], 1):
         np.greater(view, out, out=better)  # strict: a tie keeps the first
         # out = where(better, view, out), bit for bit, without a masked copy
@@ -332,7 +466,6 @@ def maxpool3d(x: np.ndarray, kernel):
             np.isnan(views[k], out=better)
             np.copyto(out, views[k], where=better)
             np.copyto(offsets, k, where=better)
-    return out, PoolArgmax(offsets, kernel, x.shape)
 
 
 def maxpool3d_backward(grad_out: np.ndarray, amap: PoolArgmax) -> np.ndarray:
@@ -375,11 +508,15 @@ def fully_connected_backward(grad_out, x, weights):
     return weights.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out=None) -> np.ndarray:
+    """max(x, 0); `out=x` rectifies in place."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`grad_out` where x > 0, else 0. `x` may be the ReLU's input or its
+    output: one is positive exactly where the other is (NaN and -0.0
+    are neither)."""
     return np.where(x > 0, grad_out, 0)
 
 

@@ -111,3 +111,49 @@ def test_recognition_step_backpropagates_only_below_conv2(monkeypatch):
     _tcnn().recognition_step(clips, boxes, 1, rng, 0.0)
     # per clip: conv2 with its input gradient, then conv1 without
     assert calls == [True, False] * 2
+
+
+def _clip(seed, shape=(3, 8, 48, 64)):
+    return np.random.default_rng(seed).standard_normal(shape) \
+        .astype(np.float32)
+
+
+def test_inference_forwards_keep_no_caches(monkeypatch):
+    from tubenet.models import STCNN
+
+    tcnn, stcnn = _tcnn(), STCNN(2, (48, 64), seed=7)
+    frames = _clip(3)
+    cached = {}
+    acts_c, logits_c = tcnn.encode_clip(frames, cached)
+    seg_cache = {}
+    _, concat_c, seg_c = stcnn.forward(frames, seg_cache)
+    assert set(cached) == {"encoder", "act_head"}
+    assert {"encoder", "up1", "conv6", "relu6", "conv7"} <= set(seg_cache)
+
+    kept = []
+    forward = Encoder.forward
+    monkeypatch.setattr(Encoder, "forward", lambda self, x, keep_cache=True:
+                        kept.append(keep_cache) or forward(self, x,
+                                                           keep_cache))
+    acts, logits = tcnn.encode_clip(frames)
+    _, concat1, seg = stcnn.forward(frames)
+    assert kept == [False, False]
+    assert logits.tobytes() == logits_c.tobytes()
+    assert all(acts[k].tobytes() == acts_c[k].tobytes() for k in acts)
+    assert concat1.tobytes() == concat_c.tobytes()
+    assert seg.tobytes() == seg_c.tobytes()
+    assert Encoder(np.random.default_rng(0)).forward(
+        frames, keep_cache=False)[1] is None
+
+
+def test_desk_scale_models_stay_on_one_worker(monkeypatch):
+    # the default 80x112 frames: no conv or pool reaches the size gate, so
+    # training and inference keep the serial path
+    from tubenet.models import STCNN
+
+    monkeypatch.setattr(tensor, "_on_two_workers",
+                        lambda *a: pytest.fail("split a desk-scale call"))
+    frames = _clip(4, (3, 8, 80, 112))
+    with tensor.blas_threads(1):
+        TCNN(2, [Anchor(20.0, 16.0)], (80, 112), seed=1).encode_clip(frames)
+        STCNN(2, (80, 112), seed=1).forward(frames)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tubenet.models import STCNN, TCNN
-from tubenet.networks import SubpixelUp, UnpoolUp
+from tubenet.networks import ReLU, SubpixelUp, UnpoolUp
 from tubenet.proposals import Anchor
 from tubenet.tensor import finite_diff_grad
 from tubenet.upsample import UpscaleFactors, subpixel_upsample3d
@@ -167,3 +167,15 @@ def test_every_traced_name_resolves():
     for qualname in tracer.traced_names():
         _, _, fn = tracer._resolve(qualname)
         assert callable(fn), qualname
+
+
+def test_relu_caches_its_output_and_masks_the_same_gradient():
+    x = np.array([-1.0, -0.0, 0.0, 2.0, np.nan, -np.inf, 1e-40],
+                 np.float32)
+    y, cache = ReLU().forward(x)
+    assert cache is y
+    gy = np.arange(1, 8, dtype=np.float32)
+    # positive exactly where the input is: NaN and -0.0 are neither
+    assert np.array_equal(y > 0, x > 0)
+    got = ReLU().backward(gy, cache)
+    assert got.tobytes() == np.where(x > 0, gy, 0).tobytes()

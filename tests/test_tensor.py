@@ -1,5 +1,9 @@
+import contextlib
+import multiprocessing
 import struct
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -293,6 +297,19 @@ def test_pointwise_conv_one_output_channel_many_frames(shape):
         assert a.tobytes() == b.tobytes()
 
 
+def test_pointwise_backward_mixed_dtypes_match_oracle_bytes():
+    # float64 kernels on a float32 input: a float64 term too small for
+    # float32 rounds to a signed zero, as it does through a float64 buffer
+    x = np.array([1.0, -2.0, 0.0, -0.0], np.float32).reshape(1, 2, 1, 2)
+    k = KernelSet(np.full((1, 1, 1, 1, 1), 1e-30), np.zeros(1))
+    pad = (0, 0, 0)
+    gy = np.array([-1e-30, 1e-30, -0.0, 3.0]).reshape(1, 2, 1, 2)
+    got = conv3d_backward(gy, x, k, pad=pad)
+    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # maxpool3d
 
@@ -423,6 +440,136 @@ def test_pool_signed_zero_nan_and_all_minus_inf_windows():
     assert amap.indices.ravel().tolist() == [0, 3, 4]
     gx = maxpool3d_backward(np.full(y.shape, -0.0, np.float32), amap)
     assert not np.signbit(gx).any()
+
+
+# ---------------------------------------------------------------------------
+# two workers
+
+needs_blas_control = pytest.mark.skipif(
+    blas_thread_count() is None,
+    reason="the loaded BLAS exposes no thread control")
+
+
+@contextlib.contextmanager
+def _split_everything(min_bytes=0):
+    """conv3d/maxpool3d with BLAS at one thread on two usable CPUs, where
+    every call with two or more frames or channels, each of at least
+    `min_bytes`, splits; yields the list of splits made."""
+    splits = []
+    real = tensor._on_two_workers
+
+    def counted(*args):
+        splits.append(args[1:])
+        return real(*args)
+
+    with mock.patch.object(tensor, "_SPLIT_MIN_BYTES", min_bytes), \
+            mock.patch.object(tensor, "_usable_cpus", lambda: 2), \
+            mock.patch.object(tensor, "_on_two_workers", counted), \
+            blas_threads(1):
+        yield splits
+
+
+@needs_blas_control
+@settings(max_examples=150, deadline=None)
+@given(_conv_cases(), _pool_cases())
+def test_two_workers_give_the_serial_bytes(conv_case, pool_case):
+    x, k, pad = conv_case
+    with blas_threads(1):
+        y1 = conv3d(x, k, pad=pad)
+    with _split_everything() as splits:
+        y2 = conv3d(x, k, pad=pad)
+    assert len(splits) == (y2.shape[1] >= 2)
+    assert y1.tobytes() == y2.tobytes()
+    assert y2.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
+
+    x, kernel = pool_case
+    with blas_threads(1):
+        p1, a1 = maxpool3d(x, kernel)
+    with _split_everything() as splits:
+        p2, a2 = maxpool3d(x, kernel)
+    assert len(splits) == (x.shape[0] >= 2)
+    assert p1.tobytes() == p2.tobytes()
+    assert a1.offsets.tobytes() == a2.offsets.tobytes()
+    assert p2.tobytes() == _maxpool3d_oracle(x, kernel)[0].tobytes()
+
+
+@needs_blas_control
+@pytest.mark.parametrize("shape,out_c,kdhw,pad", [
+    ((3, 5, 4, 6), 4, (3, 3, 3), (1, 1, 1)),   # odd frame count
+    ((2, 1, 4, 6), 3, (3, 3, 3), (1, 1, 1)),   # one frame: no split
+    ((4, 3, 2, 3), 1, (1, 1, 1), (0, 0, 0)),   # 1x1x1, one output channel
+    ((4, 4, 2, 3), 5, (1, 1, 1), (0, 0, 0)),   # 1x1x1 frame views
+])
+def test_two_worker_conv_cases_match_oracle_bytes(shape, out_c, kdhw, pad):
+    rng = np.random.default_rng(len(shape) + out_c)
+    x = rng.standard_normal(shape).astype(np.float32)
+    k = make_kernels(out_c, shape[0], kdhw, rng)
+    k = KernelSet(k.weights, rng.standard_normal(out_c).astype(np.float32))
+    with _split_everything() as splits:
+        y = conv3d(x, k, pad=pad)
+    assert len(splits) == (y.shape[1] >= 2)
+    assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
+
+
+@needs_blas_control
+def test_full_scale_conv1_frame_pair_on_two_workers():
+    # conv1 of the top-down table on two 300x400 frames: each frame's
+    # im2col matrix is 38.9 MB, above the size gate as it stands
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, 2, 300, 400)).astype(np.float32)
+    k = make_kernels(64, 3, (3, 3, 3), rng)
+    with _split_everything(2**62) as splits:
+        serial = conv3d(x, k)
+    assert not splits
+    with _split_everything(tensor._SPLIT_MIN_BYTES) as splits:
+        split = conv3d(x, k)
+    assert len(splits) == 1
+    assert split.tobytes() == serial.tobytes()
+
+
+@needs_blas_control
+@pytest.mark.parametrize("reason", ["blas", "affinity"])
+def test_no_helper_without_a_free_core(monkeypatch, reason):
+    x = np.random.default_rng(3).standard_normal((2, 4, 5, 6))
+    k = make_kernels(3, 2, (3, 3, 3), np.random.default_rng(4))
+    monkeypatch.setattr(tensor, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(tensor, "_helper", lambda: pytest.fail("helper"))
+    threads = 1
+    if reason == "blas":
+        threads = 2
+    elif hasattr(tensor.os, "sched_getaffinity"):
+        monkeypatch.setattr(tensor.os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(tensor.os, "cpu_count", lambda: 1)
+    with blas_threads(threads):
+        assert conv3d(x, k).tobytes() == _conv3d_oracle(x, k).tobytes()
+        maxpool3d(x, (2, 2, 2))
+
+
+def _split_conv_in_child(x, k, want):
+    with _split_everything() as splits:
+        same = conv3d(x, k).tobytes() == want
+    sys.exit(0 if same and splits else 3)
+
+
+@needs_blas_control
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
+def test_forked_child_rebuilds_the_helper():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 4, 5, 6)).astype(np.float32)
+    k = make_kernels(3, 2, (3, 3, 3), rng)
+    with _split_everything():
+        want = conv3d(x, k).tobytes()  # the parent's helper is running
+    assert tensor._helper_pool is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_conv_in_child, args=(x, k, want))
+    child.start()
+    child.join(120)
+    if child.is_alive():
+        child.kill()
+        pytest.fail("conv3d hung in the forked child")
+    assert child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------
