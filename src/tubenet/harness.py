@@ -19,8 +19,8 @@ import numpy as np
 
 from . import metrics as mx
 from .linking import TubeProposal, link_top_k, nms_sequences, save_sequences
-from .models import STCNN, TCNN, UPSAMPLERS
-from .proposals import decode_regression, kmeans_anchors
+from .models import CLIP, STCNN, TCNN, UPSAMPLERS
+from .proposals import kmeans_anchors
 from .segmentation import mask_to_box
 from .synth import (SyntheticSpec, gen_dataset, load_annotations,
                     load_video_frames, load_video_masks)
@@ -107,8 +107,11 @@ class RunConfig:
         for f in dataclasses.fields(self):
             if f.name.startswith("epochs_") and getattr(self, f.name) < 0:
                 bad(f.name, "must be >= 0")
-        if self.num_frames < 8:
-            bad("num_frames", "must be >= 8, the frames of one clip")
+        if self.num_frames < CLIP:
+            bad("num_frames", f"must be >= {CLIP}, the frames of one clip")
+        for name in ("link_k", "anchors_k", "avg_top_k"):
+            if getattr(self, name) < 1:
+                bad(name, "must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             bad("alpha", "must lie in (0, 1)")
 
@@ -159,16 +162,24 @@ def _unflatten(flat):
 # data access
 
 def _clips_of(frames):
-    """Non-overlapping 8-frame clips; the tail is zero-padded."""
+    """Non-overlapping clips of CLIP frames; the tail is zero-padded."""
     C, F, H, W = frames.shape
     clips = []
-    for start in range(0, F, 8):
-        clip = frames[:, start:start + 8]
-        if clip.shape[1] < 8:
-            pad = np.zeros((C, 8 - clip.shape[1], H, W), dtype=frames.dtype)
+    for start in range(0, F, CLIP):
+        clip = frames[:, start:start + CLIP]
+        if clip.shape[1] < CLIP:
+            pad = np.zeros((C, CLIP - clip.shape[1], H, W), dtype=frames.dtype)
             clip = np.concatenate([clip, pad], axis=1)
         clips.append(clip)
     return clips
+
+
+def _random_clip(rng, frames, *per_frame):
+    """A clip of CLIP frames at a random start, and the same frames of each
+    per-frame list in `per_frame`."""
+    start = int(rng.integers(0, frames.shape[1] - CLIP + 1))
+    return (frames[:, start:start + CLIP],
+            *(x[start:start + CLIP] for x in per_frame))
 
 
 def _split_videos(ann, split):
@@ -245,9 +256,7 @@ def train_tcnn(cfg, quiet=False):
                 frames = load_video_frames(cfg.data_dir, vid)
                 boxes = ann[vid]["boxes"]
                 if phase in ("tpn", "refine"):
-                    start = int(rng.integers(0, frames.shape[1] - 7))
-                    clip = frames[:, start:start + 8]
-                    gt = boxes[start:start + 8]
+                    clip, gt = _random_clip(rng, frames, boxes)
                     # the final phase regresses from more candidates per
                     # clip, matching the top-k averaging used at inference
                     nc = 8 if phase == "refine" else 4
@@ -288,11 +297,10 @@ def train_stcnn(cfg, quiet=False):
             frames = load_video_frames(cfg.data_dir, vid)
             masks = load_video_masks(cfg.data_dir, vid)
             boxes = ann[vid]["boxes"]
-            start = int(rng.integers(0, frames.shape[1] - 7))
-            clip = frames[:, start:start + 8]
-            seg, rec = model.train_step(
-                clip, masks[start:start + 8], boxes[start:start + 8],
-                ann[vid]["label"], cfg.lr_seg)
+            clip, clip_masks, clip_boxes = _random_clip(rng, frames, masks,
+                                                        boxes)
+            seg, rec = model.train_step(clip, clip_masks, clip_boxes,
+                                        ann[vid]["label"], cfg.lr_seg)
             losses.append((step, seg, rec))
             step += 1
         if not quiet:
@@ -317,36 +325,26 @@ def detect_video(model, frames, cfg):
     Returns (sequences, per-sequence class labels, confidences, and the
     per-frame boxes of each kept sequence).
     """
-    from .proposals import RegressionTarget
-
     clips = _clips_of(frames)
     per_clip = []
     conv2_cubes = []
-    cands = None
     for ci, clip in enumerate(clips):
         acts, logits = model.encode_clip(clip)
         conv2_cubes.append(acts["conv2"])
-        if cands is None:
-            cands = model.clip_candidates()
         scores = 1.0 / (1.0 + np.exp(-logits.ravel()))
         order = np.argsort(-scores, kind="stable")
         # decode the strongest candidates independently, then blend their
         # per-frame boxes weighted by actionness: the average localizes
         # better than any single candidate
-        top = order[:max(1, cfg.avg_top_k)]
-        coords = np.zeros((8, 4))
+        top = order[:cfg.avg_top_k]
+        coords = np.zeros((CLIP, 4))
         wsum = 0.0
-        for i in top:
-            vec, _ = model._tube_features(acts["conv2"], acts["conv5"],
-                                          cands[i])
-            deltas, _ = model._regress(vec)
-            for f in range(8):
-                b = decode_regression(cands[i], RegressionTarget(*deltas[f]))
-                b = _clip_box(b, cfg.height, cfg.width)
+        for i, tube in zip(top, model.decode_boxes(acts, top)):
+            for f, b in enumerate(tube):
                 coords[f] += scores[i] * np.array(b.astuple())
             wsum += scores[i]
         coords /= max(wsum, 1e-12)
-        boxes = tuple(Box(*map(float, coords[f])) for f in range(8))
+        boxes = tuple(Box(*map(float, row)) for row in coords)
         per_clip.append([TubeProposal(ci, Tube(boxes),
                                       float(scores[top[0]]))])
     sequences = link_top_k(per_clip, cfg.link_k)
@@ -361,14 +359,6 @@ def detect_video(model, frames, cfg):
         conf = float(probs[label])
         results.append((seq, label, conf, boxes))
     return results
-
-
-def _clip_box(box, height, width):
-    x1 = min(max(box.x1, 0.0), width - 1.0)
-    y1 = min(max(box.y1, 0.0), height - 1.0)
-    x2 = min(max(box.x2, x1), width - 1.0)
-    y2 = min(max(box.y2, y1), height - 1.0)
-    return Box(x1, y1, x2, y2)
 
 
 @blas_threads(1)
@@ -413,12 +403,13 @@ def run_segment(cfg, split="test"):
         for ci, clip in enumerate(clips):
             masks, _, concat1 = model.segment_clip(clip, cfg.mask_threshold)
             boxes = []
-            for t, m in enumerate(masks[:num_frames - ci * 8], ci * 8):
+            for t, m in enumerate(masks[:num_frames - ci * CLIP],
+                                  ci * CLIP):
                 save_mask(vdir / f"frame_{t:04d}.sm", m.bits)
                 b = mask_to_box(m)
                 boxes.append(b if b is not None
                              else Box(0, 0, cfg.width - 1, cfg.height - 1))
-            boxes += [boxes[-1]] * (8 - len(boxes))
+            boxes += [boxes[-1]] * (CLIP - len(boxes))
             logits, _ = model.recognition_forward(concat1, boxes)
             del concat1  # before the next clip's forward
             logits_sum = logits if logits_sum is None else logits_sum + logits
@@ -440,7 +431,7 @@ def eval_detections(cfg, split="test"):
     annotations."""
     ann = load_annotations(cfg.data_dir)
     vids = _split_videos(ann, split)
-    det_rows = []
+    det_rows, ranks = [], []
     path = Path(cfg.out_dir) / "detections" / "detections.csv"
     with open(path) as fh:
         next(fh)
@@ -450,6 +441,7 @@ def eval_detections(cfg, split="test"):
                 video=int(vid), cls=int(label), confidence=float(conf),
                 frame=int(f), box=Box(float(x1), float(y1),
                                       float(x2), float(y2))))
+            ranks.append(int(rank))
     frame_gts = [{"video": vid, "frame": f, "cls": ann[vid]["label"],
                   "box": b}
                  for vid in vids
@@ -457,13 +449,13 @@ def eval_detections(cfg, split="test"):
     fmap, per_class = mx.frame_map(det_rows, frame_gts, alpha=cfg.alpha)
     roc_points, auc = mx.roc_auc(det_rows, frame_gts, alpha=cfg.alpha)
 
-    tube_dets = {}
-    for d in det_rows:
-        tube_dets.setdefault((d.video, d.cls, d.confidence), {})[d.frame] \
-            = d.box
-    video_dets = [mx.Detection(video=vid, cls=cls, confidence=conf,
-                               tube=frames)
-                  for (vid, cls, conf), frames in tube_dets.items()]
+    # each kept sequence, a rank of its video, is one tube
+    tubes = {}
+    for rank, d in zip(ranks, det_rows):
+        tubes.setdefault((d.video, rank), (d, {}))[1][d.frame] = d.box
+    video_dets = [mx.Detection(video=d.video, cls=d.cls,
+                               confidence=d.confidence, tube=frames)
+                  for d, frames in tubes.values()]
     video_gts = [{"video": vid, "cls": ann[vid]["label"],
                   "tube": dict(enumerate(ann[vid]["boxes"]))}
                  for vid in vids]

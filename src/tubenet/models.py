@@ -8,21 +8,27 @@ hand-written; there is no autograd tape.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as tz
 from . import toi
 from .networks import (FC, Conv3D, Pool3D, ReLU, SubpixelUp, UnpoolUp,
                        clip_grads)
-from .proposals import PairedFeatureProjector, encode_regression, smooth_l1
+from .proposals import (POSITIVE, PairedFeatureProjector, RegressionTarget,
+                        assign_actionness_labels, decode_regression,
+                        encode_regression, smooth_l1)
 from .segmentation import segmentation_loss
-from .tensor import softmax_xent
+from .tensor import ShapeError, softmax_xent
 from .toi import Box, Tube, pixel_box_to_cells
 from .upsample import UpscaleFactors
 
 ENC_CHANNELS = (8, 16, 24, 32, 32)
 ENC_POOLS = ((1, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2))
 STAGES = ("conv1", "conv2", "conv3", "conv4", "conv5")
+# frames per clip: the encoder's temporal pools take them to one conv5 frame
+CLIP = math.prod(k[0] for k in ENC_POOLS)
 
 
 def _flatten_state(state, prefix=""):
@@ -76,11 +82,9 @@ class Encoder(_ModelBase):
     follows conv1..conv4 as in the reference tables.
     """
 
-    def __init__(self, rng, in_c=3, channels=ENC_CHANNELS, dtype=np.float32):
-        self.channels = channels
-        cs = (in_c,) + tuple(channels)
-        self.convs = [Conv3D(cs[i], cs[i + 1], rng=rng, dtype=dtype)
-                      for i in range(5)]
+    def __init__(self, rng):
+        cs = (3,) + ENC_CHANNELS
+        self.convs = [Conv3D(cs[i], cs[i + 1], rng) for i in range(5)]
         self.relus = [ReLU() for _ in range(5)]
         self.pools = [Pool3D(k) for k in ENC_POOLS]
 
@@ -152,10 +156,41 @@ def _head_backward(fc1, fc2, g, cache):
     return fc1.backward(g, fc1_cache)
 
 
-def candidate_boxes(anchors, grid_hw, frame_hw):
-    """Anchor templates placed at every conv5 cell center, in pixel space."""
-    gh, gw = grid_hw
-    fh, fw = frame_hw
+class _Recognizer(_ModelBase):
+    """A model whose recognition head classifies a tube: ToI-pooled from a
+    feature cube to `POOL`, then `rec_fc1`, ReLU and `rec_fc2`, whose
+    outputs are the background and each class."""
+
+    POOL = (CLIP, 4, 4)
+
+    def _init_recognizer(self, in_c, hidden, num_classes, rng):
+        self.rec_fc1 = FC(in_c * math.prod(self.POOL), hidden, rng)
+        self.rec_fc2 = FC(hidden, num_classes + 1, rng)
+
+    def recognition_forward(self, cube, pixel_boxes):
+        """The logits of the tube with one pixel box per frame of `cube`,
+        and the cache `recognition_backward` takes."""
+        cells = [pixel_box_to_cells(b, cube.shape[2:], self.frame_hw)
+                 for b in pixel_boxes]
+        pooled, pmap = toi.toi_pool_forward(cube, Tube(tuple(cells)),
+                                            self.POOL)
+        logits, head_cache = _head_forward(self.rec_fc1, self.rec_fc2,
+                                           pooled.ravel())
+        return logits, (pmap, pooled.shape, head_cache)
+
+    def recognition_backward(self, glogits, cache):
+        """Accumulate the head's gradients; return the cube's."""
+        pmap, pooled_shape, head_cache = cache
+        g = _head_backward(self.rec_fc1, self.rec_fc2, glogits, head_cache)
+        return toi.toi_pool_backward(g.reshape(pooled_shape), pmap)
+
+
+def candidate_boxes(anchors, frame_hw):
+    """Anchor templates placed at every cell center of the conv5 grid of
+    `frame_hw` frames, in pixel space."""
+    fh, fw = gh, gw = frame_hw
+    for _, kh, kw in ENC_POOLS:  # each pool rounds up
+        gh, gw = -(-gh // kh), -(-gw // kw)
     boxes = []
     # anchor-major ordering so boxes[i] matches actionness logits.ravel()
     for a in anchors:
@@ -171,12 +206,20 @@ def candidate_boxes(anchors, grid_hw, frame_hw):
     return boxes
 
 
-class TCNN(_ModelBase):
+def _clip_box(box, height, width):
+    x1 = min(max(box.x1, 0.0), width - 1.0)
+    y1 = min(max(box.y1, 0.0), height - 1.0)
+    x2 = min(max(box.x2, x1), width - 1.0)
+    y2 = min(max(box.y2, y1), height - 1.0)
+    return Box(x1, y1, x2, y2)
+
+
+class TCNN(_Recognizer):
     """Top-down pipeline: actionness over anchors on the collapsed conv5
     cube, temporal skip pooling into conv2, paired-feature regression, and
-    a recognition head over ToI-pooled tubes."""
+    a recognition head over ToI-pooled conv2 tubes. Conv2 tubes pool to
+    `POOL`, conv5 tubes to `POOL5`."""
 
-    POOL2 = (8, 4, 4)
     POOL5 = (1, 2, 2)
     # regression targets are raw-pixel offsets (tens of pixels); a fixed
     # output scale lets the head reach them with O(1) weights
@@ -188,19 +231,18 @@ class TCNN(_ModelBase):
         rng = np.random.default_rng(seed)
         self.num_classes = num_classes
         self.anchors = list(anchors)
-        self.frame_hw = frame_hw
+        self.frame_hw = tuple(frame_hw)
+        self._candidates = candidate_boxes(self.anchors, self.frame_hw)
         self.encoder = Encoder(rng)
         c2, c5 = ENC_CHANNELS[1], ENC_CHANNELS[4]
-        self.act_head = Conv3D(c5, len(self.anchors), (1, 1, 1), rng=rng)
+        self.act_head = Conv3D(c5, len(self.anchors), rng, (1, 1, 1))
         self.projector = PairedFeatureProjector(c2, c5, proj2=8, proj5=16,
                                                 rng=rng)
-        vec_len = self.projector.output_length((c2,) + self.POOL2,
+        vec_len = self.projector.output_length((c2,) + self.POOL,
                                                (c5,) + self.POOL5)
         self.reg_fc1 = FC(vec_len, 128, rng)
-        self.reg_fc2 = FC(128, 8 * 4, rng)
-        self.rec_fc1 = FC(c2 * int(np.prod(self.POOL2)), 128, rng)
-        self.rec_fc2 = FC(128, num_classes + 1, rng)
-        self._grid_hw = None
+        self.reg_fc2 = FC(128, CLIP * 4, rng)
+        self._init_recognizer(c2, 128, num_classes, rng)
 
     # the projector is not in LAYERS: `tpn_step` updates it, with its own
     # clip, while it backpropagates each regression candidate
@@ -215,20 +257,23 @@ class TCNN(_ModelBase):
 
     # ------------------------------------------------------------------
     def encode_clip(self, frames, cache=None):
-        """Encoder activations and actionness logits of one clip. A dict
-        passed as `cache` receives the encoder's and the head's caches;
-        without one, none is kept."""
+        """Encoder activations and actionness logits of one clip, whose
+        frames must have the model's size. A dict passed as `cache`
+        receives the encoder's and the head's caches; without one, none is
+        kept."""
+        if frames.shape[2:] != self.frame_hw:
+            raise ShapeError(f"clip frames are {frames.shape[2:]}, the "
+                             f"model's {self.frame_hw}")
         keep = cache is not None
         acts, enc_cache = self.encoder.forward(frames, keep_cache=keep)
         logits, head_cache = self.act_head.forward(acts["conv5"])
         if keep:
             cache["encoder"], cache["act_head"] = enc_cache, head_cache
-        if self._grid_hw is None:
-            self._grid_hw = acts["conv5"].shape[2:]
         return acts, logits
 
     def clip_candidates(self):
-        return candidate_boxes(self.anchors, self._grid_hw, self.frame_hw)
+        """The candidate boxes, in the order of the actionness logits."""
+        return self._candidates
 
     def _tube_features(self, conv2, conv5, box_pixel):
         """Pair the skip-pooled conv2 tube with the conv5 box features."""
@@ -236,29 +281,40 @@ class TCNN(_ModelBase):
         cell2 = pixel_box_to_cells(box_pixel, conv2.shape[2:], self.frame_hw)
         tube2 = Tube(tuple(cell2 for _ in range(conv2.shape[1])))
         tube5 = Tube(tuple(cell5 for _ in range(conv5.shape[1])))
-        pooled2, map2 = toi.toi_pool_forward(conv2, tube2, self.POOL2)
+        pooled2, map2 = toi.toi_pool_forward(conv2, tube2, self.POOL)
         pooled5, map5 = toi.toi_pool_forward(conv5, tube5, self.POOL5)
         vec, cache = self.projector.forward(pooled2.astype(np.float64),
                                             pooled5.astype(np.float64))
         return vec, (cache, map2, map5)
 
     def _regress(self, vec):
-        """Per-frame box deltas (8, 4) and the cache `_regress_backward`
+        """Per-frame box deltas (CLIP, 4) and the cache `_regress_backward`
         takes."""
         out, cache = _head_forward(self.reg_fc1, self.reg_fc2,
                                    vec.astype(np.float32))
-        return out.reshape(8, 4) * self.REG_SCALE, cache
+        return out.reshape(CLIP, 4) * self.REG_SCALE, cache
 
     def _regress_backward(self, gdeltas, cache):
         return _head_backward(
             self.reg_fc1, self.reg_fc2,
             (gdeltas * self.REG_SCALE).reshape(-1).astype(np.float32), cache)
 
+    def decode_boxes(self, acts, indices):
+        """For each candidate in `indices` (into `clip_candidates()`), the
+        per-frame boxes the regression head moves it to from the clip's
+        activations `acts`: the inverse of `encode_regression`, clipped to
+        the frame."""
+        tubes = []
+        for cand in (self._candidates[i] for i in indices):
+            vec, _ = self._tube_features(acts["conv2"], acts["conv5"], cand)
+            deltas, _ = self._regress(vec)
+            tubes.append([_clip_box(decode_regression(
+                cand, RegressionTarget(*d)), *self.frame_hw) for d in deltas])
+        return tubes
+
     def tpn_step(self, frames, gt_boxes, rng, lr, reg_candidates=4):
         """One alternated-TPN update on a clip: balanced actionness BCE plus
         smooth-L1 per-frame regression on a few positive candidates."""
-        from .proposals import POSITIVE, assign_actionness_labels
-
         self.zero_grads()
         clip_cache = {}
         acts, logits = self.encode_clip(frames, clip_cache)
@@ -293,14 +349,14 @@ class TCNN(_ModelBase):
             vec, (cache, map2, map5) = self._tube_features(
                 acts["conv2"], acts["conv5"], cands[i])
             deltas, reg_cache = self._regress(vec)
-            diffs = np.empty((8, 4))
-            for f in range(8):
+            diffs = np.empty((CLIP, 4))
+            for f in range(CLIP):
                 t = encode_regression(cands[i], gt_boxes[min(f, len(gt_boxes) - 1)])
                 diffs[f] = deltas[f] - np.array(
                     [t.d_cx, t.d_cy, t.d_w, t.d_h])
             loss, gdiff = smooth_l1(diffs)
-            reg_loss += loss / 8.0
-            gvec = self._regress_backward(gdiff / 8.0, reg_cache)
+            reg_loss += loss / CLIP
+            gvec = self._regress_backward(gdiff / CLIP, reg_cache)
             gp2, gp5, gw2, gw5 = self.projector.backward(
                 gvec.astype(np.float64), cache)
             gw2, gw5 = clip_grads(gw2, gw5)
@@ -315,7 +371,8 @@ class TCNN(_ModelBase):
 
     # ------------------------------------------------------------------
     def recognition_forward(self, conv2_cubes, pixel_boxes):
-        """Pool a tube spanning the concatenated clips and classify it.
+        """Pool a tube spanning the concatenated clips' conv2 cubes and
+        classify it.
 
         The tube has one box per frame of the video. Frames past the last
         box, the zero padding of a short last clip, are left out of the
@@ -323,20 +380,13 @@ class TCNN(_ModelBase):
         """
         depths = [c.shape[1] for c in conv2_cubes]
         cube = np.concatenate(conv2_cubes, axis=1)[:, :len(pixel_boxes)]
-        cells = [pixel_box_to_cells(b, cube.shape[2:], self.frame_hw)
-                 for b in pixel_boxes]
-        pooled, pmap = toi.toi_pool_forward(cube, Tube(tuple(cells)),
-                                            self.POOL2)
-        logits, head_cache = _head_forward(
-            self.rec_fc1, self.rec_fc2, pooled.ravel().astype(np.float32))
-        return logits, (pmap, pooled.shape, depths, head_cache)
+        logits, cache = super().recognition_forward(cube, pixel_boxes)
+        return logits, (cache, depths)
 
     def recognition_backward(self, glogits, cache):
         """Per-clip gradients of the conv2 cubes; padded frames get zero."""
-        pmap, pooled_shape, depths, head_cache = cache
-        g = _head_backward(self.rec_fc1, self.rec_fc2,
-                           glogits.astype(np.float32), head_cache)
-        gcube = toi.toi_pool_backward(g.reshape(pooled_shape), pmap)
+        cache, depths = cache
+        gcube = super().recognition_backward(glogits, cache)
         tail = sum(depths) - gcube.shape[1]
         if tail:
             gcube = np.pad(gcube, ((0, 0), (0, tail), (0, 0), (0, 0)))
@@ -361,14 +411,22 @@ class TCNN(_ModelBase):
 UPSAMPLERS = {"subpixel": SubpixelUp, "unpool": UnpoolUp}
 
 
-class STCNN(_ModelBase):
+class STCNN(_Recognizer):
     """Bottom-up pipeline: encoder-decoder with skip concatenations, a
     per-frame two-class segmentation head, and a recognition head on the
-    final concatenation cube."""
+    final concatenation cube (concat1)."""
 
-    POOL = (8, 4, 4)
-    LAYERS = ("encoder", "up4", "conv4c", "up3", "conv3c", "up2", "conv2c",
-              "up1", "conv6", "conv7", "rec_fc1", "rec_fc2")
+    # the decoder, deepest stage first. Each stage upsamples by its factors
+    # to UP_C channels, concatenates the encoder's skip, and runs its conv
+    # (kernel given) to 16 channels and its ReLU. The last concatenation is
+    # concat1, which conv7 reads through conv6 to give the logits.
+    DECODER = (("up4", (2, 2, 2), "conv4", "conv4c", (3, 3, 3), "relu4c"),
+               ("up3", (2, 2, 2), "conv3", "conv3c", (3, 3, 3), "relu3c"),
+               ("up2", (2, 2, 2), "conv2", "conv2c", (3, 3, 3), "relu2c"),
+               ("up1", (1, 2, 2), "conv1", "conv6", (1, 1, 1), "relu6"))
+    UP_C = 8
+    LAYERS = ("encoder", *[n for up, _, _, conv, *_ in DECODER
+                           for n in (up, conv)], "conv7", "rec_fc1", "rec_fc2")
 
     def __init__(self, num_classes, frame_hw, seed=0, upsampler="subpixel"):
         rng = np.random.default_rng(seed)
@@ -379,32 +437,23 @@ class STCNN(_ModelBase):
                              f"{', '.join(UPSAMPLERS)}")
         self.upsampler = upsampler
         self.encoder = Encoder(rng)
-        c1, c2, c3, c4, c5 = ENC_CHANNELS
-        up = UPSAMPLERS[upsampler]
-        self.up4 = up(c5, 8, UpscaleFactors(2, 2, 2), rng)
-        self.conv4c = Conv3D(8 + c4, 16, rng=rng)
-        self.relu4c = ReLU()
-        self.up3 = up(16, 8, UpscaleFactors(2, 2, 2), rng)
-        self.conv3c = Conv3D(8 + c3, 16, rng=rng)
-        self.relu3c = ReLU()
-        self.up2 = up(16, 8, UpscaleFactors(2, 2, 2), rng)
-        self.conv2c = Conv3D(8 + c2, 16, rng=rng)
-        self.relu2c = ReLU()
-        self.up1 = up(16, 8, UpscaleFactors(1, 2, 2), rng)
-        self.concat1_c = 8 + c1
-        self.conv6 = Conv3D(self.concat1_c, 16, (1, 1, 1), rng=rng)
-        self.relu6 = ReLU()
-        self.conv7 = Conv3D(16, 2, (1, 1, 1), rng=rng)
-        d, h, w = self.POOL
-        self.rec_fc1 = FC(self.concat1_c * d * h * w, 64, rng)
-        self.rec_fc2 = FC(64, num_classes + 1, rng)
+        in_c = ENC_CHANNELS[-1]
+        for up, p, skip, conv, kdhw, relu in self.DECODER:
+            concat_c = self.UP_C + ENC_CHANNELS[STAGES.index(skip)]
+            setattr(self, up, UPSAMPLERS[upsampler](
+                in_c, self.UP_C, UpscaleFactors(*p), rng))
+            setattr(self, conv, Conv3D(concat_c, 16, rng, kdhw))
+            setattr(self, relu, ReLU())
+            in_c = 16
+        self.conv7 = Conv3D(16, 2, rng, (1, 1, 1))
+        self._init_recognizer(concat_c, 64, num_classes, rng)  # concat1's
 
     # ------------------------------------------------------------------
     def forward(self, frames, cache=None):
-        """Encoder activations, the final concatenation cube (concat1) and
-        the segmentation logits of one clip. A dict passed as `cache`
-        receives what `backward` takes: the encoder's cache and each
-        decoder layer's, by name; without one, none is kept."""
+        """Encoder activations, concat1 and the segmentation logits of one
+        clip. A dict passed as `cache` receives what `backward` takes: the
+        encoder's cache and each decoder layer's, by name; without one,
+        none is kept."""
         keep = cache is not None
         acts, enc_cache = self.encoder.forward(frames, keep_cache=keep)
         if keep:
@@ -416,60 +465,27 @@ class STCNN(_ModelBase):
                 cache[name] = layer_cache
             return y
 
-        h = run("up4", acts["conv5"])
-        h = run("relu4c", run("conv4c",
-                              np.concatenate([h, acts["conv4"]], axis=0)))
-        h = run("up3", h)
-        h = run("relu3c", run("conv3c",
-                              np.concatenate([h, acts["conv3"]], axis=0)))
-        h = run("up2", h)
-        h = run("relu2c", run("conv2c",
-                              np.concatenate([h, acts["conv2"]], axis=0)))
-        h = run("up1", h)
-        concat1 = np.concatenate([h, acts["conv1"]], axis=0)
-        seg_logits = run("conv7", run("relu6", run("conv6", concat1)))
-        return acts, concat1, seg_logits
+        h = acts["conv5"]
+        for up, _, skip, conv, _, relu in self.DECODER:
+            concat = np.concatenate([run(up, h), acts[skip]], axis=0)
+            h = run(relu, run(conv, concat))
+        return acts, concat, run("conv7", h)
 
     def backward(self, cache, g_seg_logits, g_concat1_extra=None):
+        """Accumulate the gradients of the forward that filled `cache`,
+        from those of the logits and, if given, an extra one of concat1."""
         def back(name, g):
             return getattr(self, name).backward(g, cache[name])
 
-        g = back("conv6", back("relu6", back("conv7", g_seg_logits)))
-        if g_concat1_extra is not None:
-            g = g + g_concat1_extra
-        g_up1, g_skip1 = g[:8], g[8:]
-        g = back("up1", np.ascontiguousarray(g_up1))
-        g = back("conv2c", back("relu2c", g))
-        g_up2, g_skip2 = g[:8], g[8:]
-        g = back("up2", np.ascontiguousarray(g_up2))
-        g = back("conv3c", back("relu3c", g))
-        g_up3, g_skip3 = g[:8], g[8:]
-        g = back("up3", np.ascontiguousarray(g_up3))
-        g = back("conv4c", back("relu4c", g))
-        g_up4, g_skip4 = g[:8], g[8:]
-        g5 = back("up4", np.ascontiguousarray(g_up4))
-        self.encoder.backward({
-            "conv5": g5,
-            "conv4": np.ascontiguousarray(g_skip4),
-            "conv3": np.ascontiguousarray(g_skip3),
-            "conv2": np.ascontiguousarray(g_skip2),
-            "conv1": np.ascontiguousarray(g_skip1),
-        }, cache["encoder"])
-
-    def recognition_forward(self, concat1, pixel_boxes):
-        cells = [pixel_box_to_cells(b, concat1.shape[2:], self.frame_hw)
-                 for b in pixel_boxes]
-        pooled, pmap = toi.toi_pool_forward(concat1, Tube(tuple(cells)),
-                                            self.POOL)
-        logits, head_cache = _head_forward(
-            self.rec_fc1, self.rec_fc2, pooled.ravel().astype(np.float32))
-        return logits, (pmap, pooled.shape, head_cache)
-
-    def recognition_backward(self, glogits, cache):
-        pmap, pooled_shape, head_cache = cache
-        g = _head_backward(self.rec_fc1, self.rec_fc2,
-                           glogits.astype(np.float32), head_cache)
-        return toi.toi_pool_backward(g.reshape(pooled_shape), pmap)
+        g, extra, taps = back("conv7", g_seg_logits), g_concat1_extra, {}
+        for up, _, skip, conv, _, relu in reversed(self.DECODER):
+            g = back(conv, back(relu, g))
+            if extra is not None:  # concat1's: the first concatenation back
+                g, extra = g + extra, None
+            taps[skip] = np.ascontiguousarray(g[self.UP_C:])
+            g = back(up, np.ascontiguousarray(g[:self.UP_C]))
+        taps["conv5"] = g
+        self.encoder.backward(taps, cache["encoder"])
 
     def train_step(self, frames, gt_masks, gt_boxes, label, lr):
         """Joint segmentation + recognition update on one clip."""

@@ -67,9 +67,8 @@ class _Trainable:
 
 
 class Conv3D(_Trainable):
-    def __init__(self, in_c, out_c, kdhw=(3, 3, 3), rng=None,
-                 dtype=np.float32):
-        ks = tz.make_kernels(out_c, in_c, kdhw, rng, dtype)
+    def __init__(self, in_c, out_c, rng, kdhw=(3, 3, 3)):
+        ks = tz.make_kernels(out_c, in_c, kdhw, rng)
         super().__init__(ks.weights, ks.bias)
         self.pad = tuple(k // 2 for k in kdhw)
 
@@ -112,10 +111,9 @@ class ReLU:
 
 
 class FC(_Trainable):
-    def __init__(self, in_n, out_n, rng, dtype=np.float32):
-        super().__init__(
-            tz.glorot_uniform((out_n, in_n), rng, in_n, out_n, dtype),
-            np.zeros(out_n, dtype=dtype))
+    def __init__(self, in_n, out_n, rng):
+        super().__init__(tz.glorot_uniform((out_n, in_n), rng, in_n, out_n),
+                         np.zeros(out_n, dtype=np.float32))
 
     def forward(self, x):
         return tz.fully_connected(x, self.w, self.b), x
@@ -131,9 +129,8 @@ class SubpixelUp(Conv3D):
     """Channel-expanding conv in LR space followed by the sub-pixel
     permutation (`upsample.subpixel_upsample3d`)."""
 
-    def __init__(self, in_c, out_c, p: UpscaleFactors, rng, kdhw=(3, 3, 3),
-                 dtype=np.float32):
-        super().__init__(in_c, out_c * p.volume, kdhw, rng=rng, dtype=dtype)
+    def __init__(self, in_c, out_c, p: UpscaleFactors, rng):
+        super().__init__(in_c, out_c * p.volume, rng)
         self.p = p
 
     def forward(self, x):
@@ -146,9 +143,8 @@ class SubpixelUp(Conv3D):
 class UnpoolUp(Conv3D):
     """Alternative upsampling: corner-placement un-pool into HR, then conv."""
 
-    def __init__(self, in_c, out_c, p: UpscaleFactors, rng, kdhw=(3, 3, 3),
-                 dtype=np.float32):
-        super().__init__(in_c, out_c, kdhw, rng=rng, dtype=dtype)
+    def __init__(self, in_c, out_c, p: UpscaleFactors, rng):
+        super().__init__(in_c, out_c, rng)
         self.p = p
 
     def forward(self, x):
@@ -168,7 +164,6 @@ class LayerSpec:
     kind: str  # conv | pool | upsample | concat | toi-pool | fc | flatten-proj
     kernel: tuple | None
     out_shape: tuple  # (C, D, H, W) or (n,) for vectors
-    inputs: tuple = ()
 
 
 # conv1..conv5b with their max-pools, shared by both tables: a conv row
@@ -207,11 +202,9 @@ def tcnn_table_specs(in_shape=(3, 8, 300, 400)):
     """Layer-by-layer output shapes of the top-down pipeline reference table
     for the given input."""
     return _encoder_specs(in_shape) + [
-        LayerSpec("toi-pool2", "toi-pool", None, (128, 8, 8, 8), ("conv2",)),
-        LayerSpec("toi-pool5", "toi-pool", None, (512, 1, 4, 4),
-                  ("conv5b",)),
-        LayerSpec("1x1 conv", "flatten-proj", None, (8192,),
-                  ("toi-pool2", "toi-pool5")),
+        LayerSpec("toi-pool2", "toi-pool", None, (128, 8, 8, 8)),
+        LayerSpec("toi-pool5", "toi-pool", None, (512, 1, 4, 4)),
+        LayerSpec("1x1 conv", "flatten-proj", None, (8192,)),
         LayerSpec("fc6", "fc", None, (4096,)),
         LayerSpec("fc7", "fc", None, (4096,))]
 
@@ -232,11 +225,9 @@ def stcnn_table_specs(in_shape=(3, 8, 240, 320)):
         concat = (up_c + byname[skip].out_shape[0],) + shape[1:]
         shape = (conv_c,) + shape[1:]
         rows.append(LayerSpec(conv_name, "conv", (3, 3, 3), shape))
-    rows.append(LayerSpec("conv6", "conv", (1, 1), (4096,) + concat[1:],
-                          ("concat1",)))
+    rows.append(LayerSpec("conv6", "conv", (1, 1), (4096,) + concat[1:]))
     rows.append(LayerSpec("conv7", "conv", (1, 1), (2,) + concat[1:]))
-    rows.append(LayerSpec("toi-pool", "toi-pool", None,
-                          (concat[0], 8, 8, 8), ("concat1",)))
+    rows.append(LayerSpec("toi-pool", "toi-pool", None, (concat[0], 8, 8, 8)))
     rows.append(LayerSpec("fc6", "fc", None, (4096,)))
     rows.append(LayerSpec("fc7", "fc", None, (4096,)))
     return rows

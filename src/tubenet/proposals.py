@@ -25,7 +25,7 @@ class Anchor:
             raise ValueError(f"anchor dims must be positive: {self}")
 
 
-POSITIVE, NEGATIVE, IGNORE = "positive", "negative", "ignore"
+POSITIVE, NEGATIVE = "positive", "negative"
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,12 @@ def load_anchors(path):
     return anchors
 
 
-def assign_actionness_labels(candidates, gt, pos_iou: float = 0.7,
-                             scores=None):
+def assign_actionness_labels(candidates, gt, pos_iou: float = 0.7):
     """Label candidate boxes against ground truth.
 
     Positive when IoU > pos_iou with any gt box, or when the candidate has the
     highest IoU for some gt box (so every gt gets at least one positive).
-    Everything else is negative. `scores` optionally carries actionness values
-    (defaults to the best IoU per candidate).
+    Everything else is negative. Each candidate's actionness is its best IoU.
     """
     if not 0.0 < pos_iou < 1.0:
         raise ValueError(f"pos_iou {pos_iou} outside (0,1)")
@@ -144,11 +142,9 @@ def assign_actionness_labels(candidates, gt, pos_iou: float = 0.7,
     positive = (ious > pos_iou).any(axis=1)
     if gt:
         positive[ious.argmax(axis=0)] = True
-    out = []
-    for i, c in enumerate(candidates):
-        score = float(scores[i]) if scores is not None else float(ious[i].max())
-        out.append(LabeledBox(c, score, POSITIVE if positive[i] else NEGATIVE))
-    return out
+    return [LabeledBox(c, float(ious[i].max()),
+                       POSITIVE if positive[i] else NEGATIVE)
+            for i, c in enumerate(candidates)]
 
 
 def encode_regression(anchor_box: Box, gt: Box) -> RegressionTarget:

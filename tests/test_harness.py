@@ -10,8 +10,8 @@ import pytest
 
 from tubenet.cli import main
 from tubenet.harness import (RunConfig, _clips_of, _split_videos, _unflatten,
-                             load_model_state, run_eval, run_gen,
-                             run_segment, save_model)
+                             eval_detections, load_model_state, run_eval,
+                             run_gen, run_segment, save_model)
 from tubenet.models import STCNN, TCNN
 from tubenet.proposals import Anchor
 from tubenet.synth import load_annotations
@@ -77,7 +77,8 @@ def test_config_type_coercion():
     ("epochs_refine", "-1"), ("epochs_seg", "-1"), ("mask_threshold", "nan"),
     ("mask_threshold", "inf"), ("mask_threshold", "-0.5"),
     ("mask_threshold", "1.5"), ("num_frames", "4"), ("alpha", "1.5"),
-    ("alpha", "0"), ("epochs_tpn", "abc"), ("lr", "fast")])
+    ("alpha", "0"), ("epochs_tpn", "abc"), ("lr", "fast"), ("link_k", "0"),
+    ("link_k", "-3"), ("anchors_k", "0"), ("avg_top_k", "0")])
 def test_config_rejects_bad_value_naming_the_field(key, value):
     with pytest.raises(ValueError, match=f"^config {key}="):
         RunConfig.load(overrides={key: value})
@@ -97,8 +98,10 @@ def test_config_accepts_boundary_values():
     cfg = RunConfig.load(overrides={
         "nms_iou": "1", "mask_threshold": "0", "num_frames": "8",
         "epochs_tpn": "0", "epochs_rec": "0", "epochs_refine": "0",
-        "epochs_seg": "0", "upsampler": "unpool"})
+        "epochs_seg": "0", "upsampler": "unpool", "link_k": "1",
+        "anchors_k": "1", "avg_top_k": "1"})
     assert (cfg.nms_iou, cfg.mask_threshold, cfg.num_frames) == (1.0, 0.0, 8)
+    assert (cfg.link_k, cfg.anchors_k, cfg.avg_top_k) == (1, 1, 1)
     assert RunConfig.load(overrides={"mask_threshold": "1"}).mask_threshold \
         == 1.0
 
@@ -300,3 +303,25 @@ def test_eval_rejects_a_short_mask_set_naming_the_directory(tmp_path, drop):
     with pytest.raises(ValueError, match=re.escape(
             f"{vdir}: {8 - drop} predicted masks for 8 ground-truth frames")):
         run_eval(cfg)
+
+
+def test_eval_scores_each_rank_as_its_own_tube(tmp_path):
+    # two kept sequences per video with the same label and confidence: the
+    # first on the ground truth, the second far from it
+    cfg, vids = _ground_truth_as_predictions(tmp_path)
+    ann = load_annotations(cfg.data_dir)
+    lines = ["video,rank,label,confidence,frame,x1,y1,x2,y2"]
+    for vid in vids:
+        label = ann[vid]["label"]
+        for rank in (0, 1):
+            for f, b in enumerate(ann[vid]["boxes"]):
+                box = b.astuple() if rank == 0 else (60.0, 44.0, 63.0, 47.0)
+                lines.append(",".join(map(str, (vid, rank, label, 0.5, f)
+                                          + tuple(box))))
+    (tmp_path / "out" / "detections").mkdir()
+    (tmp_path / "out" / "detections" / "detections.csv").write_text(
+        "\n".join(lines) + "\n")
+    report = eval_detections(cfg)
+    # each ground-truth tube is matched by rank 0; merged into one tube,
+    # rank 1's boxes would overwrite it and match nothing
+    assert report["video_map"] == 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from tubenet import tensor
 from tubenet.models import TCNN, Encoder
-from tubenet.proposals import Anchor
+from tubenet.proposals import POSITIVE, Anchor, assign_actionness_labels
 from tubenet.tensor import softmax_xent
 from tubenet.toi import Box
 
@@ -157,3 +157,164 @@ def test_desk_scale_models_stay_on_one_worker(monkeypatch):
     with tensor.blas_threads(1):
         TCNN(2, [Anchor(20.0, 16.0)], (80, 112), seed=1).encode_clip(frames)
         STCNN(2, (80, 112), seed=1).forward(frames)
+
+
+# ----------------------------------------------------------------------
+# the candidate grid, fixed by the frame size
+
+def test_candidates_come_from_the_frame_size_before_any_forward():
+    model = _tcnn()  # 48x64 frames: a 3x4 conv5 grid
+    cands = model.clip_candidates()
+    assert len(cands) == 2 * 3 * 4
+    # the first anchor, 20x16, centered on the first cell: (8, 8)
+    assert cands[0] == Box(0.0, 0.5, 17.5, 15.5)
+    _, logits = model.encode_clip(_clip(5))
+    assert logits.shape == (2, 1, 3, 4)
+    assert model.clip_candidates() == cands
+    assert len(TCNN(2, [Anchor(20.0, 16.0)], (80, 112)).clip_candidates()) \
+        == 5 * 7
+
+
+def test_a_clip_of_another_frame_size_is_rejected_naming_both():
+    model = _tcnn()
+    frames = _clip(6, (3, 8, 80, 112))
+    match = r"\(80, 112\).*\(48, 64\)"
+    with pytest.raises(tensor.ShapeError, match=match):
+        model.encode_clip(frames)
+    boxes = [Box(10.0, 8.0, 40.0, 30.0)] * 8
+    with pytest.raises(tensor.ShapeError, match=match):
+        model.tpn_step(frames, boxes, np.random.default_rng(0), 0.1)
+
+
+# ----------------------------------------------------------------------
+# finite differences through whole training steps
+
+def _float64(model):
+    """The model with float64 parameters and gradients: in float32 the
+    rounding of the loss swamps the difference along the deepest layers,
+    whose slopes are near 1e-5."""
+    for layer in model.trainables():
+        layer.w, layer.b = (layer.w.astype(np.float64),
+                            layer.b.astype(np.float64))
+        layer.gw, layer.gb = np.zeros_like(layer.w), np.zeros_like(layer.b)
+    return model
+
+
+def _layer_errors(model, loss_at, seed, eps):
+    """For each trainable layer, by its checkpoint name: the gradient the
+    model holds, along a random unit direction of that layer's parameters,
+    against a central difference of `loss_at()`.
+
+    The error is relative to the layer's typical slope |g| / sqrt(n). A
+    layer with no gradient must leave the loss unchanged: its error is the
+    difference itself.
+    """
+    names = {id(v): k.rsplit(".", 1)[0]
+             for k, v in model.flat_state().items()}
+    grads = [(names[id(layer.w)], layer, layer.gw.copy(), layer.gb.copy())
+             for layer in model.trainables()]
+    rng = np.random.default_rng(seed)
+    errors = {}
+    for name, layer, gw, gb in grads:
+        w0, b0 = layer.w, layer.b
+        dw, db = rng.standard_normal(w0.shape), rng.standard_normal(b0.shape)
+        norm = np.sqrt((dw ** 2).sum() + (db ** 2).sum())
+        losses = []
+        for sign in (1.0, -1.0):
+            layer.w = w0 + sign * eps * dw / norm
+            layer.b = b0 + sign * eps * db / norm
+            losses.append(loss_at())
+        layer.w, layer.b = w0, b0
+        predicted = 2 * eps * ((gw * dw).sum() + (gb * db).sum()) / norm
+        measured = losses[0] - losses[1]
+        g_norm = np.sqrt((gw ** 2).sum() + (gb ** 2).sum())
+        typical = g_norm / np.sqrt(gw.size + gb.size)
+        errors[name] = (abs(measured - predicted) / (2 * eps * typical)
+                        if g_norm else abs(measured))
+    return errors
+
+
+def _balanced_ce(logits, masks):
+    """The class-balanced per-pixel cross-entropy whose gradient
+    `STCNN.train_step` accumulates."""
+    z = logits - logits.max(axis=0, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=0, keepdims=True))
+    fg = np.stack([m.bits for m in masks])
+    rho = fg.mean()
+    weights = np.where(fg, 0.5 / rho, 0.5 / (1.0 - rho))
+    return float((weights * -np.where(fg, logp[1], logp[0])).mean())
+
+
+HW = (16, 16)
+
+
+def _frames(seed):
+    return _clip(seed, (3, 8) + HW).astype(np.float64)
+
+
+def _masks_and_boxes():
+    """Eight frames of a box that moves by a pixel or two, and its masks."""
+    from tubenet.segmentation import SegMask
+
+    boxes = [Box(2.0 + f % 3, 3.0, 11.0, 10.0 + f % 2) for f in range(8)]
+    masks = []
+    for b in boxes:
+        bits = np.zeros(HW, dtype=bool)
+        bits[int(b.y1):int(b.y2) + 1, int(b.x1):int(b.x2) + 1] = True
+        masks.append(SegMask(bits))
+    return masks, boxes
+
+
+@pytest.mark.parametrize("upsampler", ["subpixel", "unpool"])
+def test_stcnn_train_step_gradients_match_central_differences(upsampler):
+    from tubenet.models import STCNN
+
+    model = _float64(STCNN(2, HW, seed=3, upsampler=upsampler))
+    frames = _frames(7)
+    masks, boxes = _masks_and_boxes()
+
+    def loss_at():
+        _, concat1, seg_logits = model.forward(frames)
+        logits, _ = model.recognition_forward(concat1, boxes)
+        return _balanced_ce(seg_logits, masks) + softmax_xent(logits, 1)[0]
+
+    with tensor.blas_threads(1):
+        model.train_step(frames, masks, boxes, 1, 0.0)
+        errors = _layer_errors(model, loss_at, seed=11, eps=1e-5)
+    assert len(errors) == len(model.trainables()) == 16
+    assert max(errors.values()) < 0.02, errors
+
+
+def test_tcnn_training_steps_gradients_match_central_differences():
+    model = _float64(TCNN(2, [Anchor(9.0, 10.0), Anchor(6.0, 12.0)], HW,
+                          seed=3))
+    clips = [_frames(8), _frames(9)]
+    _, boxes = _masks_and_boxes()
+
+    def rec_loss():
+        conv2 = [model.encoder.forward(c, keep_cache=False)[0]["conv2"]
+                 for c in clips]
+        logits, _ = model.recognition_forward(conv2, boxes + boxes)
+        return softmax_xent(logits, 1)[0]
+
+    # the loss behind tpn_step's gradient: it accumulates the summed
+    # regression loss of its picks and returns their mean
+    labels = assign_actionness_labels(model.clip_candidates(), boxes)
+    picks = min(4, sum(lb.label == POSITIVE for lb in labels))
+
+    def tpn_loss():
+        bce, reg = model.tpn_step(clips[0], boxes, np.random.default_rng(5),
+                                  0.0)
+        return bce + reg * picks
+
+    with tensor.blas_threads(1):
+        model.recognition_step(clips, boxes + boxes, 1,
+                               np.random.default_rng(0), 0.0)
+        rec = _layer_errors(model, rec_loss, seed=12, eps=1e-5)
+        model.tpn_step(clips[0], boxes, np.random.default_rng(5), 0.0)
+        # the regression head rounds its input to float32: a larger step
+        # keeps that rounding below the difference
+        tpn = _layer_errors(model, tpn_loss, seed=13, eps=1e-4)
+    assert picks >= 1
+    assert max(rec.values()) < 0.02, rec
+    assert max(tpn.values()) < 0.02, tpn
