@@ -53,7 +53,7 @@ class RunConfig:
     lr: float = 0.02
     lr_rec: float = 0.01
     epochs_seg: int = 10
-    lr_seg: float = 0.1
+    lr_seg: float = 0.03
     anchors_k: int = 12
     link_k: int = 10
     nms_iou: float = 0.3

@@ -125,11 +125,8 @@ class Encoder(_ModelBase):
         for i in range(top, -1, -1):
             conv_cache, relu_cache, pool_cache = cache[i]
             t = taps.get(STAGES[i])
-            if i == 4:
+            if i == top:
                 g = t
-            elif i == top:
-                # as if a zero gradient came from above: -0.0 arrives as +0.0
-                g = t + 0
             else:
                 g = self.pools[i].backward(g, pool_cache)
                 if t is not None:
@@ -157,11 +154,19 @@ def _head_backward(fc1, fc2, g, cache):
 
 
 class _Recognizer(_ModelBase):
-    """A model whose recognition head classifies a tube: ToI-pooled from a
-    feature cube to `POOL`, then `rec_fc1`, ReLU and `rec_fc2`, whose
-    outputs are the background and each class."""
+    """A model of `frame_hw` frames whose recognition head classifies a
+    tube: ToI-pooled from a feature cube to `POOL`, then `rec_fc1`, ReLU
+    and `rec_fc2`, whose outputs are the background and each class."""
 
     POOL = (CLIP, 4, 4)
+
+    def _encode(self, frames, **kwargs):
+        """`encoder.forward` of a clip, which every forward of the model
+        runs first; its frames must have the model's size."""
+        if frames.shape[2:] != self.frame_hw:
+            raise ShapeError(f"clip frames are {frames.shape[2:]}, the "
+                             f"model's {self.frame_hw}")
+        return self.encoder.forward(frames, **kwargs)
 
     def _init_recognizer(self, in_c, hidden, num_classes, rng):
         self.rec_fc1 = FC(in_c * math.prod(self.POOL), hidden, rng)
@@ -252,20 +257,16 @@ class TCNN(_Recognizer):
 
     def load_state(self, st):
         super().load_state(st)
-        self.projector.w2 = st["proj_w2"].astype(np.float64)
-        self.projector.w5 = st["proj_w5"].astype(np.float64)
+        self.projector.w2 = st["proj_w2"].copy()
+        self.projector.w5 = st["proj_w5"].copy()
 
     # ------------------------------------------------------------------
     def encode_clip(self, frames, cache=None):
-        """Encoder activations and actionness logits of one clip, whose
-        frames must have the model's size. A dict passed as `cache`
-        receives the encoder's and the head's caches; without one, none is
-        kept."""
-        if frames.shape[2:] != self.frame_hw:
-            raise ShapeError(f"clip frames are {frames.shape[2:]}, the "
-                             f"model's {self.frame_hw}")
+        """Encoder activations and actionness logits of one clip. A dict
+        passed as `cache` receives the encoder's and the head's caches;
+        without one, none is kept."""
         keep = cache is not None
-        acts, enc_cache = self.encoder.forward(frames, keep_cache=keep)
+        acts, enc_cache = self._encode(frames, keep_cache=keep)
         logits, head_cache = self.act_head.forward(acts["conv5"])
         if keep:
             cache["encoder"], cache["act_head"] = enc_cache, head_cache
@@ -283,21 +284,18 @@ class TCNN(_Recognizer):
         tube5 = Tube(tuple(cell5 for _ in range(conv5.shape[1])))
         pooled2, map2 = toi.toi_pool_forward(conv2, tube2, self.POOL)
         pooled5, map5 = toi.toi_pool_forward(conv5, tube5, self.POOL5)
-        vec, cache = self.projector.forward(pooled2.astype(np.float64),
-                                            pooled5.astype(np.float64))
+        vec, cache = self.projector.forward(pooled2, pooled5)
         return vec, (cache, map2, map5)
 
     def _regress(self, vec):
         """Per-frame box deltas (CLIP, 4) and the cache `_regress_backward`
         takes."""
-        out, cache = _head_forward(self.reg_fc1, self.reg_fc2,
-                                   vec.astype(np.float32))
+        out, cache = _head_forward(self.reg_fc1, self.reg_fc2, vec)
         return out.reshape(CLIP, 4) * self.REG_SCALE, cache
 
     def _regress_backward(self, gdeltas, cache):
-        return _head_backward(
-            self.reg_fc1, self.reg_fc2,
-            (gdeltas * self.REG_SCALE).reshape(-1).astype(np.float32), cache)
+        return _head_backward(self.reg_fc1, self.reg_fc2,
+                              (gdeltas * self.REG_SCALE).reshape(-1), cache)
 
     def decode_boxes(self, acts, indices):
         """For each candidate in `indices` (into `clip_candidates()`), the
@@ -349,21 +347,20 @@ class TCNN(_Recognizer):
             vec, (cache, map2, map5) = self._tube_features(
                 acts["conv2"], acts["conv5"], cands[i])
             deltas, reg_cache = self._regress(vec)
-            diffs = np.empty((CLIP, 4))
-            for f in range(CLIP):
-                t = encode_regression(cands[i], gt_boxes[min(f, len(gt_boxes) - 1)])
-                diffs[f] = deltas[f] - np.array(
-                    [t.d_cx, t.d_cy, t.d_w, t.d_h])
-            loss, gdiff = smooth_l1(diffs)
+            targets = [encode_regression(
+                cands[i], gt_boxes[min(f, len(gt_boxes) - 1)])
+                for f in range(CLIP)]
+            loss, gdiff = smooth_l1(deltas - np.array(
+                [[t.d_cx, t.d_cy, t.d_w, t.d_h] for t in targets],
+                dtype=deltas.dtype))
             reg_loss += loss / CLIP
             gvec = self._regress_backward(gdiff / CLIP, reg_cache)
-            gp2, gp5, gw2, gw5 = self.projector.backward(
-                gvec.astype(np.float64), cache)
+            gp2, gp5, gw2, gw5 = self.projector.backward(gvec, cache)
             gw2, gw5 = clip_grads(gw2, gw5)
             self.projector.w2 = tz.sgd_step(self.projector.w2, gw2, lr)
             self.projector.w5 = tz.sgd_step(self.projector.w5, gw5, lr)
-            g2 += toi.toi_pool_backward(gp2.astype(np.float32), map2)
-            g5 += toi.toi_pool_backward(gp5.astype(np.float32), map5)
+            g2 += toi.toi_pool_backward(gp2, map2)
+            g5 += toi.toi_pool_backward(gp5, map5)
         self.encoder.backward({"conv5": g5, "conv2": g2},
                               clip_cache["encoder"])
         self.sgd_update(lr)
@@ -397,7 +394,7 @@ class TCNN(_Recognizer):
         background tube). Each clip's encoder runs forward once; its cache
         is handed back for that clip's backward."""
         self.zero_grads()
-        passes = [self.encoder.forward(fr) for fr in clips]
+        passes = [self._encode(fr) for fr in clips]
         logits, cache = self.recognition_forward(
             [acts["conv2"] for acts, _ in passes], gt_boxes)
         loss, glog = softmax_xent(logits, label)
@@ -431,7 +428,7 @@ class STCNN(_Recognizer):
     def __init__(self, num_classes, frame_hw, seed=0, upsampler="subpixel"):
         rng = np.random.default_rng(seed)
         self.num_classes = num_classes
-        self.frame_hw = frame_hw
+        self.frame_hw = tuple(frame_hw)
         if upsampler not in UPSAMPLERS:
             raise ValueError(f"upsampler {upsampler!r} is not one of "
                              f"{', '.join(UPSAMPLERS)}")
@@ -455,7 +452,7 @@ class STCNN(_Recognizer):
         encoder's cache and each decoder layer's, by name; without one,
         none is kept."""
         keep = cache is not None
-        acts, enc_cache = self.encoder.forward(frames, keep_cache=keep)
+        acts, enc_cache = self._encode(frames, keep_cache=keep)
         if keep:
             cache["encoder"] = enc_cache
 
@@ -498,8 +495,8 @@ class STCNN(_Recognizer):
         fg = np.stack([m.bits for m in gt_masks])
         rho = float(fg.mean())
         if 0.0 < rho < 1.0:
-            w = np.where(fg, 0.5 / rho, 0.5 / (1.0 - rho))
-            g_seg = g_seg * w[None].astype(g_seg.dtype)
+            dt = g_seg.dtype.type
+            g_seg = g_seg * np.where(fg, dt(0.5 / rho), dt(0.5 / (1.0 - rho)))
         rec_loss = 0.0
         g_extra = None
         if label is not None and gt_boxes is not None:

@@ -280,7 +280,7 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     shapes.append(("1x1 conv", vec.shape))
     del conv2, conv5
     fc6 = FC(vec.shape[0], 4096, rng)
-    v = tz.relu(fc6.forward(vec.astype(np.float32))[0])
+    v = tz.relu(fc6.forward(vec)[0])
     shapes.append(("fc6", v.shape))
     fc7 = FC(4096, 4096, rng)
     v, _ = fc7.forward(v)
@@ -339,7 +339,7 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     tube = toi.full_frame_tube(concat1.shape[1], *concat1.shape[2:])
     pooled, _ = toi.toi_pool_forward(concat1, tube, (8, 8, 8))
     shapes.append(("toi-pool", pooled.shape))
-    vec = pooled.ravel().astype(np.float32)
+    vec = pooled.ravel()
     fc6 = FC(vec.shape[0], 4096, rng)
     v = tz.relu(fc6.forward(vec)[0])
     shapes.append(("fc6", v.shape))

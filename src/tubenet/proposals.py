@@ -168,11 +168,12 @@ def decode_regression(anchor_box: Box, t: RegressionTarget) -> Box:
 
 
 def smooth_l1(diff: np.ndarray):
-    """Smooth-L1 loss and gradient, elementwise-summed."""
+    """Smooth-L1 loss, elementwise-summed in float64, and its gradient in
+    the dtype of `diff`."""
+    small = np.abs(diff) < 1.0
+    grad = np.where(small, diff, np.sign(diff))
     d = np.asarray(diff, dtype=np.float64)
-    small = np.abs(d) < 1.0
     loss = np.where(small, 0.5 * d * d, np.abs(d) - 0.5).sum()
-    grad = np.where(small, d, np.sign(d))
     return float(loss), grad
 
 
@@ -188,15 +189,17 @@ class PairedFeatureProjector:
 
     Each tube is L2-normalized, the conv5 tube is duplicated along depth to
     match the conv2 tube, each is channel-projected by a 1x1 convolution,
-    and the two halves are vectorized and concatenated.
+    and the two halves are vectorized and concatenated. The weights are
+    float32, drawn in float64 as they always were, so the generator's
+    stream after them does not move.
     """
 
     def __init__(self, conv2_channels, conv5_channels, proj2, proj5, rng):
         from .tensor import glorot_uniform
-        self.w2 = glorot_uniform((proj2, conv2_channels), rng,
-                                 conv2_channels, proj2, dtype=np.float64)
-        self.w5 = glorot_uniform((proj5, conv5_channels), rng,
-                                 conv5_channels, proj5, dtype=np.float64)
+        self.w2, self.w5 = (
+            glorot_uniform((p, c), rng, c, p, dtype=np.float64)
+            .astype(np.float32) for p, c in ((proj2, conv2_channels),
+                                             (proj5, conv5_channels)))
 
     def output_length(self, tube2_shape, tube5_shape) -> int:
         _, d2, h2, w2 = tube2_shape

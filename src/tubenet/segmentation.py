@@ -79,7 +79,7 @@ def segmentation_loss(logits: np.ndarray, gt_masks):
     """
     if logits.shape[0] != 2:
         raise ShapeError(f"expected 2 logit channels, got {logits.shape}")
-    labels = np.stack([m.bits for m in gt_masks]).astype(np.int64)
+    labels = np.stack([m.bits for m in gt_masks])
     if labels.shape != logits.shape[1:]:
         raise ShapeError(
             f"gt masks {labels.shape} do not match logits {logits.shape[1:]}"
@@ -88,11 +88,9 @@ def segmentation_loss(logits: np.ndarray, gt_masks):
     e = np.exp(z)
     p = e / e.sum(axis=0, keepdims=True)
     n = labels.size
-    picked = np.take_along_axis(p, labels[None], axis=0)[0]
-    loss = float(-np.log(np.maximum(picked, np.finfo(np.float64).tiny)).sum(
+    picked = np.where(labels, p[1], p[0])
+    loss = float(-np.log(np.maximum(picked, np.finfo(p.dtype).tiny)).sum(
         dtype=np.float64) / n)
-    grad = p.copy()
-    onehot = np.stack([labels == 0, labels == 1]).astype(grad.dtype)
-    grad -= onehot
+    grad = p - np.stack([~labels, labels])
     grad /= n
-    return loss, grad.astype(logits.dtype, copy=False)
+    return loss, grad

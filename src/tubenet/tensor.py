@@ -5,6 +5,16 @@ file format.
 Tensors are plain numpy arrays in fixed (C, D, H, W) layout: channels, then
 depth (frames), height, width.
 
+One dtype: every array lives in the model's dtype, float32 in the
+pipelines. Parameters, gradients, activations and caches keep it through
+each layer, and each backward returns the gradient of an input in that
+input's dtype. float64 is kept only where a scalar is reduced (loss sums,
+the softmax normaliser, the gradient-clip norm, smooth-L1), in box
+geometry (pixel boxes are Python floats, so anchor clustering and the
+IoUs behind the actionness labels are too), in `metrics`, in
+`finite_diff_grad`, and in `synth`, whose float64 draws keep the
+dataset's bytes.
+
 Every GEMM goes through the BLAS that numpy loaded. How that BLAS splits a
 GEMM across threads changes the last bits of the result, so runs hold it at
 one thread with `blas_threads` to make output bytes independent of the
@@ -306,6 +316,15 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
                     *, pad=(1, 1, 1), input_grad=True):
     """Gradients of sum(grad_out * conv3d(x, k)) w.r.t. x, weights, bias.
 
+    The weight gradient sums one GEMM per output frame over the forward's
+    im2col matrices, and the bias gradient sums `grad_out`; both take the
+    kernel's dtype. The input gradient is one `conv3d` (Dumoulin & Visin,
+    arXiv 1603.07285): `grad_out` convolved with the kernel flipped along
+    depth, height and width and with its channel axes swapped, padded by
+    k-1-p along each axis, or cropped by p+1-k where that is positive (a
+    1x1x1 kernel with pad 1). It takes x's dtype, and `conv3d`'s copy-free
+    1x1x1 frames and two workers come with it.
+
     With `input_grad` false the gradient w.r.t. x is neither computed nor
     returned: the first element is None. The weight and bias gradients are
     the same bytes either way.
@@ -314,43 +333,23 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad shape {grad_out.shape} != conv output {out_shape}")
     oc, _, oh, ow = out_shape
-    kd, kh, kw = kernels.kdhw
-    pd_, ph_, pw_ = pad
-    w2 = kernels.weights.reshape(oc, -1)
-
-    # a 1x1x1 kernel without padding gives each input one term per frame,
-    # written straight into grad_x, not summed in a float64 buffer
-    pointwise = (kd, kh, kw) == (1, 1, 1) and not any(pad)
-    grad_w = np.zeros_like(w2, dtype=np.float64)
-    grad_x = None
-    if input_grad and pointwise:
-        grad_x = np.empty(x.shape, dtype=x.dtype)
-    elif input_grad:
-        gxp = np.zeros((x.shape[0],) + tuple(
-            e + 2 * p for e, p in zip(x.shape[1:], pad)), dtype=np.float64)
+    grad_w = np.zeros_like(kernels.weights)
+    gw2 = grad_w.reshape(oc, -1)
     for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad, oc)):
-        g = grad_out[:, d].reshape(oc, oh * ow)
-        grad_w += g @ col.T
-        if not input_grad:
-            continue
-        gcol = w2.T @ g
-        if pointwise:
-            # added to zero, as in the buffer: -0.0 arrives as +0.0
-            np.add(gcol.reshape(x.shape[0], oh, ow), 0, out=grad_x[:, d])
-            continue
-        gcol = gcol.reshape(x.shape[0], kd, kh, kw, oh, ow)
-        for a in range(kd):
-            for b in range(kh):
-                for c in range(kw):
-                    gxp[:, d + a, b:b + oh, c:c + ow] += gcol[:, a, b, c]
-    grad_b = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
-    dt = x.dtype
-    if input_grad and not pointwise:
-        grad_x = gxp[:, pd_:pd_ + x.shape[1], ph_:ph_ + x.shape[2],
-                     pw_:pw_ + x.shape[3]].astype(dt, copy=False)
-    return (grad_x,
-            grad_w.reshape(kernels.weights.shape).astype(dt, copy=False),
-            grad_b.astype(dt, copy=False))
+        gw2 += grad_out[:, d].reshape(oc, oh * ow) @ col.T
+    grad_b = grad_out.sum(axis=(1, 2, 3), dtype=kernels.bias.dtype)
+    if not input_grad:
+        return None, grad_w, grad_b
+    ks = kernels.kdhw
+    cut = [max(0, p + 1 - k) for k, p in zip(ks, pad)]
+    g = grad_out[(slice(None),) + tuple(
+        slice(c, n - c) for c, n in zip(cut, out_shape[1:]))]
+    flipped = KernelSet(
+        kernels.weights[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
+        np.zeros(kernels.in_channels, dtype=kernels.weights.dtype))
+    grad_x = conv3d(g, flipped,
+                    pad=tuple(max(0, k - 1 - p) for k, p in zip(ks, pad)))
+    return grad_x.astype(x.dtype, copy=False), grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +520,10 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """In the dtype of `logits`; the normaliser is summed in float64."""
     z = logits - logits.max()
     e = np.exp(z)
-    return e / e.sum(dtype=np.float64)
+    return e / float(e.sum(dtype=np.float64))
 
 
 def softmax_xent(logits: np.ndarray, label: int):
@@ -537,7 +537,7 @@ def softmax_xent(logits: np.ndarray, label: int):
     loss = -np.log(max(p[label], np.finfo(np.float64).tiny))
     grad = p.copy()
     grad[label] -= 1.0
-    return float(loss), grad.astype(logits.dtype, copy=False)
+    return float(loss), grad
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:

@@ -284,14 +284,16 @@ def test_eval_of_ground_truth_masks(tmp_path):
     assert report["J_mean"] == report["F_mean"] == 1.0
     with open(tmp_path / "out" / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    # no detections: no per-class AP, and zero mAP and AUC
-    assert rows[:3] == [["class", "ap"], ["mAP", "0.000000"],
-                        ["AUC", "0.000000"]]
-    assert [r[0] for r in rows[3:]] == ["J_mean", "J_recall", "J_decay",
+    # no detections: no per-class AP, and zero mAP, video-mAP and AUC
+    assert rows[:4] == [["class", "ap"], ["mAP", "0.000000"],
+                        ["video_mAP", "0.000000"], ["AUC", "0.000000"]]
+    assert [r[0] for r in rows[4:]] == ["J_mean", "J_recall", "J_decay",
                                         "F_mean", "F_recall", "F_decay",
-                                        "T_mean"]
-    assert rows[3][1] == f"{1.0:.6f}"
-    assert rows[9][1] == f"{report['T_mean']:.6f}"
+                                        "T_mean", "label_accuracy"]
+    assert rows[4][1] == f"{1.0:.6f}"
+    assert rows[10][1] == f"{report['T_mean']:.6f}"
+    # no labels.csv: no video's label is right
+    assert rows[11][1] == f"{0.0:.6f}"
 
 
 @pytest.mark.parametrize("drop", [1, 8])

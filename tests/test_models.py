@@ -318,3 +318,108 @@ def test_tcnn_training_steps_gradients_match_central_differences():
     assert picks >= 1
     assert max(rec.values()) < 0.02, rec
     assert max(tpn.values()) < 0.02, tpn
+
+
+# ----------------------------------------------------------------------
+# one frame size, one dtype
+
+@pytest.mark.parametrize("entry", [
+    "TCNN.encode_clip", "TCNN.tpn_step", "TCNN.recognition_step",
+    "STCNN.forward", "STCNN.train_step", "STCNN.segment_clip"])
+def test_every_entry_rejects_a_clip_of_another_frame_size(entry):
+    from tubenet.models import STCNN
+    from tubenet.segmentation import SegMask
+
+    frames = _clip(6, (3, 8, 80, 112))
+    boxes = [Box(10.0, 8.0, 40.0, 30.0)] * 8
+    masks = [SegMask(np.zeros((80, 112), dtype=bool))] * 8
+    rng = np.random.default_rng(0)
+    tcnn, stcnn = _tcnn(), STCNN(2, (48, 64), seed=7)
+    calls = {
+        "TCNN.encode_clip": lambda: tcnn.encode_clip(frames),
+        "TCNN.tpn_step": lambda: tcnn.tpn_step(frames, boxes, rng, 0.1),
+        "TCNN.recognition_step": lambda: tcnn.recognition_step(
+            [frames], boxes, 1, rng, 0.1),
+        "STCNN.forward": lambda: stcnn.forward(frames),
+        "STCNN.train_step": lambda: stcnn.train_step(frames, masks, boxes,
+                                                     1, 0.1),
+        "STCNN.segment_clip": lambda: stcnn.segment_clip(frames),
+    }
+    with pytest.raises(tensor.ShapeError, match=r"\(80, 112\).*\(48, 64\)"):
+        calls[entry]()
+
+
+def _float_dtypes(obj):
+    """The dtypes of the float arrays in `obj` and the tuples, lists and
+    dicts it nests."""
+    if isinstance(obj, np.ndarray):
+        return {obj.dtype} if obj.dtype.kind == "f" else set()
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return set().union(set(), *map(_float_dtypes, obj))
+    return set()
+
+
+def test_float32_models_keep_float32_through_every_training_step(
+        monkeypatch):
+    from tubenet import models, networks, toi
+    from tubenet.models import STCNN
+    from tubenet.proposals import PairedFeatureProjector
+    from tubenet.segmentation import SegMask
+
+    seen = {}
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.setdefault(name, set()).update(
+                _float_dtypes(args), _float_dtypes(kwargs),
+                _float_dtypes(out))
+            return out
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("conv3d", "conv3d_backward", "maxpool3d_backward",
+                 "relu_backward", "fully_connected_backward", "sgd_step"):
+        spy(tensor, name)
+    spy(toi, "toi_pool_backward")
+    spy(PairedFeatureProjector, "backward")
+    for name in ("channel_to_spacedepth_backward", "unpool3d_backward"):
+        spy(networks, name)
+    for name in ("segmentation_loss", "softmax_xent", "smooth_l1"):
+        spy(models, name)
+
+    rng = np.random.default_rng(0)
+    clips = [_clip(1), _clip(2)]
+    # each box is the first anchor's size: a positive candidate
+    boxes = [Box(10.0 + f, 8.0, 29.0 + f, 23.0) for f in range(16)]
+    masks = []
+    for b in boxes[:8]:
+        bits = np.zeros((48, 64), dtype=bool)
+        bits[int(b.y1):int(b.y2) + 1, int(b.x1):int(b.x2) + 1] = True
+        masks.append(SegMask(bits))
+    tcnn = _tcnn()
+    tcnn.tpn_step(clips[0], boxes[:8], rng, 0.01)
+    tcnn.recognition_step(clips, boxes, 1, rng, 0.01)
+    models_ = [tcnn]
+    for upsampler in ("subpixel", "unpool"):
+        stcnn = STCNN(2, (48, 64), seed=7, upsampler=upsampler)
+        stcnn.train_step(clips[0], masks, boxes[:8], 1, 0.01)
+        models_.append(stcnn)
+
+    assert set(seen) == {
+        "conv3d", "conv3d_backward", "maxpool3d_backward", "relu_backward",
+        "fully_connected_backward", "sgd_step", "toi_pool_backward",
+        "backward", "channel_to_spacedepth_backward", "unpool3d_backward",
+        "segmentation_loss", "softmax_xent", "smooth_l1"}
+    assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen.values()), \
+        seen
+    for model in models_:
+        assert _float_dtypes(model.flat_state()) == {np.dtype(np.float32)}
+        assert _float_dtypes([(layer.gw, layer.gb)
+                              for layer in model.trainables()]) \
+            == {np.dtype(np.float32)}
+    assert {tcnn.projector.w2.dtype, tcnn.projector.w5.dtype} \
+        == {np.dtype(np.float32)}

@@ -194,6 +194,68 @@ def _conv3d_backward_oracle(grad_out, x, kernels, stride=(1, 1, 1),
             grad_b.astype(dt, copy=False))
 
 
+def _float64_backward(grad_out, x, kernels, pad):
+    """`_conv3d_backward_oracle` with every operand in float64."""
+    return _conv3d_backward_oracle(
+        grad_out.astype(np.float64), x.astype(np.float64),
+        KernelSet(kernels.weights.astype(np.float64),
+                  kernels.bias.astype(np.float64)), pad=pad)
+
+
+def _grad_x_by_conv3d(grad_out, kernels, pad):
+    """The input gradient as the forward computes it: `conv3d` of
+    `grad_out` with the kernel flipped along (d, h, w) and its channel
+    axes swapped. A kernel of k along an axis padded by p is undone by
+    padding k-1-p, or by cropping p+1-k from each side where k-1-p < 0."""
+    w = kernels.weights
+    flipped = KernelSet(np.flip(w, axis=(2, 3, 4)).swapaxes(0, 1),
+                        np.zeros(w.shape[1], w.dtype))
+    for axis, (k, p) in enumerate(zip(w.shape[2:], pad), 1):
+        if p > k - 1:
+            n = grad_out.shape[axis]
+            grad_out = np.take(grad_out, range(p - k + 1, n - p + k - 1),
+                               axis=axis)
+    return conv3d(grad_out, flipped,
+                  pad=tuple(max(k - 1 - p, 0) for k, p in zip(w.shape[2:],
+                                                              pad)))
+
+
+def _check_conv_backward(gy, x, k, pad):
+    """`conv3d_backward` against its two contracts.
+
+    grad_x is the bytes of `_grad_x_by_conv3d` in x's dtype, with one
+    worker and with two (the size gate at zero, where BLAS offers thread
+    control). Each gradient is within float rounding of the float64
+    reference: a sum of n rounded products is off by at most
+    (n + 1) * eps times the sum of the terms' magnitudes, plus a smallest
+    normal number per term for underflow. grad_w and grad_b take the
+    kernel's dtype.
+    """
+    want = _float64_backward(gy, x, k, pad)
+    mags = _float64_backward(np.abs(gy), np.abs(x),
+                             KernelSet(np.abs(k.weights), k.bias), pad)
+    gx_ref = _grad_x_by_conv3d(gy, k, pad).astype(x.dtype, copy=False)
+    with blas_threads(1):
+        got = conv3d_backward(gy, x, k, pad=pad)
+    runs = [got]
+    if blas_thread_count() is not None:
+        with _split_everything():
+            runs.append(conv3d_backward(gy, x, k, pad=pad))
+    for gx, gw, gb in runs:
+        assert gx.dtype == x.dtype and gx.tobytes() == gx_ref.tobytes()
+        assert gw.tobytes() == got[1].tobytes()
+        assert gb.tobytes() == got[2].tobytes()
+    oc, _, kd, kh, kw = k.weights.shape
+    terms = (oc * kd * kh * kw,) + (int(np.prod(gy.shape[1:])),) * 2
+    dtypes = (x.dtype, k.weights.dtype, k.bias.dtype)
+    for a, ref, mag, n, dt in zip(got, want, mags, terms, dtypes):
+        assert a.dtype == dt and a.shape == ref.shape
+        fi = np.finfo(dt)
+        bound = (n + 1) * (float(fi.eps) * mag + float(fi.tiny))
+        assert (np.abs(a - ref) <= bound).all()
+    return got
+
+
 # signed zeros (a ReLU's output and gradient are full of them) mixed with
 # arbitrary finite values
 _CONV_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.0]),
@@ -223,15 +285,11 @@ def test_conv_matches_oracle_bytes(case, data):
     assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
     assert y.tobytes() == y_ref.tobytes()
     gy = data.draw(hnp.arrays(x.dtype, y.shape, elements=_CONV_VALUES))
-    got = conv3d_backward(gy, x, k, pad=pad)
-    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    got = _check_conv_backward(gy, x, k, pad)
     gx, gw, gb = conv3d_backward(gy, x, k, pad=pad, input_grad=False)
     assert gx is None
-    assert gw.tobytes() == want[1].tobytes()
-    assert gb.tobytes() == want[2].tobytes()
+    assert gw.tobytes() == got[1].tobytes()
+    assert gb.tobytes() == got[2].tobytes()
 
 
 def test_im2col_of_pointwise_kernel_is_a_view_of_each_frame():
@@ -258,11 +316,7 @@ def test_pointwise_conv_head_shapes_match_oracle_bytes(out_c):
     y = conv3d(x, k, pad=pad)
     assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
     gy = rng.standard_normal(y.shape).astype(np.float32)
-    got = conv3d_backward(gy, x, k, pad=pad)
-    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    _check_conv_backward(gy, x, k, pad)
 
 
 def test_pointwise_conv_one_output_channel_matches_oracle_bytes():
@@ -291,23 +345,35 @@ def test_pointwise_conv_one_output_channel_many_frames(shape):
     y = conv3d(x, k, pad=pad)
     assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
     gy = rng.standard_normal(y.shape).astype(np.float32)
-    got = conv3d_backward(gy, x, k, pad=pad)
-    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    _check_conv_backward(gy, x, k, pad)
 
 
 def test_pointwise_backward_mixed_dtypes_match_oracle_bytes():
-    # float64 kernels on a float32 input: a float64 term too small for
-    # float32 rounds to a signed zero, as it does through a float64 buffer
+    # float64 kernels on a float32 input: grad_x is float32, and a float64
+    # term too small for float32 rounds to a signed zero (a -0.0 term is
+    # added to conv3d's zero bias and arrives as +0.0); grad_w and grad_b
+    # stay float64
     x = np.array([1.0, -2.0, 0.0, -0.0], np.float32).reshape(1, 2, 1, 2)
     k = KernelSet(np.full((1, 1, 1, 1, 1), 1e-30), np.zeros(1))
     pad = (0, 0, 0)
     gy = np.array([-1e-30, 1e-30, -0.0, 3.0]).reshape(1, 2, 1, 2)
-    got = conv3d_backward(gy, x, k, pad=pad)
-    want = _conv3d_backward_oracle(gy, x, k, pad=pad)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    gx, gw, gb = _check_conv_backward(gy, x, k, pad)
+    assert gx.ravel().tolist() == [0.0, 0.0, 0.0, np.float32(3e-30)]
+    assert np.signbit(gx).ravel().tolist() == [True, False, False, False]
+    assert gw.dtype == gb.dtype == np.float64
+
+
+def test_conv_backward_accumulates_in_the_kernel_dtype():
+    # a 1.0 then eight 1e-8 terms, one per frame: each 1e-8 is under half
+    # an ulp of 1.0 in float32, so a float32 sum loses them all, while a
+    # float64 sum rounded once to float32 gives 1.0000001
+    gy = np.array([1.0] + [1e-8] * 8, np.float32).reshape(1, 9, 1, 1)
+    x = np.ones((1, 9, 1, 1), np.float32)
+    k = KernelSet(np.ones((1, 1, 1, 1, 1), np.float32),
+                  np.zeros(1, np.float32))
+    _, gw, gb = conv3d_backward(gy, x, k, pad=(0, 0, 0))
+    assert gw.dtype == gb.dtype == np.float32
+    assert gw.ravel().tolist() == gb.tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------
