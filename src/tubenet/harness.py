@@ -12,13 +12,14 @@ core count.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as mx
-from .linking import TubeProposal, link_top_k, nms_sequences, save_sequences
+from .linking import TubeProposal, link_top_k, save_sequences
 from .models import CLIP, STCNN, TCNN, UPSAMPLERS
 from .proposals import kmeans_anchors
 from .segmentation import mask_to_box
@@ -55,8 +56,6 @@ class RunConfig:
     epochs_seg: int = 10
     lr_seg: float = 0.03
     anchors_k: int = 12
-    link_k: int = 10
-    nms_iou: float = 0.3
     mask_threshold: float = 0.5
     upsampler: str = "subpixel"
     alpha: float = 0.5
@@ -100,8 +99,6 @@ class RunConfig:
 
         if self.upsampler not in UPSAMPLERS:
             bad("upsampler", f"must be one of {', '.join(UPSAMPLERS)}")
-        if not 0.0 < self.nms_iou <= 1.0:
-            bad("nms_iou", "must lie in (0, 1]")
         if not 0.0 <= self.mask_threshold <= 1.0:  # NaN fails this too
             bad("mask_threshold", "must lie in [0, 1]")
         for f in dataclasses.fields(self):
@@ -109,7 +106,16 @@ class RunConfig:
                 bad(f.name, "must be >= 0")
         if self.num_frames < CLIP:
             bad("num_frames", f"must be >= {CLIP}, the frames of one clip")
-        for name in ("link_k", "anchors_k", "avg_top_k"):
+        for name in ("height", "width"):
+            if getattr(self, name) < SyntheticSpec.max_actor:
+                bad(name, f"must be >= {SyntheticSpec.max_actor}, the "
+                          f"largest actor")
+        if self.num_videos < 1:
+            bad("num_videos", "must be >= 1")
+        for name in ("lr", "lr_rec", "lr_seg"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                bad(name, "must be finite and > 0")
+        for name in ("anchors_k", "avg_top_k"):
             if getattr(self, name) < 1:
                 bad(name, "must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -320,10 +326,10 @@ def load_stcnn(cfg):
 # inference
 
 def detect_video(model, frames, cfg):
-    """Proposals per clip, linked across clips, scored by the recognizer.
+    """One blended proposal per clip, linked across clips into one
+    sequence, labelled by the recognizer.
 
-    Returns (sequences, per-sequence class labels, confidences, and the
-    per-frame boxes of each kept sequence).
+    Returns (sequence, class label, confidence, per-frame boxes).
     """
     clips = _clips_of(frames)
     per_clip = []
@@ -347,18 +353,14 @@ def detect_video(model, frames, cfg):
         boxes = tuple(Box(*map(float, row)) for row in coords)
         per_clip.append([TubeProposal(ci, Tube(boxes),
                                       float(scores[top[0]]))])
-    sequences = link_top_k(per_clip, cfg.link_k)
-    sequences = nms_sequences(sequences, cfg.nms_iou)
-    results = []
-    for seq in sequences:
-        boxes = [b for p in seq.proposals for b in p.tube.boxes]
-        boxes = boxes[:frames.shape[1]]
-        logits, _ = model.recognition_forward(conv2_cubes, boxes)
-        probs = softmax(logits)
-        label = int(np.argmax(probs[1:]) + 1)
-        conf = float(probs[label])
-        results.append((seq, label, conf, boxes))
-    return results
+    # one proposal per clip makes exactly one complete sequence
+    [seq] = link_top_k(per_clip, 1)
+    boxes = [b for p in seq.proposals for b in p.tube.boxes]
+    boxes = boxes[:frames.shape[1]]
+    logits, _ = model.recognition_forward(conv2_cubes, boxes)
+    probs = softmax(logits)
+    label = int(np.argmax(probs[1:]) + 1)
+    return seq, label, float(probs[label]), boxes
 
 
 @blas_threads(1)
@@ -369,13 +371,11 @@ def run_detect(cfg, split="test"):
     all_rows = []
     for vid in _split_videos(ann, split):
         frames = load_video_frames(cfg.data_dir, vid)
-        results = detect_video(model, frames, cfg)
-        save_sequences(out / f"video_{vid:03d}.txt",
-                       [r[0] for r in results])
-        for rank, (seq, label, conf, boxes) in enumerate(results):
-            for f, b in enumerate(boxes):
-                all_rows.append((vid, rank, label, conf, f,
-                                 b.x1, b.y1, b.x2, b.y2))
+        seq, label, conf, boxes = detect_video(model, frames, cfg)
+        save_sequences(out / f"video_{vid:03d}.txt", [seq])
+        for f, b in enumerate(boxes):
+            all_rows.append((vid, 0, label, conf, f,
+                             b.x1, b.y1, b.x2, b.y2))
     with open(out / "detections.csv", "w") as fh:
         fh.write("video,rank,label,confidence,frame,x1,y1,x2,y2\n")
         for row in all_rows:
@@ -428,7 +428,8 @@ def run_segment(cfg, split="test"):
 
 def eval_detections(cfg, split="test"):
     """Frame-mAP / video-mAP of the written detections against the
-    annotations."""
+    annotations, and the frame-mAP of the same boxes with each video's
+    true label."""
     ann = load_annotations(cfg.data_dir)
     vids = _split_videos(ann, split)
     det_rows, ranks = [], []
@@ -447,6 +448,11 @@ def eval_detections(cfg, split="test"):
                  for vid in vids
                  for f, b in enumerate(ann[vid]["boxes"])]
     fmap, per_class = mx.frame_map(det_rows, frame_gts, alpha=cfg.alpha)
+    # the same boxes, each relabelled to its video's class: the frame-mAP
+    # that only localization costs
+    fmap_true, _ = mx.frame_map(
+        [dataclasses.replace(d, cls=ann[d.video]["label"]) for d in det_rows],
+        frame_gts, alpha=cfg.alpha)
     roc_points, auc = mx.roc_auc(det_rows, frame_gts, alpha=cfg.alpha)
 
     # each kept sequence, a rank of its video, is one tube
@@ -461,6 +467,7 @@ def eval_detections(cfg, split="test"):
                  for vid in vids]
     vmap, vper = mx.video_map(video_dets, video_gts, alpha=cfg.alpha)
     return {"frame_map": fmap, "frame_ap": per_class,
+            "frame_map_true_label": fmap_true,
             "video_map": vmap, "video_ap": vper,
             "roc_points": roc_points, "auc": auc}
 

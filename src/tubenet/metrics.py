@@ -265,17 +265,19 @@ def mean_recall_decay(per_item_scores):
 
 
 def write_report_csv(path, report: dict) -> None:
-    """The per-class frame AP, frame-mAP, video-mAP and AUC of a
-    `run_eval` report (zeros without detections), then its J, F and T
-    statistics and label accuracy when it scored segmentations."""
+    """The per-class frame AP, frame-mAP, frame-mAP with true labels,
+    video-mAP and AUC of a `run_eval` report (zeros without detections),
+    then its J, F and T statistics and label accuracy when it scored
+    segmentations."""
     aps = report.get("frame_ap", {})
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["class", "ap"])
         for cls in sorted(aps):
             w.writerow([cls, f"{aps[cls]:.6f}"])
-        for name, key in (("mAP", "frame_map"), ("video_mAP", "video_map"),
-                          ("AUC", "auc")):
+        for name, key in (("mAP", "frame_map"),
+                          ("mAP_true_label", "frame_map_true_label"),
+                          ("video_mAP", "video_map"), ("AUC", "auc")):
             w.writerow([name, f"{report.get(key, 0.0):.6f}"])
         for key in ("J_mean", "J_recall", "J_decay", "F_mean", "F_recall",
                     "F_decay", "T_mean", "label_accuracy"):

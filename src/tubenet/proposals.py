@@ -109,21 +109,6 @@ def kmeans_anchors(boxes, k: int, seed: int):
     return [Anchor(float(w), float(h)) for w, h in centers[order]]
 
 
-def save_anchors(path, anchors) -> None:
-    with open(path, "w") as fh:
-        for a in anchors:
-            fh.write(f"{a.width!r} {a.height!r}\n")
-
-
-def load_anchors(path):
-    anchors = []
-    with open(path) as fh:
-        for line in fh:
-            w, h = line.split()
-            anchors.append(Anchor(float(w), float(h)))
-    return anchors
-
-
 def assign_actionness_labels(candidates, gt, pos_iou: float = 0.7):
     """Label candidate boxes against ground truth.
 

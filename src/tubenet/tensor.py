@@ -231,55 +231,29 @@ class _Im2col:
     `frames(ds, buf)` copies each frame of `ds` in turn into `buf`, one
     buffer from `buffer()`, so a worker must finish with one matrix before
     asking for the next; workers holding buffers of their own may fill
-    them at once. A 1x1x1 kernel without padding on a C-contiguous `x`
-    needs no copy: its matrix is the frame itself, yielded as a view of
-    `x` whose rows BLAS reads in place. With one output channel the GEMMs
-    are matrix-vector products, which numpy sums in another order when
-    the matrix rows are strided, as a frame's rows are when `x` has more
-    than one frame; so there each frame is copied, and the bytes match a
-    copying im2col.
+    them at once.
     """
 
-    def __init__(self, x: np.ndarray, kdhw, pad, out_channels=None):
+    def __init__(self, x: np.ndarray, kdhw, pad):
         kd, kh, kw = kdhw
-        c, d, h, w = x.shape
-        self.pointwise = ((kd, kh, kw) == (1, 1, 1) and not any(pad)
-                          and x.flags.c_contiguous)
-        if self.pointwise:
-            self.x, self.copy = x, out_channels == 1
-            self.depth, self.shape = d, (c, h * w)
-        else:
-            xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
-                            (pad[2], pad[2])))
-            # (C, oD, oH, oW, kd, kh, kw) view
-            self.win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
-            _, self.depth, oh, ow = self.win.shape[:4]
-            self.shape = (c * kd * kh * kw, oh * ow)
+        c = x.shape[0]
+        xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
+                        (pad[2], pad[2])))
+        # (C, oD, oH, oW, kd, kh, kw) view
+        self.win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
+        oh, ow = self.win.shape[2:4]
+        self.shape = (c * kd * kh * kw, oh * ow)
         self.frame_bytes = self.shape[0] * self.shape[1] * x.itemsize
 
     def buffer(self):
-        """Scratch for one worker's frames; None where no frame is copied
-        into it."""
-        if self.pointwise:
-            return None
+        """Scratch for one worker's frames."""
         c, _, oh, ow, kd, kh, kw = self.win.shape
         return np.empty((c, kd, kh, kw, oh, ow), dtype=self.win.dtype)
 
     def frames(self, ds, buf):
         for d in ds:
-            if self.pointwise:
-                col = self.x[:, d].reshape(self.shape)
-                yield np.ascontiguousarray(col) if self.copy else col
-            else:
-                np.copyto(buf, self.win[:, d].transpose(0, 3, 4, 5, 1, 2))
-                yield buf.reshape(self.shape)
-
-
-def _im2col_frames(x: np.ndarray, kdhw, pad, out_channels=None):
-    """Every output frame's im2col matrix in frame order, through one
-    buffer."""
-    im2col = _Im2col(x, kdhw, pad, out_channels)
-    return im2col.frames(range(im2col.depth), im2col.buffer())
+            np.copyto(buf, self.win[:, d].transpose(0, 3, 4, 5, 1, 2))
+            yield buf.reshape(self.shape)
 
 
 def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
@@ -297,7 +271,7 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     oc, od, oh, ow = out_shape
     w2 = kernels.weights.reshape(oc, -1)
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
-    im2col = _Im2col(x, kernels.kdhw, pad, oc)
+    im2col = _Im2col(x, kernels.kdhw, pad)
 
     def run(lo, hi, buf, prod):
         for d, col in zip(range(lo, hi), im2col.frames(range(lo, hi), buf)):
@@ -322,8 +296,8 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     arXiv 1603.07285): `grad_out` convolved with the kernel flipped along
     depth, height and width and with its channel axes swapped, padded by
     k-1-p along each axis, or cropped by p+1-k where that is positive (a
-    1x1x1 kernel with pad 1). It takes x's dtype, and `conv3d`'s copy-free
-    1x1x1 frames and two workers come with it.
+    1x1x1 kernel with pad 1). It takes x's dtype, and `conv3d`'s two
+    workers come with it.
 
     With `input_grad` false the gradient w.r.t. x is neither computed nor
     returned: the first element is None. The weight and bias gradients are
@@ -332,10 +306,11 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad shape {grad_out.shape} != conv output {out_shape}")
-    oc, _, oh, ow = out_shape
+    oc, od, oh, ow = out_shape
     grad_w = np.zeros_like(kernels.weights)
     gw2 = grad_w.reshape(oc, -1)
-    for d, col in enumerate(_im2col_frames(x, kernels.kdhw, pad, oc)):
+    im2col = _Im2col(x, kernels.kdhw, pad)
+    for d, col in enumerate(im2col.frames(range(od), im2col.buffer())):
         gw2 += grad_out[:, d].reshape(oc, oh * ow) @ col.T
     grad_b = grad_out.sum(axis=(1, 2, 3), dtype=kernels.bias.dtype)
     if not input_grad:

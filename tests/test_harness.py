@@ -14,7 +14,7 @@ from tubenet.harness import (RunConfig, _clips_of, _split_videos, _unflatten,
                              run_gen, run_segment, save_model)
 from tubenet.models import STCNN, TCNN
 from tubenet.proposals import Anchor
-from tubenet.synth import load_annotations
+from tubenet.synth import NUM_CLASSES, load_annotations
 
 
 # ----------------------------------------------------------------------
@@ -53,6 +53,8 @@ def test_explicit_overrides_beat_env(monkeypatch):
 def test_unknown_key_rejected():
     with pytest.raises(KeyError):
         RunConfig.load(overrides={"bogus": "1"})
+    with pytest.raises(KeyError, match="unknown config key: link_k"):
+        RunConfig.load(overrides={"link_k": "10"})
 
 
 def test_config_save_load_roundtrip(tmp_path):
@@ -72,13 +74,14 @@ def test_config_type_coercion():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("upsampler", "subpixl"), ("nms_iou", "1.5"), ("nms_iou", "0"),
-    ("nms_iou", "nan"), ("epochs_tpn", "-3"), ("epochs_rec", "-1"),
+    ("upsampler", "subpixl"), ("epochs_tpn", "-3"), ("epochs_rec", "-1"),
     ("epochs_refine", "-1"), ("epochs_seg", "-1"), ("mask_threshold", "nan"),
     ("mask_threshold", "inf"), ("mask_threshold", "-0.5"),
     ("mask_threshold", "1.5"), ("num_frames", "4"), ("alpha", "1.5"),
-    ("alpha", "0"), ("epochs_tpn", "abc"), ("lr", "fast"), ("link_k", "0"),
-    ("link_k", "-3"), ("anchors_k", "0"), ("avg_top_k", "0")])
+    ("alpha", "0"), ("epochs_tpn", "abc"), ("lr", "fast"),
+    ("anchors_k", "0"), ("avg_top_k", "0"), ("height", "8"),
+    ("height", "24"), ("width", "20"), ("num_videos", "0"), ("lr", "-1"),
+    ("lr", "0"), ("lr_rec", "inf"), ("lr_seg", "nan")])
 def test_config_rejects_bad_value_naming_the_field(key, value):
     with pytest.raises(ValueError, match=f"^config {key}="):
         RunConfig.load(overrides={key: value})
@@ -96,12 +99,14 @@ def test_config_rejects_bad_value_from_file_and_env(tmp_path, monkeypatch):
 
 def test_config_accepts_boundary_values():
     cfg = RunConfig.load(overrides={
-        "nms_iou": "1", "mask_threshold": "0", "num_frames": "8",
+        "mask_threshold": "0", "num_frames": "8",
         "epochs_tpn": "0", "epochs_rec": "0", "epochs_refine": "0",
-        "epochs_seg": "0", "upsampler": "unpool", "link_k": "1",
-        "anchors_k": "1", "avg_top_k": "1"})
-    assert (cfg.nms_iou, cfg.mask_threshold, cfg.num_frames) == (1.0, 0.0, 8)
-    assert (cfg.link_k, cfg.anchors_k, cfg.avg_top_k) == (1, 1, 1)
+        "epochs_seg": "0", "upsampler": "unpool",
+        "anchors_k": "1", "avg_top_k": "1", "height": "30", "width": "30",
+        "num_videos": "1"})
+    assert (cfg.mask_threshold, cfg.num_frames) == (0.0, 8)
+    assert (cfg.anchors_k, cfg.avg_top_k) == (1, 1)
+    assert (cfg.height, cfg.width, cfg.num_videos) == (30, 30, 1)
     assert RunConfig.load(overrides={"mask_threshold": "1"}).mask_threshold \
         == 1.0
 
@@ -284,16 +289,18 @@ def test_eval_of_ground_truth_masks(tmp_path):
     assert report["J_mean"] == report["F_mean"] == 1.0
     with open(tmp_path / "out" / "report.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    # no detections: no per-class AP, and zero mAP, video-mAP and AUC
-    assert rows[:4] == [["class", "ap"], ["mAP", "0.000000"],
+    # no detections: no per-class AP, and zero mAP, true-label mAP,
+    # video-mAP and AUC
+    assert rows[:5] == [["class", "ap"], ["mAP", "0.000000"],
+                        ["mAP_true_label", "0.000000"],
                         ["video_mAP", "0.000000"], ["AUC", "0.000000"]]
-    assert [r[0] for r in rows[4:]] == ["J_mean", "J_recall", "J_decay",
+    assert [r[0] for r in rows[5:]] == ["J_mean", "J_recall", "J_decay",
                                         "F_mean", "F_recall", "F_decay",
                                         "T_mean", "label_accuracy"]
-    assert rows[4][1] == f"{1.0:.6f}"
-    assert rows[10][1] == f"{report['T_mean']:.6f}"
+    assert rows[5][1] == f"{1.0:.6f}"
+    assert rows[11][1] == f"{report['T_mean']:.6f}"
     # no labels.csv: no video's label is right
-    assert rows[11][1] == f"{0.0:.6f}"
+    assert rows[12][1] == f"{0.0:.6f}"
 
 
 @pytest.mark.parametrize("drop", [1, 8])
@@ -327,3 +334,21 @@ def test_eval_scores_each_rank_as_its_own_tube(tmp_path):
     # each ground-truth tube is matched by rank 0; merged into one tube,
     # rank 1's boxes would overwrite it and match nothing
     assert report["video_map"] == 1.0
+
+
+def test_eval_splits_a_wrong_label_from_its_boxes(tmp_path):
+    # every test video's ground-truth boxes, each under another class
+    cfg, vids = _ground_truth_as_predictions(tmp_path)
+    ann = load_annotations(cfg.data_dir)
+    lines = ["video,rank,label,confidence,frame,x1,y1,x2,y2"]
+    for vid in vids:
+        wrong = ann[vid]["label"] % NUM_CLASSES + 1
+        for f, b in enumerate(ann[vid]["boxes"]):
+            lines.append(",".join(map(str, (vid, 0, wrong, 0.5, f)
+                                      + b.astuple())))
+    (tmp_path / "out" / "detections").mkdir()
+    (tmp_path / "out" / "detections" / "detections.csv").write_text(
+        "\n".join(lines) + "\n")
+    report = eval_detections(cfg)
+    assert report["frame_map"] == 0.0
+    assert report["frame_map_true_label"] == 1.0

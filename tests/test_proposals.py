@@ -7,8 +7,7 @@ from tubenet.proposals import (NEGATIVE, POSITIVE, PairedFeatureProjector,
                                RegressionTarget, assign_actionness_labels,
                                decode_regression,
                                encode_regression, iou, kmeans_anchors,
-                               l2_normalize, load_anchors, save_anchors,
-                               smooth_l1)
+                               l2_normalize, smooth_l1)
 from tubenet.toi import Box, Tube, pixel_box_to_cells, toi_pool_forward
 
 
@@ -64,15 +63,6 @@ def test_kmeans_deterministic():
     a2 = kmeans_anchors(boxes, k=4, seed=7)
     assert [(a.width, a.height) for a in a1] == \
         [(a.width, a.height) for a in a2]
-
-
-def test_anchor_file_roundtrip(tmp_path):
-    anchors = kmeans_anchors([(4.5, 6.25), (10, 3), (7, 7)], k=3, seed=0)
-    p = tmp_path / "anchors.txt"
-    save_anchors(p, anchors)
-    loaded = load_anchors(p)
-    assert [(a.width, a.height) for a in loaded] == \
-        [(a.width, a.height) for a in anchors]
 
 
 def test_actionness_exact_match_is_positive():

@@ -292,18 +292,6 @@ def test_conv_matches_oracle_bytes(case, data):
     assert gb.tobytes() == got[2].tobytes()
 
 
-def test_im2col_of_pointwise_kernel_is_a_view_of_each_frame():
-    x = np.random.default_rng(8).standard_normal((3, 4, 5, 6))
-    cols = list(tensor._im2col_frames(x, (1, 1, 1), (0, 0, 0)))
-    assert len(cols) == 4
-    for t, col in enumerate(cols):
-        assert col.shape == (3, 30) and np.shares_memory(col, x)
-        assert np.array_equal(col, x[:, t].reshape(3, 30))
-    # padding (or a larger kernel) still copies into one buffer
-    padded = list(tensor._im2col_frames(x, (1, 1, 1), (0, 1, 1)))
-    assert not any(np.shares_memory(col, x) for col in padded)
-
-
 @pytest.mark.parametrize("out_c", [16, 2])
 def test_pointwise_conv_head_shapes_match_oracle_bytes(out_c):
     # conv6 (16 -> 16) and conv7 (16 -> 2) of the segmenter on one clip

@@ -8,9 +8,10 @@
 # tree, with `seed=<seed>` and every KEY=VALUE given as a config override,
 # in a temporary directory of its own that is removed on exit. Seeds run
 # side by side, never more at once than there are usable CPUs. Once all
-# have finished it prints one row per seed: frame-mAP, video-mAP, J (mean
-# region IoU), label accuracy and wall-clock minutes. Exits 1 if any run
-# fails, after printing the end of that run's log.
+# have finished it prints one row per seed: frame-mAP, frame-mAP with each
+# video's true label, video-mAP, J (mean region IoU), label accuracy and
+# wall-clock minutes. Exits 1 if any run fails, after printing the end of
+# that run's log.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -59,11 +60,12 @@ done
 
 # the eval verb prints each metric as "<key>: <value>"
 metric() { awk -v k="$1:" '$1 == k {print $2}' "$work/$2.log"; }
-echo "| seed | frame-mAP | video-mAP | J | label acc | min |"
-echo "|---|---|---|---|---|---|"
+echo "| seed | frame-mAP | true-label frame-mAP | video-mAP | J | label acc | min |"
+echo "|---|---|---|---|---|---|---|"
 for seed in $(seq "$first" "$last"); do
   [ -f "$work/$seed.min" ] || continue
-  echo "| $seed | $(metric frame_map "$seed") | $(metric video_map "$seed")" \
+  echo "| $seed | $(metric frame_map "$seed")" \
+       "| $(metric frame_map_true_label "$seed") | $(metric video_map "$seed")" \
        "| $(metric J_mean "$seed") | $(metric label_accuracy "$seed")" \
        "| $(cat "$work/$seed.min") |"
 done
