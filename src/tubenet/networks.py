@@ -288,6 +288,11 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     return rows, shapes
 
 
+# columns of one frame the bottom-up head maps at a time: a 4096-channel
+# conv6 block of 32 MiB instead of a whole frame's
+_HEAD_COLS = 2048
+
+
 def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     """Execute the full bottom-up reference forward with random weights."""
     from . import toi
@@ -321,19 +326,21 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
         if conv_name != "conv1c":
             cur = out
 
-    # segmentation head: per-frame 1x1 maps, streamed one frame at a time
+    # segmentation head: per-frame 1x1 maps, streamed in blocks of one
+    # frame's columns so that conv6 never exists as a whole
     c1 = concat1.shape[0]
     w6 = tz.glorot_uniform((4096, c1), rng, c1, 4096)
     w7 = tz.glorot_uniform((2, 4096), rng, 4096, 2)
-    seg_frames = []
+    seg = np.empty((2,) + concat1.shape[1:], dtype=concat1.dtype)
     for t in range(concat1.shape[1]):
         frame = concat1[:, t].reshape(c1, -1)
-        h6 = tz.relu(w6 @ frame)
-        seg_frames.append((w7 @ h6).reshape(2, *concat1.shape[2:]))
-        del h6
+        seg_t = seg[:, t].reshape(2, -1)
+        for lo in range(0, frame.shape[1], _HEAD_COLS):
+            h6 = w6 @ frame[:, lo:lo + _HEAD_COLS]
+            tz.relu(h6, out=h6)
+            seg_t[:, lo:lo + _HEAD_COLS] = w7 @ h6
     conv6_shape = (4096, concat1.shape[1]) + concat1.shape[2:]
     shapes.append(("conv6", conv6_shape))
-    seg = np.stack(seg_frames, axis=1)
     shapes.append(("conv7", seg.shape))
 
     tube = toi.full_frame_tube(concat1.shape[1], *concat1.shape[2:])

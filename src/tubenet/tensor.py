@@ -19,10 +19,14 @@ Every GEMM goes through the BLAS that numpy loaded. How that BLAS splits a
 GEMM across threads changes the last bits of the result, so runs hold it at
 one thread with `blas_threads` to make output bytes independent of the
 core count. The second core then goes to whole units of work instead: a
-large `conv3d` hands half of its output frames, each with an im2col buffer
-of its own, and a large `maxpool3d` half of its channels, to one helper
-thread. Every GEMM keeps its shape and operands, so the bytes stay the
-same at one worker or two.
+large `conv3d` hands half of its (frame, band) units, each with an im2col
+buffer of its own, and a large `maxpool3d` half of its channels, to one
+helper thread. A frame whose im2col matrix is large is computed in bands
+of whole output rows, and a band's GEMM is a column slice of its frame's:
+OpenBLAS's blocked sgemm sums each output element over K in an order that
+depends on K alone. Its small-matrix kernel sums in another order, so no
+band is narrower than `_BAND_MIN_COLS`. The bytes therefore stay the same
+at one worker or two, banded or whole.
 """
 
 from __future__ import annotations
@@ -119,13 +123,29 @@ class ArgmaxMap:
             raise ValueError("argmax index out of bounds for source shape")
 
 
+# Elements `glorot_uniform` draws and scales at a time: its float64
+# temporary stays at 512 KiB whatever the weights' size.
+_DRAW_CHUNK = 2**16
+
+
 def glorot_uniform(shape, rng: np.random.Generator, fan_in: int, fan_out: int,
                    dtype=np.float32) -> np.ndarray:
     """Uniform weights in +-sqrt(6 / (fan_in + fan_out)); `dtype` is
-    float32 or float64, the two dtypes the generator draws in."""
+    float32 or float64, the two dtypes the generator draws in.
+
+    Drawn and scaled in chunks into the output. Each chunk is
+    `rng.random(size, dtype)` followed by `r * (2 * limit) - limit` in
+    float64, rounded to `dtype` on store: the bytes, and the generator's
+    state after the call, of the one-shot draw of the whole shape.
+    """
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    r = rng.random(size=shape, dtype=dtype)
-    return (r * (2 * limit) - limit).astype(dtype, copy=False)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        chunk = flat[lo:lo + _DRAW_CHUNK]
+        rng.random(out=chunk, dtype=dtype)
+        np.subtract(chunk * (2 * limit), limit, out=chunk)
+    return out
 
 
 def make_kernels(out_channels: int, in_channels: int, kdhw, rng,
@@ -141,11 +161,19 @@ def make_kernels(out_channels: int, in_channels: int, kdhw, rng,
 # ---------------------------------------------------------------------------
 # Two workers for large inputs
 
-# The smallest unit of work, in bytes, that `conv3d` (one output frame's
-# im2col matrix) and `maxpool3d` (the whole input) split between two
-# workers. Every desk-scale unit at 80x112 frames is under 6 MB; every
+# The size, in bytes, from which `conv3d` (one output frame's im2col
+# matrix) and `maxpool3d` (the whole input) split their work between two
+# workers. It is also the most scratch one worker holds for a unit of
+# that work: a band of a frame's im2col matrix, or a block of a pool's
+# channels. Every desk-scale unit at 80x112 frames is under 6 MB; every
 # full-scale conv frame is at least 38.9 MB (conv1 at 300x400).
 _SPLIT_MIN_BYTES = 16 * 2**20
+
+# The fewest columns of an im2col band. Below about 1e6 for M*N*K,
+# OpenBLAS's sgemm takes a small-matrix kernel that sums in another order,
+# so a narrow band would not be a column slice of its frame's GEMM; each
+# band also repacks the weights, which costs high-K layers time.
+_BAND_MIN_COLS = 2048
 
 _helper_pool = None
 
@@ -185,14 +213,15 @@ def _on_two_workers(work, mine, theirs):
     future.result()
 
 
-def _in_halves(work, units, unit_bytes, scratch=tuple):
-    """`work(lo, hi, *scratch())` over the units [0, units), each of
-    `unit_bytes`: once here, or the first half here and the second on the
-    helper thread, each with scratch of its own allocated here. It splits
-    only when there are two units or more of at least `_SPLIT_MIN_BYTES`,
-    BLAS is held at one thread (otherwise BLAS itself uses the cores) and
-    the process may run on two CPUs."""
-    if (units < 2 or unit_bytes < _SPLIT_MIN_BYTES
+def _in_halves(work, units, gate_bytes, scratch=tuple):
+    """`work(lo, hi, *scratch())` over the units [0, units): once here, or
+    the first half here and the second on the helper thread, each with
+    scratch of its own allocated here. It splits only when there are two
+    units or more, `gate_bytes` (a conv frame's im2col matrix, a pool's
+    input) is at least `_SPLIT_MIN_BYTES`, BLAS is held at one thread
+    (otherwise BLAS itself uses the cores) and the process may run on two
+    CPUs."""
+    if (units < 2 or gate_bytes < _SPLIT_MIN_BYTES
             or blas_thread_count() != 1 or _usable_cpus() < 2):
         work(0, units, *scratch())
         return
@@ -225,63 +254,81 @@ def conv3d_out_shape(in_shape, kernels: KernelSet, stride=(1, 1, 1), pad=(1, 1, 
 
 
 class _Im2col:
-    """The im2col matrix of each output frame of a stride-1 convolution:
-    (C*kd*kh*kw, oh*ow), rows ordered (C, kd, kh, kw).
+    """The im2col matrix of output rows [r0, r1) of an output frame of a
+    stride-1 convolution: (C*kd*kh*kw, (r1-r0)*ow), rows ordered
+    (C, kd, kh, kw). A frame's matrix is its bands' matrices side by side.
 
-    `frames(ds, buf)` copies each frame of `ds` in turn into `buf`, one
-    buffer from `buffer()`, so a worker must finish with one matrix before
-    asking for the next; workers holding buffers of their own may fill
-    them at once.
+    `band(d, r0, r1, buf)` copies the matrix into `buf`, scratch from
+    `buffer(rows)` of at least r1 - r0 rows, and returns it, so a worker
+    must finish with one matrix before asking for the next; workers
+    holding buffers of their own may fill them at once.
     """
 
     def __init__(self, x: np.ndarray, kdhw, pad):
         kd, kh, kw = kdhw
-        c = x.shape[0]
         xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
                         (pad[2], pad[2])))
         # (C, oD, oH, oW, kd, kh, kw) view
         self.win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
-        oh, ow = self.win.shape[2:4]
-        self.shape = (c * kd * kh * kw, oh * ow)
-        self.frame_bytes = self.shape[0] * self.shape[1] * x.itemsize
+        self.oh, self.ow = self.win.shape[2:4]
+        self.k = x.shape[0] * kd * kh * kw
+        self.frame_bytes = self.k * self.oh * self.ow * x.itemsize
 
-    def buffer(self):
-        """Scratch for one worker's frames."""
-        c, _, oh, ow, kd, kh, kw = self.win.shape
-        return np.empty((c, kd, kh, kw, oh, ow), dtype=self.win.dtype)
+    def bands(self):
+        """(r0, r1) of each band of a frame, in order: the whole frame if
+        its matrix is at most `_SPLIT_MIN_BYTES`, else the fewest even
+        bands of at most that size, but never fewer than `_BAND_MIN_COLS`
+        columns to a band (that floor wins)."""
+        row_bytes = self.frame_bytes // self.oh
+        most_rows = max(1, _SPLIT_MIN_BYTES // row_bytes)
+        fewest_rows = -(-_BAND_MIN_COLS // self.ow)
+        n = max(1, min(-(-self.oh // most_rows), self.oh // fewest_rows))
+        return [(i * self.oh // n, (i + 1) * self.oh // n) for i in range(n)]
 
-    def frames(self, ds, buf):
-        for d in ds:
-            np.copyto(buf, self.win[:, d].transpose(0, 3, 4, 5, 1, 2))
-            yield buf.reshape(self.shape)
+    def buffer(self, rows):
+        """Scratch for one worker's bands of up to `rows` rows."""
+        return np.empty(self.k * rows * self.ow, dtype=self.win.dtype)
+
+    def band(self, d, r0, r1, buf):
+        c, _, _, ow, kd, kh, kw = self.win.shape
+        mat = buf[:self.k * (r1 - r0) * ow].reshape(c, kd, kh, kw, r1 - r0, ow)
+        np.copyto(mat, self.win[:, d, r0:r1].transpose(0, 3, 4, 5, 1, 2))
+        return mat.reshape(self.k, -1)
 
 
 def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     """Stride-1 cross-correlation of a (C,D,H,W) cube with a KernelSet.
 
-    Computed one output frame at a time via im2col + GEMM, to bound the
-    scratch memory on large feature maps. Each worker reuses one im2col
-    buffer and one GEMM product buffer of its own, both allocated here. A
-    call whose frames are large enough hands the second half of them to
-    the helper thread (`_in_halves`). Every frame is the same GEMM on the
-    same operands either way, so the bytes do not depend on the worker
-    count.
+    Computed one band of output rows of one frame at a time via im2col +
+    GEMM, to bound the scratch memory on large feature maps
+    (`_Im2col.bands`: a frame at desk scale is one band). Each worker
+    reuses one im2col buffer and one GEMM product buffer of its own, both
+    allocated here. A call whose frames are large enough hands the second
+    half of its (frame, band) units to the helper thread (`_in_halves`).
+    A band's GEMM is a column slice of its frame's, and each output
+    element's sum over K is the same in both, so the bytes depend neither
+    on the banding nor on the worker count.
     """
     out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
     oc, od, oh, ow = out_shape
     w2 = kernels.weights.reshape(oc, -1)
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
     im2col = _Im2col(x, kernels.kdhw, pad)
+    bands = im2col.bands()
+    units = [(d, r0, r1) for d in range(od) for r0, r1 in bands]
+    rows = max(r1 - r0 for r0, r1 in bands)
 
     def run(lo, hi, buf, prod):
-        for d, col in zip(range(lo, hi), im2col.frames(range(lo, hi), buf)):
-            np.matmul(w2, col, out=prod)
-            out[:, d] = prod.reshape(oc, oh, ow)
+        for d, r0, r1 in units[lo:hi]:
+            n = (r1 - r0) * ow
+            gemm = prod[:oc * n].reshape(oc, n)
+            np.matmul(w2, im2col.band(d, r0, r1, buf), out=gemm)
+            out[:, d, r0:r1] = gemm.reshape(oc, r1 - r0, ow)
 
     def scratch():
-        return im2col.buffer(), np.empty((oc, oh * ow), dtype=out.dtype)
+        return im2col.buffer(rows), np.empty(oc * rows * ow, dtype=out.dtype)
 
-    _in_halves(run, od, im2col.frame_bytes, scratch)
+    _in_halves(run, len(units), im2col.frame_bytes, scratch)
     out += kernels.bias[:, None, None, None]
     return out
 
@@ -291,13 +338,14 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     """Gradients of sum(grad_out * conv3d(x, k)) w.r.t. x, weights, bias.
 
     The weight gradient sums one GEMM per output frame over the forward's
-    im2col matrices, and the bias gradient sums `grad_out`; both take the
-    kernel's dtype. The input gradient is one `conv3d` (Dumoulin & Visin,
-    arXiv 1603.07285): `grad_out` convolved with the kernel flipped along
-    depth, height and width and with its channel axes swapped, padded by
-    k-1-p along each axis, or cropped by p+1-k where that is positive (a
-    1x1x1 kernel with pad 1). It takes x's dtype, and `conv3d`'s two
-    workers come with it.
+    im2col matrices, whole frames and never bands (a band would cut that
+    GEMM's sum over columns in pieces), and the bias gradient sums
+    `grad_out`; both take the kernel's dtype. The input gradient is one
+    `conv3d` (Dumoulin & Visin, arXiv 1603.07285): `grad_out` convolved
+    with the kernel flipped along depth, height and width and with its
+    channel axes swapped, padded by k-1-p along each axis, or cropped by
+    p+1-k where that is positive (a 1x1x1 kernel with pad 1). It takes x's
+    dtype, and `conv3d`'s bands and two workers come with it.
 
     With `input_grad` false the gradient w.r.t. x is neither computed nor
     returned: the first element is None. The weight and bias gradients are
@@ -310,8 +358,10 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     grad_w = np.zeros_like(kernels.weights)
     gw2 = grad_w.reshape(oc, -1)
     im2col = _Im2col(x, kernels.kdhw, pad)
-    for d, col in enumerate(im2col.frames(range(od), im2col.buffer())):
-        gw2 += grad_out[:, d].reshape(oc, oh * ow) @ col.T
+    buf = im2col.buffer(oh)
+    for d in range(od):
+        gw2 += (grad_out[:, d].reshape(oc, oh * ow)
+                @ im2col.band(d, 0, oh, buf).T)
     grad_b = grad_out.sum(axis=(1, 2, 3), dtype=kernels.bias.dtype)
     if not input_grad:
         return None, grad_w, grad_b
@@ -390,8 +440,9 @@ def maxpool3d(x: np.ndarray, kernel):
     Each output is the first maximum of its window in row-major (d, h, w)
     order, bytes included (of a -0.0 and +0.0 the first wins), and as in
     `np.argmax` a NaN beats any number and the first NaN wins. A large
-    input is pooled in two channel halves on two workers (`_in_halves`);
-    every step is per channel, so the bytes are the same.
+    input is pooled in two channel halves on two workers (`_in_halves`),
+    each walking its half in blocks of channels with scratch for one
+    block; every step is per channel, so the bytes are the same.
     """
     kd, kh, kw = kernel
     c, d, h, w = x.shape
@@ -405,16 +456,22 @@ def maxpool3d(x: np.ndarray, kernel):
     views = _pool_windows(xp, kernel)
     out = np.empty(views[0].shape, dtype=x.dtype)
     offsets = np.empty(out.shape, dtype=np.min_scalar_type(len(views) - 1))
-    # every array is allocated here, not in the helper thread: memory a
-    # thread frees stays in its own malloc arena
-    arrays = (out, offsets, np.empty(out.shape, dtype=bool),
-              np.empty_like(_bits(out)), np.empty_like(offsets))
+    block = max(1, _SPLIT_MIN_BYTES * c // max(1, x.nbytes))
 
-    def run(lo, hi):
-        _pool_channels(xp[lo:hi], [v[lo:hi] for v in views],
-                       *(a[lo:hi] for a in arrays))
+    def run(lo, hi, *scratch):
+        for b in range(lo, hi, block):
+            e = min(b + block, hi)
+            _pool_channels(xp[b:e], [v[b:e] for v in views], out[b:e],
+                           offsets[b:e], *(s[:e - b] for s in scratch))
 
-    _in_halves(run, c, x.nbytes)
+    def scratch():
+        # allocated here, not in the helper thread: memory a thread frees
+        # stays in its own malloc arena
+        shape = (min(block, c),) + out.shape[1:]
+        return (np.empty(shape, dtype=bool), np.empty(shape, _bits(out).dtype),
+                np.empty(shape, dtype=offsets.dtype))
+
+    _in_halves(run, c, x.nbytes, scratch)
     return out, PoolArgmax(offsets, kernel, x.shape)
 
 

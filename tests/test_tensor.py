@@ -2,6 +2,7 @@ import contextlib
 import multiprocessing
 import struct
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,8 +18,9 @@ from tubenet.tensor import (ArgmaxMap, KernelSet, ShapeError,
                             blas_threads, conv3d, conv3d_backward,
                             conv3d_out_shape, finite_diff_grad,
                             fully_connected, fully_connected_backward,
-                            load_tensor, make_kernels, maxpool3d,
-                            maxpool3d_backward, save_tensor, sgd_step,
+                            glorot_uniform, load_tensor, make_kernels,
+                            maxpool3d, maxpool3d_backward, save_tensor,
+                            sgd_step,
                             softmax_xent)
 
 
@@ -565,13 +567,19 @@ def test_two_worker_conv_cases_match_oracle_bytes(shape, out_c, kdhw, pad):
     assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
 
 
+def _bands(x, k, pad=(1, 1, 1)):
+    return tensor._Im2col(x, k.kdhw, pad).bands()
+
+
 @needs_blas_control
 def test_full_scale_conv1_frame_pair_on_two_workers():
     # conv1 of the top-down table on two 300x400 frames: each frame's
-    # im2col matrix is 38.9 MB, above the size gate as it stands
+    # im2col matrix is 38.9 MB, above the size gate as it stands, and is
+    # cut into three bands of 100 rows
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 2, 300, 400)).astype(np.float32)
     k = make_kernels(64, 3, (3, 3, 3), rng)
+    assert _bands(x, k) == [(0, 100), (100, 200), (200, 300)]
     with _split_everything(2**62) as splits:
         serial = conv3d(x, k)
     assert not splits
@@ -579,6 +587,71 @@ def test_full_scale_conv1_frame_pair_on_two_workers():
         split = conv3d(x, k)
     assert len(splits) == 1
     assert split.tobytes() == serial.tobytes()
+    assert split.tobytes() == _conv3d_oracle(x, k).tobytes()
+
+
+@needs_blas_control
+def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
+    # a 64->128 conv on 150x200 frames: each frame's im2col matrix is
+    # 207 MB, cut into 13 bands of at most 16 MiB, which the two workers
+    # share; the scratch the call allocates (both workers' bands and GEMM
+    # products, the padded input and the output) stays under 128 MB
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((64, 2, 150, 200)).astype(np.float32)
+    k = make_kernels(128, 64, (3, 3, 3), rng)
+    bands = _bands(x, k)
+    assert len(bands) == 13 and bands[0] == (0, 11) and bands[-1][1] == 150
+    rows = {r1 - r0 for r0, r1 in bands}
+    assert max(rows) * 200 * 64 * 27 * 4 <= tensor._SPLIT_MIN_BYTES
+    assert min(rows) * 200 >= tensor._BAND_MIN_COLS
+    with _split_everything(tensor._SPLIT_MIN_BYTES) as splits:
+        tracemalloc.start()
+        try:
+            y = conv3d(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(splits) == 1
+    assert peak < 128 * 2**20
+    assert y.tobytes() == _conv3d_oracle(x, k).tobytes()
+
+
+@pytest.mark.parametrize("shape,out_c,want", [
+    ((3, 1, 80, 112), 64, 1),        # desk conv1: one band
+    ((64, 1, 40, 56), 128, 1),       # desk conv2: one band
+    ((512, 1, 19, 25), 512, 1),      # full-scale conv5: the floor wins
+    ((3, 1, 300, 400), 64, 3),       # full-scale conv1
+    ((64, 1, 150, 200), 128, 13),    # full-scale conv2
+])
+def test_bands_cover_each_frame_within_the_size_bounds(shape, out_c, want):
+    x = np.empty(shape, np.float32)
+    k = KernelSet(np.empty((out_c, shape[0], 3, 3, 3), np.float32),
+                  np.empty(out_c, np.float32))
+    bands = _bands(x, k)
+    assert len(bands) == want
+    ends = [r0 for r0, _ in bands] + [shape[2]]
+    assert bands == list(zip(ends[:-1], ends[1:])) and ends[0] == 0
+    if want > 1:
+        row_bytes = shape[0] * 27 * shape[3] * 4
+        assert all(tensor._BAND_MIN_COLS <= (r1 - r0) * shape[3]
+                   and (r1 - r0) * row_bytes <= tensor._SPLIT_MIN_BYTES
+                   for r0, r1 in bands)
+
+
+@needs_blas_control
+@pytest.mark.parametrize("channels", [7, 8])
+def test_pool_blocks_of_channels_give_the_oracle_bytes(channels):
+    # the size gate set so that each block holds two channels: each
+    # worker walks two blocks, the last one partial for 7 channels
+    rng = np.random.default_rng(channels)
+    x = rng.standard_normal((channels, 2, 6, 8)).astype(np.float32)
+    x[3, 1, 2, 5] = np.nan
+    with _split_everything(2 * x.nbytes // channels) as splits:
+        y, amap = maxpool3d(x, (1, 2, 2))
+    assert len(splits) == 1
+    y_ref, amap_ref = _maxpool3d_oracle(x, (1, 2, 2))
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(amap.indices, amap_ref.indices)
 
 
 @needs_blas_control
@@ -624,6 +697,44 @@ def test_forked_child_rebuilds_the_helper():
         child.kill()
         pytest.fail("conv3d hung in the forked child")
     assert child.exitcode == 0
+
+
+# ---------------------------------------------------------------------------
+# weight draws
+
+
+def _glorot_one_shot(shape, rng, fan_in, fan_out, dtype):
+    """The whole draw in one piece, float64 scale and all."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    r = rng.random(size=shape, dtype=dtype)
+    return (r * (2 * limit) - limit).astype(dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("chunks,extra", [
+    (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 12345)])
+def test_glorot_chunks_give_the_one_shot_bytes_and_stream(dtype, chunks,
+                                                          extra):
+    n = chunks * tensor._DRAW_CHUNK + extra
+    for shape in ((n,), (1, n, 1)):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = glorot_uniform(shape, rng, 7, 9, dtype)
+        want = _glorot_one_shot(shape, ref, 7, 9, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(3, dtype).tobytes() == ref.random(3, dtype).tobytes()
+
+
+def test_glorot_fc6_draw_holds_no_float64_copy():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        w = glorot_uniform((4096, 8192), rng, 8192, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - w.nbytes < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
