@@ -121,11 +121,6 @@ class RunConfig:
         if not 0.0 < self.alpha < 1.0:
             bad("alpha", "must lie in (0, 1)")
 
-    def save(self, path):
-        lines = [f"{f.name}={getattr(self, f.name)}"
-                 for f in dataclasses.fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 # ----------------------------------------------------------------------
 # checkpoints
@@ -151,17 +146,6 @@ def load_model_state(out_dir):
         shape = tuple(int(s) for s in shape_s.split(","))
         flat[name] = load_tensor(out_dir / fname).reshape(shape)
     return flat
-
-
-def _unflatten(flat):
-    nested = {}
-    for name, arr in flat.items():
-        parts = name.split(".")
-        node = nested
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = arr
-    return nested
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +216,8 @@ def _new_model(name, cfg, ann):
 def _load_model(name, cfg):
     ann = load_annotations(cfg.data_dir)
     model = _new_model(name, cfg, ann)
-    model.load_state(_unflatten(load_model_state(
-        Path(cfg.out_dir) / f"{name}_model")))
+    model.load_flat_state(load_model_state(
+        Path(cfg.out_dir) / f"{name}_model"))
     return model, ann
 
 
@@ -364,12 +348,12 @@ def detect_video(model, frames, cfg):
 
 
 @blas_threads(1)
-def run_detect(cfg, split="test"):
+def run_detect(cfg):
     model, ann = load_tcnn(cfg)
     out = Path(cfg.out_dir) / "detections"
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
-    for vid in _split_videos(ann, split):
+    for vid in _split_videos(ann, "test"):
         frames = load_video_frames(cfg.data_dir, vid)
         seq, label, conf, boxes = detect_video(model, frames, cfg)
         save_sequences(out / f"video_{vid:03d}.txt", [seq])
@@ -385,13 +369,13 @@ def run_detect(cfg, split="test"):
 
 
 @blas_threads(1)
-def run_segment(cfg, split="test"):
+def run_segment(cfg):
     from .segmentation import save_mask
 
     model, ann = load_stcnn(cfg)
     out = Path(cfg.out_dir) / "segmentations"
     rows = []
-    for vid in _split_videos(ann, split):
+    for vid in _split_videos(ann, "test"):
         frames = load_video_frames(cfg.data_dir, vid)
         num_frames = frames.shape[1]
         vdir = out / f"{vid:03d}"
@@ -401,7 +385,7 @@ def run_segment(cfg, split="test"):
         clips = _clips_of(frames)
         logits_sum = None
         for ci, clip in enumerate(clips):
-            masks, _, concat1 = model.segment_clip(clip, cfg.mask_threshold)
+            masks, concat1 = model.segment_clip(clip, cfg.mask_threshold)
             boxes = []
             for t, m in enumerate(masks[:num_frames - ci * CLIP],
                                   ci * CLIP):
@@ -426,12 +410,12 @@ def run_segment(cfg, split="test"):
 # ----------------------------------------------------------------------
 # evaluation
 
-def eval_detections(cfg, split="test"):
+def eval_detections(cfg):
     """Frame-mAP / video-mAP of the written detections against the
     annotations, and the frame-mAP of the same boxes with each video's
     true label."""
     ann = load_annotations(cfg.data_dir)
-    vids = _split_videos(ann, split)
+    vids = _split_videos(ann, "test")
     det_rows, ranks = [], []
     path = Path(cfg.out_dir) / "detections" / "detections.csv"
     with open(path) as fh:
@@ -472,13 +456,13 @@ def eval_detections(cfg, split="test"):
             "roc_points": roc_points, "auc": auc}
 
 
-def eval_segmentations(cfg, split="test"):
+def eval_segmentations(cfg):
     """Region (J), contour (F), and stability (T) statistics of the
     written masks."""
     from .segmentation import SegMask, load_mask
 
     ann = load_annotations(cfg.data_dir)
-    vids = _split_videos(ann, split)
+    vids = _split_videos(ann, "test")
     j_scores, f_scores, t_scores = {}, {}, []
     correct = 0
     label_rows = {}
@@ -513,15 +497,15 @@ def eval_segmentations(cfg, split="test"):
     }
 
 
-def run_eval(cfg, split="test"):
+def run_eval(cfg):
     report = {}
     out = Path(cfg.out_dir)
     if (out / "detections" / "detections.csv").exists():
-        report.update(eval_detections(cfg, split))
+        report.update(eval_detections(cfg))
         mx.write_curve_svg(out / "roc.svg", report["roc_points"],
                            "ROC", "FP per frame", "TPR")
     if (out / "segmentations").exists():
-        report.update(eval_segmentations(cfg, split))
+        report.update(eval_segmentations(cfg))
     mx.write_report_csv(out / "report.csv", report)
     return report
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .proposals import iou
-from .toi import Box, Tube
+from .toi import Tube
 
 
 @dataclass(frozen=True)
@@ -155,33 +155,3 @@ def save_sequences(path, seqs) -> None:
                         f"{box.x1!r} {box.y1!r} {box.x2!r} {box.y2!r} "
                         f"{p.actionness!r}\n"
                     )
-
-
-def load_sequences(path):
-    seqs = []
-    score = None
-    rows = []
-
-    def flush():
-        if rows:
-            props = []
-            for clip in sorted({r[0] for r in rows}):
-                fr = sorted(r for r in rows if r[0] == clip)
-                boxes = tuple(Box(*r[2:6]) for r in fr)
-                props.append(TubeProposal(clip, Tube(boxes), fr[0][6]))
-            seqs.append(LinkedSequence(tuple(props), score))
-            rows.clear()
-
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                flush()
-                score = float(line.rsplit(None, 1)[-1])
-                continue
-            parts = line.split()
-            rows.append((int(parts[0]), int(parts[1]), *map(float, parts[2:7])))
-    flush()
-    return seqs

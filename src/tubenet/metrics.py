@@ -22,7 +22,7 @@ from .toi import Box
 class Detection:
     """One frame-level or tube-level detection."""
 
-    video: str
+    video: int
     cls: int
     confidence: float
     frame: int | None = None
@@ -131,8 +131,9 @@ def _mean_ap(dets, gts, match_fn, alpha):
     return mean, per_class
 
 
-def roc_auc(dets, gts, alpha: float, num_frames: int | None = None):
-    """ROC of true-positive rate against false positives per frame.
+def roc_auc(dets, gts, alpha: float):
+    """ROC of true-positive rate against false positives per frame, over
+    the distinct (video, frame) pairs of the ground truths.
 
     A detection is correct when its class matches and IoU >= alpha. The
     curve sweeps the confidence thresholds; AUC is the trapezoidal area with
@@ -142,8 +143,7 @@ def roc_auc(dets, gts, alpha: float, num_frames: int | None = None):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} outside (0,1)")
     npos = len(gts)
-    if num_frames is None:
-        num_frames = max(len({(g["video"], g.get("frame")) for g in gts}), 1)
+    num_frames = max(len({(g["video"], g.get("frame")) for g in gts}), 1)
     if not dets or npos == 0:
         return [(0.0, 0.0)], 0.0
     tp, fp, order = _match_detections(dets, gts, _frame_match, alpha)

@@ -45,7 +45,8 @@ def _flatten_state(state, prefix=""):
 class _ModelBase:
     """Trainable parts held in the attributes that `LAYERS` names. A part
     is a `networks` layer or another `_ModelBase` (the encoder); the
-    nested state, the checkpoint's keys, takes the same names."""
+    nested state takes the same names, and the checkpoint's keys join them
+    with dots (`flat_state`, `load_flat_state`)."""
 
     LAYERS = ()
 
@@ -73,6 +74,17 @@ class _ModelBase:
 
     def flat_state(self):
         return _flatten_state(self.state())
+
+    def load_flat_state(self, flat):
+        """`load_state` of the nested dict that `flat_state` flattened."""
+        nested = {}
+        for name, arr in flat.items():
+            *parents, leaf = name.split(".")
+            node = nested
+            for p in parents:
+                node = node.setdefault(p, {})
+            node[leaf] = arr
+        self.load_state(nested)
 
 
 class Encoder(_ModelBase):
@@ -468,9 +480,9 @@ class STCNN(_Recognizer):
             h = run(relu, run(conv, concat))
         return acts, concat, run("conv7", h)
 
-    def backward(self, cache, g_seg_logits, g_concat1_extra=None):
+    def backward(self, cache, g_seg_logits, g_concat1_extra):
         """Accumulate the gradients of the forward that filled `cache`,
-        from those of the logits and, if given, an extra one of concat1."""
+        from those of the logits and an extra one of concat1."""
         def back(name, g):
             return getattr(self, name).backward(g, cache[name])
 
@@ -497,18 +509,15 @@ class STCNN(_Recognizer):
         if 0.0 < rho < 1.0:
             dt = g_seg.dtype.type
             g_seg = g_seg * np.where(fg, dt(0.5 / rho), dt(0.5 / (1.0 - rho)))
-        rec_loss = 0.0
-        g_extra = None
-        if label is not None and gt_boxes is not None:
-            logits, rec_cache = self.recognition_forward(concat1, gt_boxes)
-            rec_loss, glog = softmax_xent(logits, label)
-            g_extra = self.recognition_backward(glog, rec_cache)
-        self.backward(cache, g_seg, g_extra)
+        logits, rec_cache = self.recognition_forward(concat1, gt_boxes)
+        rec_loss, glog = softmax_xent(logits, label)
+        self.backward(cache, g_seg, self.recognition_backward(glog, rec_cache))
         self.sgd_update(lr)
         return float(seg_loss), float(rec_loss)
 
     def segment_clip(self, frames, threshold=0.5):
-        """Per-pixel foreground probabilities and binary masks for a clip."""
+        """The binary mask of each frame of a clip, foreground where its
+        softmax probability reaches `threshold`, and the clip's concat1."""
         from .segmentation import SegMask
 
         _, concat1, seg_logits = self.forward(frames)
@@ -516,4 +525,4 @@ class STCNN(_Recognizer):
         e = np.exp(z)
         p_fg = (e / e.sum(axis=0, keepdims=True))[1]
         masks = [SegMask(p_fg[t] >= threshold) for t in range(p_fg.shape[0])]
-        return masks, p_fg, concat1
+        return masks, concat1

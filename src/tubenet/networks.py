@@ -27,13 +27,14 @@ from .upsample import (UpscaleFactors, channel_to_spacedepth_backward,
 GRAD_CLIP = 5.0
 
 
-def clip_grads(*grads, max_norm=GRAD_CLIP):
-    """Jointly rescale a layer's gradients to a maximum global norm."""
+def clip_grads(*grads):
+    """Jointly rescale a layer's gradients to a global norm of at most
+    `GRAD_CLIP`."""
     total = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
                               for g in grads)))
-    if total <= max_norm or total == 0.0:
+    if total <= GRAD_CLIP or total == 0.0:
         return grads
-    scale = max_norm / total
+    scale = GRAD_CLIP / total
     return tuple(g * np.asarray(scale, dtype=g.dtype) for g in grads)
 
 

@@ -26,6 +26,8 @@ class Anchor:
 
 
 POSITIVE, NEGATIVE = "positive", "negative"
+# a candidate whose IoU with some ground-truth box exceeds this is positive
+POS_IOU = 0.7
 
 
 @dataclass(frozen=True)
@@ -109,22 +111,21 @@ def kmeans_anchors(boxes, k: int, seed: int):
     return [Anchor(float(w), float(h)) for w, h in centers[order]]
 
 
-def assign_actionness_labels(candidates, gt, pos_iou: float = 0.7):
+def assign_actionness_labels(candidates, gt):
     """Label candidate boxes against ground truth.
 
-    Positive when IoU > pos_iou with any gt box, or when the candidate has the
-    highest IoU for some gt box (so every gt gets at least one positive).
-    Everything else is negative. Each candidate's actionness is its best IoU.
+    Positive when IoU > `POS_IOU` with any gt box, or when the candidate has
+    the highest IoU for some gt box (so every gt gets at least one
+    positive). Everything else is negative. Each candidate's actionness is
+    its best IoU.
     """
-    if not 0.0 < pos_iou < 1.0:
-        raise ValueError(f"pos_iou {pos_iou} outside (0,1)")
     if not candidates:
         return []
     ious = np.zeros((len(candidates), max(len(gt), 1)))
     for i, c in enumerate(candidates):
         for j, g in enumerate(gt):
             ious[i, j] = iou(c, g)
-    positive = (ious > pos_iou).any(axis=1)
+    positive = (ious > POS_IOU).any(axis=1)
     if gt:
         positive[ious.argmax(axis=0)] = True
     return [LabeledBox(c, float(ious[i].max()),

@@ -160,23 +160,17 @@ def load_annotations(root):
     return videos
 
 
-def load_video_frames(root, video, num_frames=None):
+def load_video_frames(root, video):
     """Stack frame tensors into (3, F, H, W)."""
     from .tensor import load_tensor
 
     vdir = Path(root) / "videos" / f"{video:03d}"
-    paths = sorted(vdir.glob("frame_*.t4"))
-    if num_frames is not None:
-        paths = paths[:num_frames]
-    frames = [load_tensor(p)[:, 0] for p in paths]
+    frames = [load_tensor(p)[:, 0] for p in sorted(vdir.glob("frame_*.t4"))]
     return np.stack(frames, axis=1)
 
 
-def load_video_masks(root, video, num_frames=None):
+def load_video_masks(root, video):
     from .segmentation import SegMask, load_mask
 
     mdir = Path(root) / "masks" / f"{video:03d}"
-    paths = sorted(mdir.glob("frame_*.sm"))
-    if num_frames is not None:
-        paths = paths[:num_frames]
-    return [SegMask(load_mask(p)) for p in paths]
+    return [SegMask(load_mask(p)) for p in sorted(mdir.glob("frame_*.sm"))]

@@ -20,9 +20,10 @@ GEMM across threads changes the last bits of the result, so runs hold it at
 one thread with `blas_threads` to make output bytes independent of the
 core count. The second core then goes to whole units of work instead: a
 large `conv3d` hands half of its (frame, band) units, each with an im2col
-buffer of its own, and a large `maxpool3d` half of its channels, to one
-helper thread. A frame whose im2col matrix is large is computed in bands
-of whole output rows, and a band's GEMM is a column slice of its frame's:
+buffer of its own, and a large `maxpool3d` half of its channels, to a
+second thread that the call starts and joins. A frame whose im2col matrix
+is large is computed in bands of whole output rows, and a band's GEMM is a
+column slice of its frame's:
 OpenBLAS's blocked sgemm sums each output element over K in an order that
 depends on K alone. Its small-matrix kernel sums in another order, so no
 band is narrower than `_BAND_MIN_COLS`. The bytes therefore stay the same
@@ -36,8 +37,8 @@ import ctypes
 import functools
 import os
 import struct
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,14 +149,14 @@ def glorot_uniform(shape, rng: np.random.Generator, fan_in: int, fan_out: int,
     return out
 
 
-def make_kernels(out_channels: int, in_channels: int, kdhw, rng,
-                 dtype=np.float32) -> KernelSet:
+def make_kernels(out_channels: int, in_channels: int, kdhw, rng) -> KernelSet:
+    """float32 Glorot weights and a zero bias."""
     kd, kh, kw = kdhw
     fan_in = in_channels * kd * kh * kw
     fan_out = out_channels * kd * kh * kw
     w = glorot_uniform((out_channels, in_channels, kd, kh, kw), rng,
-                       fan_in, fan_out, dtype)
-    return KernelSet(w, np.zeros(out_channels, dtype=dtype))
+                       fan_in, fan_out)
+    return KernelSet(w, np.zeros(out_channels, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -175,47 +176,37 @@ _SPLIT_MIN_BYTES = 16 * 2**20
 # band also repacks the weights, which costs high-K layers time.
 _BAND_MIN_COLS = 2048
 
-_helper_pool = None
-
 
 def _usable_cpus() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
 
-def _helper():
-    """The one helper thread, started on first use."""
-    global _helper_pool
-    if _helper_pool is None:
-        _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="tubenet")
-    return _helper_pool
-
-
-def _forget_helper():
-    # a forked child has no thread behind its parent's pool
-    global _helper_pool
-    _helper_pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
 def _on_two_workers(work, mine, theirs):
-    """`work(*theirs)` on the helper thread while `work(*mine)` runs here;
-    returns once both have, raising this thread's error, else the
-    helper's. `work` runs numpy only, never a public tubenet function."""
-    future = _helper().submit(work, *theirs)
+    """`work(*theirs)` on a new thread while `work(*mine)` runs here;
+    returns once both have, raising this thread's error, else the other's.
+    `work` runs numpy only, never a public tubenet function."""
+    errors = []
+
+    def helper():
+        try:
+            work(*theirs)
+        except BaseException as e:  # re-raised here, after the join
+            errors.append(e)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
     try:
         work(*mine)
     finally:
-        wait((future,))
-    future.result()
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _in_halves(work, units, gate_bytes, scratch=tuple):
     """`work(lo, hi, *scratch())` over the units [0, units): once here, or
-    the first half here and the second on the helper thread, each with
+    the first half here and the second on another thread, each with
     scratch of its own allocated here. It splits only when there are two
     units or more, `gate_bytes` (a conv frame's im2col matrix, a pool's
     input) is at least `_SPLIT_MIN_BYTES`, BLAS is held at one thread
@@ -304,7 +295,7 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     (`_Im2col.bands`: a frame at desk scale is one band). Each worker
     reuses one im2col buffer and one GEMM product buffer of its own, both
     allocated here. A call whose frames are large enough hands the second
-    half of its (frame, band) units to the helper thread (`_in_halves`).
+    half of its (frame, band) units to a second thread (`_in_halves`).
     A band's GEMM is a column slice of its frame's, and each output
     element's sum over K is the same in both, so the bytes depend neither
     on the banding nor on the worker count.
@@ -385,10 +376,6 @@ class PoolArgmax:
     """Where each output of `maxpool3d` came from: the winner's offset in
     its window, row-major over (kd, kh, kw); one byte per output for
     windows of up to 256 elements.
-
-    `indices` gives the flat input index of each winner, as an `ArgmaxMap`
-    does; it is built on first read, since the pool's own backward needs
-    only the offsets.
     """
 
     def __init__(self, offsets: np.ndarray, kernel, in_shape):
@@ -399,19 +386,6 @@ class PoolArgmax:
     @property
     def shape(self):
         return self.offsets.shape
-
-    @functools.cached_property
-    def indices(self) -> np.ndarray:
-        c, d, h, w = self.in_shape
-        kd, kh, kw = self.kernel
-        a, rem = np.divmod(self.offsets.astype(np.int64), kh * kw)
-        b, cc = np.divmod(rem, kw)
-        _, od, oh, ow = self.offsets.shape
-        flat = (np.arange(c).reshape(c, 1, 1, 1) * d
-                + np.arange(od).reshape(od, 1, 1) * kd + a) * h
-        flat = (flat + np.arange(oh).reshape(oh, 1) * kh + b) * w
-        flat += np.arange(ow) * kw + cc
-        return ArgmaxMap(flat, self.in_shape).indices
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -465,7 +439,7 @@ def maxpool3d(x: np.ndarray, kernel):
                            offsets[b:e], *(s[:e - b] for s in scratch))
 
     def scratch():
-        # allocated here, not in the helper thread: memory a thread frees
+        # allocated here, not in the second thread: memory a thread frees
         # stays in its own malloc arena
         shape = (min(block, c),) + out.shape[1:]
         return (np.empty(shape, dtype=bool), np.empty(shape, _bits(out).dtype),

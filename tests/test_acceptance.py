@@ -308,7 +308,7 @@ def test_criterion_5_metric_oracles():
            for f in range(4)]
     dets = [Detection(video=0, cls=1, confidence=0.9, frame=f,
                       box=Box(2, 2, 10, 10)) for f in range(4)]
-    _, auc = roc_auc(dets, gts, alpha=0.5, num_frames=4)
+    _, auc = roc_auc(dets, gts, alpha=0.5)
     worst = max(worst, abs(auc - 1.0))
 
     # J/F/T identities

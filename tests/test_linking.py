@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tubenet.linking import (LinkedSequence, TubeProposal, brute_force_link,
-                             link_top_k, load_sequences, nms_sequences,
+                             link_top_k, nms_sequences,
                              overlap, save_sequences, score_sequence,
                              sequence_iou)
 from tubenet.toi import Box, Tube
@@ -137,18 +137,21 @@ def test_nms_threshold_one_keeps_every_sequence():
             nms_sequences([s1], bad)
 
 
-def test_sequence_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    per_clip = random_instance(rng, 3, 3)
-    seqs = link_top_k(per_clip, 4)
+def test_sequence_file_exact_text(tmp_path):
+    # one line per frame of each proposal under its sequence's score, every
+    # float written with repr so that it reads back to the same value
+    seqs = [LinkedSequence((prop(0, Box(0.0, 0.0, 9.0, 9.0), 0.5),
+                            prop(1, Box(1.5, 0.1 + 0.2, 10.0, 11.0), 0.25)),
+                           1.125),
+            LinkedSequence((prop(0, Box(3.0, 4.0, 5.0, 6.0), 0.75, 1),),
+                           0.75)]
     p = tmp_path / "seqs.txt"
     save_sequences(p, seqs)
-    loaded = load_sequences(p)
-    assert len(loaded) == len(seqs)
-    for a, b in zip(loaded, seqs):
-        assert a.score == b.score
-        for pa, pb in zip(a.proposals, b.proposals):
-            assert pa.clip_index == pb.clip_index
-            assert pa.actionness == pb.actionness
-            assert tuple(x.astuple() for x in pa.tube) == \
-                tuple(x.astuple() for x in pb.tube)
+    assert p.read_text() == (
+        "# sequence score 1.125\n"
+        "0 0 0.0 0.0 9.0 9.0 0.5\n"
+        "0 1 0.0 0.0 9.0 9.0 0.5\n"
+        "1 0 1.5 0.30000000000000004 10.0 11.0 0.25\n"
+        "1 1 1.5 0.30000000000000004 10.0 11.0 0.25\n"
+        "# sequence score 0.75\n"
+        "0 0 3.0 4.0 5.0 6.0 0.75\n")

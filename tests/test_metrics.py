@@ -172,7 +172,7 @@ def test_roc_hand_case():
     gts = [gt(0, 1, 0, b), gt(0, 1, 1, b)]
     dets = [det(0, 1, 0.9, 0, b), det(0, 1, 0.8, 0, far),
             det(0, 1, 0.7, 1, b), det(0, 1, 0.6, 1, far)]
-    points, auc = roc_auc(dets, gts, 0.5, num_frames=2)
+    points, auc = roc_auc(dets, gts, 0.5)
     # thresholds sweep: (fp/frame, tpr) = (0,.5) (0.5,.5) (0.5,1) (1,1)
     assert points == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (0.5, 1.0),
                       (1.0, 1.0)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tubenet import tensor
-from tubenet.models import TCNN, Encoder
+from tubenet.models import TCNN, Encoder, _ModelBase
 from tubenet.proposals import POSITIVE, Anchor, assign_actionness_labels
 from tubenet.tensor import softmax_xent
 from tubenet.toi import Box
@@ -13,6 +13,17 @@ from tubenet.toi import Box
 def _tcnn():
     return TCNN(2, [Anchor(20.0, 16.0), Anchor(12.0, 24.0)], (48, 64),
                 seed=7)
+
+
+def test_load_flat_state_nests_dotted_names():
+    loaded = []
+
+    class Probe(_ModelBase):
+        def load_state(self, st):
+            loaded.append(st)
+
+    Probe().load_flat_state({"a.b.c": 1, "a.b.d": 2, "e": 3})
+    assert loaded == [{"a": {"b": {"c": 1, "d": 2}}, "e": 3}]
 
 
 def _grads(model):

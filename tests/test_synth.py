@@ -140,7 +140,7 @@ def test_load_video_frames_roundtrip(tmp_path):
 
 def test_load_video_masks_roundtrip(tmp_path):
     gen_dataset(SMALL, tmp_path)
-    masks = load_video_masks(tmp_path, 6, num_frames=5)
+    masks = load_video_masks(tmp_path, 6)[:5]
     _, want, _, _ = render_video(SMALL, 6)
     assert len(masks) == 5
     for got, w in zip(masks, want):

@@ -2,6 +2,8 @@ import contextlib
 import multiprocessing
 import struct
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -118,7 +120,8 @@ def test_conv_linearity():
 def test_conv_grads_match_finite_differences():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 4, 4))
-    k = make_kernels(2, 2, (3, 3, 3), rng, dtype=np.float64)
+    k = make_kernels(2, 2, (3, 3, 3), rng)
+    k = KernelSet(k.weights.astype(np.float64), k.bias.astype(np.float64))
     gy = rng.standard_normal(conv3d_out_shape(x.shape, k))
     gx, gw, gb = conv3d_backward(gy, x, k)
 
@@ -390,16 +393,19 @@ def test_pool_constant_input_lowest_flat_index_tie():
     x = np.zeros((1, 2, 4, 4))
     y, amap = maxpool3d(x, (2, 2, 2))
     assert np.all(y == 0)
-    # each window's argmax is its lowest flat index element
-    first = amap.indices[0, 0, 0, 0]
-    assert first == 0
+    # each window's winner is its first element
+    assert not amap.offsets.any()
 
 
 def test_pool_output_is_window_max_and_argmax_consistent():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 4, 6, 6))
     y, amap = maxpool3d(x, (2, 2, 2))
-    assert np.array_equal(x.ravel()[amap.indices.ravel()].reshape(y.shape), y)
+    windows = _pool_window_matrix(x, (2, 2, 2))
+    assert np.array_equal(windows.max(axis=-1), y)
+    winners = np.take_along_axis(windows, amap.offsets[..., None].astype(int),
+                                 axis=-1)
+    assert np.array_equal(winners[..., 0], y)
 
 
 def test_pool_backward_matches_finite_differences():
@@ -413,17 +419,26 @@ def test_pool_backward_matches_finite_differences():
     assert rel_err(gx, fx) < 1e-5
 
 
-def _maxpool3d_oracle(x, kernel):
-    """Reference max pool: pad with -inf, copy the windows into a trailing
-    axis, take numpy's argmax (first max; a NaN beats any number) and build
-    every flat index from a meshgrid."""
+def _pool_window_matrix(x, kernel):
+    """Each pooling window of `x`, padded with -inf, copied into a
+    trailing axis in row-major (kd, kh, kw) order: (C, oD, oH, oW, k)."""
     kd, kh, kw = kernel
     c, d, h, w = x.shape
     od, oh, ow = -(-d // kd), -(-h // kh), -(-w // kw)
     xp = np.pad(x, ((0, 0), (0, od * kd - d), (0, oh * kh - h),
                     (0, ow * kw - w)), constant_values=-np.inf)
     r = xp.reshape(c, od, kd, oh, kh, ow, kw).transpose(0, 1, 3, 5, 2, 4, 6)
-    r = np.ascontiguousarray(r).reshape(c, od, oh, ow, kd * kh * kw)
+    return np.ascontiguousarray(r).reshape(c, od, oh, ow, kd * kh * kw)
+
+
+def _maxpool3d_oracle(x, kernel):
+    """Reference max pool: numpy's argmax over each window (first max; a
+    NaN beats any number). Returns the output, each window's argmax and an
+    `ArgmaxMap` of every winner's flat index, built from a meshgrid."""
+    kd, kh, kw = kernel
+    c, d, h, w = x.shape
+    r = _pool_window_matrix(x, kernel)
+    _, od, oh, ow, _ = r.shape
     win_arg = r.argmax(axis=-1)
     out = np.take_along_axis(r, win_arg[..., None], axis=-1)[..., 0]
     a, rem = np.divmod(win_arg, kh * kw)
@@ -431,7 +446,7 @@ def _maxpool3d_oracle(x, kernel):
     ci, di, hi, wi = np.meshgrid(np.arange(c), np.arange(od), np.arange(oh),
                                  np.arange(ow), indexing="ij")
     flat = ((ci * d + di * kd + a) * h + hi * kh + b) * w + wi * kw + cc
-    return out.astype(x.dtype, copy=False), ArgmaxMap(flat, x.shape)
+    return out.astype(x.dtype, copy=False), win_arg, ArgmaxMap(flat, x.shape)
 
 
 def _maxpool3d_backward_oracle(grad_out, amap):
@@ -471,10 +486,10 @@ def _pool_cases(draw):
 def test_pool_matches_oracle_bytes(case, data):
     x, kernel = case
     y, amap = maxpool3d(x, kernel)
-    y_ref, amap_ref = _maxpool3d_oracle(x, kernel)
+    y_ref, arg_ref, amap_ref = _maxpool3d_oracle(x, kernel)
     assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
     assert y.tobytes() == y_ref.tobytes()
-    assert np.array_equal(amap.indices, amap_ref.indices)
+    assert np.array_equal(amap.offsets, arg_ref)
     grads = data.draw(hnp.arrays(x.dtype, y.shape, elements=st.one_of(
         st.sampled_from([0.0, -0.0, np.nan]),
         st.floats(-4.0, 4.0, width=32))))
@@ -493,7 +508,7 @@ def test_pool_signed_zero_nan_and_all_minus_inf_windows():
     # -inf window picks its first element
     assert np.signbit(y[0, 0, 0, 0])
     assert np.isnan(y[0, 0, 0, 1]) and y[0, 0, 0, 2] == -np.inf
-    assert amap.indices.ravel().tolist() == [0, 3, 4]
+    assert amap.offsets.ravel().tolist() == [0, 1, 0]
     gx = maxpool3d_backward(np.full(y.shape, -0.0, np.float32), amap)
     assert not np.signbit(gx).any()
 
@@ -649,9 +664,9 @@ def test_pool_blocks_of_channels_give_the_oracle_bytes(channels):
     with _split_everything(2 * x.nbytes // channels) as splits:
         y, amap = maxpool3d(x, (1, 2, 2))
     assert len(splits) == 1
-    y_ref, amap_ref = _maxpool3d_oracle(x, (1, 2, 2))
+    y_ref, arg_ref, _ = _maxpool3d_oracle(x, (1, 2, 2))
     assert y.tobytes() == y_ref.tobytes()
-    assert np.array_equal(amap.indices, amap_ref.indices)
+    assert np.array_equal(amap.offsets, arg_ref)
 
 
 @needs_blas_control
@@ -660,7 +675,8 @@ def test_no_helper_without_a_free_core(monkeypatch, reason):
     x = np.random.default_rng(3).standard_normal((2, 4, 5, 6))
     k = make_kernels(3, 2, (3, 3, 3), np.random.default_rng(4))
     monkeypatch.setattr(tensor, "_SPLIT_MIN_BYTES", 0)
-    monkeypatch.setattr(tensor, "_helper", lambda: pytest.fail("helper"))
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("started a thread"))
     threads = 1
     if reason == "blas":
         threads = 2
@@ -682,13 +698,13 @@ def _split_conv_in_child(x, k, want):
 @needs_blas_control
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the platform cannot fork")
-def test_forked_child_rebuilds_the_helper():
+def test_forked_child_splits_a_conv_with_the_parents_bytes():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 4, 5, 6)).astype(np.float32)
     k = make_kernels(3, 2, (3, 3, 3), rng)
-    with _split_everything():
-        want = conv3d(x, k).tobytes()  # the parent's helper is running
-    assert tensor._helper_pool is not None
+    with _split_everything() as splits:
+        want = conv3d(x, k).tobytes()
+    assert splits
     child = multiprocessing.get_context("fork").Process(
         target=_split_conv_in_child, args=(x, k, want))
     child.start()
@@ -697,6 +713,52 @@ def test_forked_child_rebuilds_the_helper():
         child.kill()
         pytest.fail("conv3d hung in the forked child")
     assert child.exitcode == 0
+
+
+@needs_blas_control
+def test_a_split_leaves_no_thread_behind():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 4, 5, 6)).astype(np.float32)
+    k = make_kernels(3, 2, (3, 3, 3), rng)
+    before = threading.active_count()
+    with _split_everything() as splits:
+        conv3d(x, k)
+        maxpool3d(x, (2, 2, 2))
+    assert len(splits) == 2
+    assert threading.active_count() == before
+
+
+def _halves(log, mine_error=None, their_error=None):
+    """A split's work: each half sleeps (the other thread's the longer),
+    logs that it has ended, then raises its error if it has one."""
+    def work(name, error, delay):
+        time.sleep(delay)
+        log.append(name)
+        if error is not None:
+            raise error
+    return work, ("mine", mine_error, 0.0), ("theirs", their_error, 0.05)
+
+
+def test_an_error_of_the_other_half_reaches_the_caller_after_both_end():
+    log = []
+    with pytest.raises(ValueError, match="theirs"):
+        tensor._on_two_workers(*_halves(log, their_error=ValueError("theirs")))
+    assert sorted(log) == ["mine", "theirs"]
+
+
+def test_the_callers_error_waits_for_the_other_half():
+    log = []
+    with pytest.raises(ValueError, match="mine"):
+        tensor._on_two_workers(*_halves(log, mine_error=ValueError("mine")))
+    assert log == ["mine", "theirs"]
+
+
+def test_the_callers_error_wins_when_both_halves_raise():
+    log = []
+    with pytest.raises(KeyError, match="mine"):
+        tensor._on_two_workers(*_halves(log, KeyError("mine"),
+                                        ValueError("theirs")))
+    assert log == ["mine", "theirs"]
 
 
 # ---------------------------------------------------------------------------
