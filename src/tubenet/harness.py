@@ -139,12 +139,30 @@ def save_model(model, out_dir):
 
 
 def load_model_state(out_dir):
+    """The checkpoint's parameters by dotted name. A manifest line that
+    does not parse, or whose shape does not fit its file, stops the load
+    with the manifest's path, the line number and the parameter."""
     out_dir = Path(out_dir)
+    manifest = out_dir / "manifest.txt"
     flat = {}
-    for line in (out_dir / "manifest.txt").read_text().splitlines():
-        name, shape_s, fname = line.split()
-        shape = tuple(int(s) for s in shape_s.split(","))
-        flat[name] = load_tensor(out_dir / fname).reshape(shape)
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
+        fields = line.split()
+        if len(fields) != 3:
+            raise ValueError(f"{manifest}:{lineno}: expected 'name shape "
+                             f"file', got {line!r}")
+        name, shape_s, fname = fields
+        try:
+            shape = tuple(int(s) for s in shape_s.split(","))
+        except ValueError:
+            raise ValueError(f"{manifest}:{lineno}: {name}: shape "
+                             f"{shape_s!r} is not comma-separated "
+                             f"integers") from None
+        values = load_tensor(out_dir / fname)
+        if values.size != math.prod(shape):
+            raise ValueError(f"{manifest}:{lineno}: {name}: shape {shape_s} "
+                             f"does not fit the {values.size} values of "
+                             f"{fname}")
+        flat[name] = values.reshape(shape)
     return flat
 
 
@@ -216,8 +234,12 @@ def _new_model(name, cfg, ann):
 def _load_model(name, cfg):
     ann = load_annotations(cfg.data_dir)
     model = _new_model(name, cfg, ann)
-    model.load_flat_state(load_model_state(
-        Path(cfg.out_dir) / f"{name}_model"))
+    ckpt = Path(cfg.out_dir) / f"{name}_model"
+    flat = load_model_state(ckpt)
+    try:
+        model.load_flat_state(flat)
+    except ValueError as err:
+        raise ValueError(f"{ckpt / 'manifest.txt'}: {err}") from None
     return model, ann
 
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .proposals import iou as iou_box
 from .segmentation import SegMask
@@ -164,10 +163,17 @@ def roc_auc(dets, gts, alpha: float):
     return points, float(auc)
 
 
+def _ndimage():
+    """scipy.ndimage, imported at the first contour. Only contours use it,
+    so every command but `eval` runs without loading scipy."""
+    from scipy import ndimage
+    return ndimage
+
+
 def _boundary(bits: np.ndarray) -> np.ndarray:
     if not bits.any():
         return np.zeros_like(bits)
-    eroded = ndimage.binary_erosion(bits, border_value=0)
+    eroded = _ndimage().binary_erosion(bits, border_value=0)
     return bits & ~eroded
 
 
@@ -191,7 +197,8 @@ def mask_contour(mask) -> Contour:
     if isinstance(mask, Contour):
         return mask
     b = _boundary(mask.bits)
-    return Contour(b, ndimage.distance_transform_edt(~b) if b.any() else None)
+    return Contour(b, _ndimage().distance_transform_edt(~b) if b.any()
+                   else None)
 
 
 def contour_f(pred, gt, tolerance: float | None = None) -> float:

@@ -76,7 +76,16 @@ class _ModelBase:
         return _flatten_state(self.state())
 
     def load_flat_state(self, flat):
-        """`load_state` of the nested dict that `flat_state` flattened."""
+        """`load_state` of the nested dict that `flat_state` flattened. A
+        parameter of this model that `flat` lacks, or holds in another
+        shape, raises a ValueError naming its dotted name."""
+        for name, want in sorted(self.flat_state().items()):
+            if name not in flat:
+                raise ValueError(f"no parameter {name}")
+            if np.shape(flat[name]) != np.shape(want):
+                raise ValueError(f"parameter {name} has shape "
+                                 f"{np.shape(flat[name])}, the model's is "
+                                 f"{np.shape(want)}")
         nested = {}
         for name, arr in flat.items():
             *parents, leaf = name.split(".")

@@ -618,55 +618,56 @@ _OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
 
 
 @functools.lru_cache(maxsize=None)
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every loaded OpenBLAS, in load
-    order, so numpy's comes first.
+def _blas_thread_control():
+    """(get, set) thread-count functions of numpy's OpenBLAS, which runs
+    every tubenet GEMM. It is the first OpenBLAS in load order: this module
+    imports numpy before anything else can load one. An OpenBLAS loaded
+    later, such as scipy's own (`metrics` imports scipy at the first
+    contour), runs no tubenet GEMM and is left alone.
 
-    Empty, after one warning naming numpy's BLAS, if that BLAS is not one
+    None, after one warning naming numpy's BLAS, if that BLAS is not one
     whose thread count this module can control.
     """
-    controls = []
-    for path in _loaded_libraries():
-        if "openblas" not in os.path.basename(path).lower():
-            continue
-        lib = ctypes.CDLL(path)
-        for pattern in _OPENBLAS_THREAD_SYMBOLS:
-            get = getattr(lib, pattern.format("get"), None)
-            set_ = getattr(lib, pattern.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
     config = getattr(np, "__config__", None)
     blas = getattr(config, "CONFIG", {}).get(
         "Build Dependencies", {}).get("blas", {}).get("name", "unknown")
-    if blas != "unknown" and "openblas" not in blas.lower():
-        controls = []  # pinning scipy's OpenBLAS would not touch numpy's GEMMs
-    if not controls:
-        warnings.warn(f"BLAS {blas!r} offers no thread control tubenet "
-                      f"recognises; output bytes may depend on the core "
-                      f"count", RuntimeWarning)
-    return tuple(controls)
+    if blas == "unknown" or "openblas" in blas.lower():
+        for path in _loaded_libraries():
+            if "openblas" not in os.path.basename(path).lower():
+                continue
+            lib = ctypes.CDLL(path)
+            for pattern in _OPENBLAS_THREAD_SYMBOLS:
+                get = getattr(lib, pattern.format("get"), None)
+                set_ = getattr(lib, pattern.format("set"), None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    warnings.warn(f"BLAS {blas!r} offers no thread control tubenet "
+                  f"recognises; output bytes may depend on the core "
+                  f"count", RuntimeWarning)
+    return None
 
 
 def blas_thread_count():
     """Threads numpy's BLAS uses per GEMM, or None if it cannot be
     controlled."""
-    controls = _blas_thread_controls()
-    return controls[0][0]() if controls else None
+    control = _blas_thread_control()
+    return control[0]() if control else None
 
 
 @contextlib.contextmanager
 def blas_threads(n: int):
-    """Hold every loaded OpenBLAS at `n` threads inside the block and put the
-    previous counts back on exit. Usable as a decorator."""
-    controls = _blas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(n)
+    """Hold numpy's OpenBLAS at `n` threads inside the block and put the
+    previous count back on exit. Usable as a decorator."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(n)
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
+        set_(previous)

@@ -2,16 +2,21 @@
 plumbing."""
 
 import csv
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tubenet
 from tubenet.cli import main
-from tubenet.harness import (RunConfig, _clips_of, _split_videos,
-                             eval_detections, load_model_state, run_eval,
-                             run_gen, run_segment, save_model)
+from tubenet.harness import (RunConfig, _clips_of, _new_model, _split_videos,
+                             eval_detections, load_model_state, load_stcnn,
+                             run_eval, run_gen, run_segment, save_model)
 from tubenet.models import STCNN, TCNN
 from tubenet.proposals import Anchor
 from tubenet.synth import NUM_CLASSES, load_annotations
@@ -208,6 +213,57 @@ def test_cli_gen_respects_config_file(tmp_path):
     assert (tmp_path / "d2" / "videos" / "000").exists()
 
 
+@pytest.mark.parametrize("fault", ["shape", "short", "missing",
+                                   "model shape"])
+def test_bad_checkpoint_names_manifest_line_and_parameter(tmp_path, fault):
+    cfg = RunConfig(data_dir=str(tmp_path / "data"),
+                    out_dir=str(tmp_path / "out"), num_videos=2,
+                    num_frames=8, height=48, width=64)
+    run_gen(cfg)
+    ckpt = tmp_path / "out" / "stcnn_model"
+    save_model(_new_model("stcnn", cfg, load_annotations(cfg.data_dir)), ckpt)
+    manifest = ckpt / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    # a bias two dots deep: its shape is (channels,)
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("encoder.") and line.split()[0].endswith(".b"))
+    name, shape, fname = lines[i].split()
+    (channels,) = map(int, shape.split(","))
+    if fault == "shape":
+        lines[i] = f"{name} 9,9 {fname}"
+    elif fault == "short":
+        lines[i] = f"{name} {shape}"
+    elif fault == "missing":
+        del lines[i]
+    else:  # fits the file, not the model
+        lines[i] = f"{name} 2,{channels // 2} {fname}"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_stcnn(cfg)
+    msg = str(err.value)
+    assert msg.startswith(f"{manifest}:")
+    assert name in msg
+    if fault in ("shape", "short"):
+        assert msg.startswith(f"{manifest}:{i + 1}: ")
+
+
+def test_commands_but_eval_run_without_scipy(tmp_path):
+    # a fresh process: this one has scipy loaded by the metric tests
+    src = str(Path(tubenet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["gen", "--set", f"data_dir={tmp_path / 'data'}",
+            "--set", "num_videos=2", "--set", "num_frames=8",
+            "--set", "height=48", "--set", "width=64"]
+    code = ("import sys, tubenet, tubenet.cli\n"
+            f"tubenet.cli.main({argv!r})\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "data" / "videos" / "000").exists()
+
+
 # ----------------------------------------------------------------------
 # videos whose length is not a multiple of the 8-frame clip
 
@@ -235,8 +291,9 @@ def test_run_segment_one_stcnn_forward_per_clip(tmp_path, monkeypatch):
                     out_dir=str(tmp_path / "out"), num_videos=3,
                     num_frames=16, height=48, width=64)
     run_gen(cfg)
-    save_model(STCNN(2, (48, 64)), tmp_path / "out" / "stcnn_model")
-    test_vids = _split_videos(load_annotations(cfg.data_dir), "test")
+    ann = load_annotations(cfg.data_dir)
+    save_model(_new_model("stcnn", cfg, ann), tmp_path / "out" / "stcnn_model")
+    test_vids = _split_videos(ann, "test")
     calls = []
     forward = STCNN.forward
 

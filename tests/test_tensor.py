@@ -1,11 +1,14 @@
 import contextlib
 import multiprocessing
+import os
 import struct
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -898,7 +901,7 @@ def test_blas_threads_pins_inside_and_restores_on_exit():
 
 def test_blas_threads_without_thread_control_warns_once_and_runs(monkeypatch):
     monkeypatch.setattr(tensor, "_loaded_libraries", lambda: [])
-    tensor._blas_thread_controls.cache_clear()
+    tensor._blas_thread_control.cache_clear()
     try:
         with pytest.warns(RuntimeWarning, match="no thread control"):
             with blas_threads(1):
@@ -908,4 +911,56 @@ def test_blas_threads_without_thread_control_warns_once_and_runs(monkeypatch):
             with blas_threads(1):
                 assert blas_thread_count() is None
     finally:
-        tensor._blas_thread_controls.cache_clear()
+        tensor._blas_thread_control.cache_clear()
+
+
+_PINS_NUMPYS_BLAS = """
+import ctypes, os
+import numpy
+from tubenet import tensor
+
+def openblas():
+    return [p for p in tensor._loaded_libraries()
+            if "openblas" in os.path.basename(p).lower()]
+
+def counts(paths):
+    out = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for pattern in tensor._OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, pattern.format("get"), None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                out.append(get())
+                break
+    return out
+
+numpys = openblas()
+if SCIPY_FIRST:
+    import scipy.ndimage
+before = tensor.blas_thread_count()  # fills the cached control
+import scipy.ndimage
+assert len(openblas()) > len(numpys), "scipy loaded no OpenBLAS of its own"
+with tensor.blas_threads(2):
+    assert tensor.blas_thread_count() == 2 and counts(numpys) == [2]
+    with tensor.blas_threads(1):
+        assert tensor.blas_thread_count() == 1 and counts(numpys) == [1]
+assert tensor.blas_thread_count() == before and counts(numpys) == [before]
+print("ok")
+"""
+
+
+@pytest.mark.skipif(blas_thread_count() is None,
+                    reason="the loaded BLAS exposes no thread control")
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_blas_threads_pins_numpys_openblas_beside_scipys(scipy_first):
+    # a fresh process, so that scipy's OpenBLAS loads after the first thread
+    # query (or, with scipy_first, before it); this one has scipy loaded
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"SCIPY_FIRST = {scipy_first}\n" + _PINS_NUMPYS_BLAS
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ok"]
