@@ -23,8 +23,8 @@ from .linking import TubeProposal, link_top_k, save_sequences
 from .models import CLIP, STCNN, TCNN, UPSAMPLERS
 from .proposals import kmeans_anchors
 from .segmentation import mask_to_box
-from .synth import (SyntheticSpec, gen_dataset, load_annotations,
-                    load_video_frames, load_video_masks)
+from .synth import (ANNOTATIONS, SyntheticSpec, gen_dataset,
+                    load_annotations, load_video_frames, load_video_masks)
 from .tensor import blas_threads, load_tensor, save_tensor, softmax
 from .toi import Box, Tube
 
@@ -192,6 +192,15 @@ def _random_clip(rng, frames, *per_frame):
 
 def _split_videos(ann, split):
     return sorted(v for v, e in ann.items() if e["split"] == split)
+
+
+def _test_videos(cfg, ann):
+    """The test split, which detect, segment and eval need at least one
+    video of."""
+    vids = _split_videos(ann, "test")
+    if not vids:
+        raise ValueError(f"{Path(cfg.data_dir) / ANNOTATIONS}: no test video")
+    return vids
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +384,7 @@ def run_detect(cfg):
     out = Path(cfg.out_dir) / "detections"
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
-    for vid in _split_videos(ann, "test"):
+    for vid in _test_videos(cfg, ann):
         frames = load_video_frames(cfg.data_dir, vid)
         seq, label, conf, boxes = detect_video(model, frames, cfg)
         save_sequences(out / f"video_{vid:03d}.txt", [seq])
@@ -397,7 +406,7 @@ def run_segment(cfg):
     model, ann = load_stcnn(cfg)
     out = Path(cfg.out_dir) / "segmentations"
     rows = []
-    for vid in _split_videos(ann, "test"):
+    for vid in _test_videos(cfg, ann):
         frames = load_video_frames(cfg.data_dir, vid)
         num_frames = frames.shape[1]
         vdir = out / f"{vid:03d}"
@@ -437,7 +446,7 @@ def eval_detections(cfg):
     annotations, and the frame-mAP of the same boxes with each video's
     true label."""
     ann = load_annotations(cfg.data_dir)
-    vids = _split_videos(ann, "test")
+    vids = _test_videos(cfg, ann)
     det_rows, ranks = [], []
     path = Path(cfg.out_dir) / "detections" / "detections.csv"
     with open(path) as fh:
@@ -484,7 +493,7 @@ def eval_segmentations(cfg):
     from .segmentation import SegMask, load_mask
 
     ann = load_annotations(cfg.data_dir)
-    vids = _split_videos(ann, "test")
+    vids = _test_videos(cfg, ann)
     j_scores, f_scores, t_scores = {}, {}, []
     correct = 0
     label_rows = {}

@@ -234,16 +234,39 @@ def stcnn_table_specs(in_shape=(3, 8, 240, 320)):
     return rows
 
 
-def _run_encoder(rows, x, rng, keep):
-    """Run the encoder rows on `x` with random weights. Returns each row's
-    output shape and the outputs of the rows named in `keep`; the others
-    are freed as soon as the next row has read them."""
+def _weak_kernels(out_c, in_c, rng):
+    """3x3x3 Glorot kernels scaled by 0.05 in place: weak enough to keep a
+    random reference forward's activations bounded."""
+    k = tz.make_kernels(out_c, in_c, (3, 3, 3), rng)
+    np.multiply(k.weights, 0.05, out=k.weights)
+    return k
+
+
+# rows of an fc weight a reference forward draws and applies at a time:
+# 224 MiB of the bottom-up fc6's 896 MiB
+_FC_ROWS = 1024
+
+
+def _fc_forward(x, out_n, rng):
+    """`x` through an fc layer of fresh Glorot weights and a zero bias,
+    drawn and applied `_FC_ROWS` rows at a time in the generator's order:
+    the bytes and the generator state of `tz.fully_connected` against the
+    whole weight. `out_n` is a multiple of `_FC_ROWS`."""
+    bias = np.zeros(_FC_ROWS, dtype=np.float32)
+    return np.concatenate([tz.fully_connected(
+        x, tz.glorot_uniform((_FC_ROWS, x.size), rng, x.size, out_n), bias)
+        for _ in range(out_n // _FC_ROWS)])
+
+
+def _run_encoder(in_shape, rng, keep):
+    """Run the encoder rows on a random input with random weights. Returns
+    each row's output shape and the outputs of the rows named in `keep`;
+    the others are freed as soon as the next row has read them."""
+    x = rng.standard_normal(in_shape).astype(np.float32)
     shapes, kept = [], {}
-    for spec in rows:
+    for spec in _encoder_specs(in_shape):
         if spec.kind == "conv":
-            k = tz.make_kernels(spec.out_shape[0], x.shape[0], spec.kernel, rng)
-            k = KernelSet(k.weights * 0.05, k.bias)  # keep activations bounded
-            x = tz.conv3d(x, k)
+            x = tz.conv3d(x, _weak_kernels(spec.out_shape[0], x.shape[0], rng))
             tz.relu(x, out=x)
         else:
             x = tz.maxpool3d(x, spec.kernel)[0]
@@ -260,18 +283,13 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     from .proposals import PairedFeatureProjector
 
     rng = np.random.default_rng(seed)
-    rows = tcnn_table_specs(in_shape)
-    x = rng.standard_normal(in_shape).astype(np.float32)
-    shapes, acts = _run_encoder(_encoder_specs(in_shape), x, rng,
-                                ("conv2", "conv5b"))
-    del x
-    conv2 = acts.pop("conv2")
-    conv5 = acts.pop("conv5b")
-    tube2 = toi.full_frame_tube(conv2.shape[1], *conv2.shape[2:])
-    pooled2, _ = toi.toi_pool_forward(conv2, tube2, (8, 8, 8))
+    shapes, acts = _run_encoder(in_shape, rng, ("conv2", "conv5b"))
+    conv2, conv5 = acts.pop("conv2"), acts.pop("conv5b")
+    pooled2, _ = toi.toi_pool_forward(
+        conv2, toi.full_frame_tube(*conv2.shape[1:]), (8, 8, 8))
     shapes.append(("toi-pool2", pooled2.shape))
-    tube5 = toi.full_frame_tube(conv5.shape[1], *conv5.shape[2:])
-    pooled5, _ = toi.toi_pool_forward(conv5, tube5, (1, 4, 4))
+    pooled5, _ = toi.toi_pool_forward(
+        conv5, toi.full_frame_tube(*conv5.shape[1:]), (1, 4, 4))
     shapes.append(("toi-pool5", pooled5.shape))
 
     # per-tube 1x1 channel projections sized so the halves total 8192
@@ -280,13 +298,11 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     vec, _ = proj.forward(pooled2, pooled5)
     shapes.append(("1x1 conv", vec.shape))
     del conv2, conv5
-    fc6 = FC(vec.shape[0], 4096, rng)
-    v = tz.relu(fc6.forward(vec)[0])
+    v = tz.relu(_fc_forward(vec, 4096, rng))
     shapes.append(("fc6", v.shape))
-    fc7 = FC(4096, 4096, rng)
-    v, _ = fc7.forward(v)
+    v = _fc_forward(v, 4096, rng)
     shapes.append(("fc7", v.shape))
-    return rows, shapes
+    return tcnn_table_specs(in_shape), shapes
 
 
 # columns of one frame the bottom-up head maps at a time: a 4096-channel
@@ -299,30 +315,18 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     from . import toi
 
     rng = np.random.default_rng(seed)
-    rows = stcnn_table_specs(in_shape)
-    byname = {r.name: r for r in rows}
-    x = rng.standard_normal(in_shape).astype(np.float32)
     shapes, acts = _run_encoder(
-        _encoder_specs(in_shape), x, rng,
-        ("conv5b",) + tuple(row[3] for row in _DECODER_ROWS))
-    del x
+        in_shape, rng, ("conv5b",) + tuple(row[3] for row in _DECODER_ROWS))
     cur = acts.pop("conv5b")
-    for up_name, _, _, skip, conv_name, _ in _DECODER_ROWS:
-        spec = byname[up_name]
-        p = UpscaleFactors(*(o // i for o, i in
-                             zip(spec.out_shape[1:], cur.shape[1:])))
-        k = tz.make_kernels(spec.out_shape[0] * p.volume, cur.shape[0],
-                            (3, 3, 3), rng)
-        k = KernelSet(k.weights * 0.05, k.bias)
-        cur = subpixel_upsample3d(cur, k, p)
+    for up_name, up_c, p, skip, conv_name, conv_c in _DECODER_ROWS:
+        p = UpscaleFactors(*p)
+        cur = subpixel_upsample3d(
+            cur, _weak_kernels(up_c * p.volume, cur.shape[0], rng), p)
         shapes.append((up_name, cur.shape))
         cur = np.concatenate([cur, acts.pop(skip)], axis=0)
         if conv_name == "conv1c":
             concat1 = cur
-        kc = tz.make_kernels(byname[conv_name].out_shape[0], cur.shape[0],
-                             (3, 3, 3), rng)
-        kc = KernelSet(kc.weights * 0.05, kc.bias)
-        out = tz.relu(tz.conv3d(cur, kc))
+        out = tz.relu(tz.conv3d(cur, _weak_kernels(conv_c, cur.shape[0], rng)))
         shapes.append((conv_name, out.shape))
         if conv_name != "conv1c":
             cur = out
@@ -340,19 +344,14 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
             h6 = w6 @ frame[:, lo:lo + _HEAD_COLS]
             tz.relu(h6, out=h6)
             seg_t[:, lo:lo + _HEAD_COLS] = w7 @ h6
-    conv6_shape = (4096, concat1.shape[1]) + concat1.shape[2:]
-    shapes.append(("conv6", conv6_shape))
+    shapes.append(("conv6", (4096,) + concat1.shape[1:]))
     shapes.append(("conv7", seg.shape))
 
-    tube = toi.full_frame_tube(concat1.shape[1], *concat1.shape[2:])
-    pooled, _ = toi.toi_pool_forward(concat1, tube, (8, 8, 8))
+    pooled, _ = toi.toi_pool_forward(
+        concat1, toi.full_frame_tube(*concat1.shape[1:]), (8, 8, 8))
     shapes.append(("toi-pool", pooled.shape))
-    vec = pooled.ravel()
-    fc6 = FC(vec.shape[0], 4096, rng)
-    v = tz.relu(fc6.forward(vec)[0])
+    v = tz.relu(_fc_forward(pooled.ravel(), 4096, rng))
     shapes.append(("fc6", v.shape))
-    del fc6
-    fc7 = FC(4096, 4096, rng)
-    v, _ = fc7.forward(v)
+    v = _fc_forward(v, 4096, rng)
     shapes.append(("fc7", v.shape))
-    return rows, shapes
+    return stcnn_table_specs(in_shape), shapes

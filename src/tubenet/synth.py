@@ -26,6 +26,8 @@ from .tensor import save_tensor
 from .toi import Box
 
 NUM_CLASSES = 4
+# the name of the per-frame annotations file under a dataset's root
+ANNOTATIONS = "annotations.csv"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,7 +136,7 @@ def gen_dataset(spec, root):
                 "x2": int(b.x2), "y2": int(b.y2),
             })
     fields = ["video", "frame", "split", "label", "x1", "y1", "x2", "y2"]
-    with open(root / "annotations.csv", "w", newline="") as fh:
+    with open(root / ANNOTATIONS, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
@@ -142,22 +144,39 @@ def gen_dataset(spec, root):
 
 
 def load_annotations(root):
-    """Parse annotations.csv back into {video: (split, label, boxes)}."""
-    root = Path(root)
+    """Parse annotations.csv back into {video: (split, label, boxes)}.
+    Each video's rows hold its frames 0..F-1, one row each."""
+    path = Path(root) / ANNOTATIONS
     videos = {}
-    with open(root / "annotations.csv", newline="") as fh:
+    with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            vid = int(row["video"])
+            vid, frame = int(row["video"]), int(row["frame"])
             entry = videos.setdefault(
                 vid, {"split": row["split"], "label": int(row["label"]),
                       "boxes": {}})
-            entry["boxes"][int(row["frame"])] = Box(
+            if frame in entry["boxes"]:
+                raise ValueError(f"{path}: video {vid} has two rows for "
+                                 f"frame {frame}")
+            entry["boxes"][frame] = Box(
                 float(row["x1"]), float(row["y1"]),
                 float(row["x2"]), float(row["y2"]))
-    for entry in videos.values():
-        frames = sorted(entry["boxes"])
-        entry["boxes"] = [entry["boxes"][f] for f in frames]
+    for vid, entry in videos.items():
+        boxes = entry["boxes"]
+        missing = next((f for f in range(len(boxes)) if f not in boxes), None)
+        if missing is not None:
+            raise ValueError(f"{path}: video {vid} has no row for frame "
+                             f"{missing}")
+        entry["boxes"] = [boxes[f] for f in range(len(boxes))]
     return videos
+
+
+def _frame_files(vdir, pattern):
+    """The sorted files of a video directory; a directory with none is an
+    error that names it."""
+    paths = sorted(vdir.glob(pattern))
+    if not paths:
+        raise ValueError(f"{vdir}: no {pattern} files")
+    return paths
 
 
 def load_video_frames(root, video):
@@ -165,7 +184,7 @@ def load_video_frames(root, video):
     from .tensor import load_tensor
 
     vdir = Path(root) / "videos" / f"{video:03d}"
-    frames = [load_tensor(p)[:, 0] for p in sorted(vdir.glob("frame_*.t4"))]
+    frames = [load_tensor(p)[:, 0] for p in _frame_files(vdir, "frame_*.t4")]
     return np.stack(frames, axis=1)
 
 
@@ -173,4 +192,4 @@ def load_video_masks(root, video):
     from .segmentation import SegMask, load_mask
 
     mdir = Path(root) / "masks" / f"{video:03d}"
-    return [SegMask(load_mask(p)) for p in sorted(mdir.glob("frame_*.sm"))]
+    return [SegMask(load_mask(p)) for p in _frame_files(mdir, "frame_*.sm")]

@@ -347,6 +347,19 @@ def test_eval_of_ground_truth_masks(tmp_path):
     assert rows[12][1] == f"{0.0:.6f}"
 
 
+def test_eval_of_a_dataset_without_test_videos_names_its_annotations(
+        tmp_path):
+    # two videos pass the config checks, but both fall in the train split
+    cfg = RunConfig(data_dir=str(tmp_path / "data"),
+                    out_dir=str(tmp_path / "out"), num_videos=2,
+                    num_frames=8, height=48, width=64)
+    run_gen(cfg)
+    (tmp_path / "out" / "segmentations").mkdir(parents=True)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 'data' / 'annotations.csv'}: no test video")):
+        run_eval(cfg)
+
+
 @pytest.mark.parametrize("drop", [1, 8])
 def test_eval_rejects_a_short_mask_set_naming_the_directory(tmp_path, drop):
     cfg, vids = _ground_truth_as_predictions(tmp_path)

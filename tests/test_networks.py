@@ -1,6 +1,7 @@
 """The trainable-layer contract: the checkpoint keys of both models, which
 layer owns each key's gradients, state round trips, the upsampler layers,
-and the names the benchmark's tracer wraps."""
+and the names the benchmark's tracer wraps. The reference forwards, which
+build no trainable layer, and the bytes of their fc helper."""
 
 import importlib.util
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tubenet import networks, tensor
 from tubenet.models import STCNN, TCNN
 from tubenet.networks import ReLU, SubpixelUp, UnpoolUp
 from tubenet.proposals import Anchor
@@ -182,3 +184,32 @@ def test_relu_caches_its_output_and_masks_the_same_gradient():
     assert np.array_equal(y > 0, x > 0)
     got = ReLU().backward(gy, cache)
     assert got.tobytes() == np.where(x > 0, gy, 0).tobytes()
+
+
+def test_reference_forwards_build_no_trainable_layer(monkeypatch):
+    def refuse(self, w, b):
+        raise AssertionError("a forward-only run built a trainable layer")
+
+    monkeypatch.setattr(networks._Trainable, "__init__", refuse)
+    # small frames whose tables still close: 48x64 pools to 3x4 by conv5
+    for run in (networks.run_tcnn_table_forward,
+                networks.run_stcnn_table_forward):
+        rows, shapes = run((3, 8, 48, 64), 0)
+        assert dict(shapes) == {r.name: r.out_shape for r in rows}
+
+
+@pytest.mark.parametrize("threads", [1, "default"])
+def test_fc_forward_keeps_the_bytes_of_the_whole_weight(threads):
+    # at 8192 -> 4096 OpenBLAS splits the GEMV between threads
+    in_n, out_n = 8192, 4096
+    assert out_n > networks._FC_ROWS  # more than one row block
+    x = np.random.default_rng(3).standard_normal(in_n).astype(np.float32)
+    whole_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    n = 1 if threads == 1 else tensor.blas_thread_count()
+    with tensor.blas_threads(n):
+        want = tensor.fully_connected(
+            x, tensor.glorot_uniform((out_n, in_n), whole_rng, in_n, out_n),
+            np.zeros(out_n, dtype=np.float32))
+        got = networks._fc_forward(x, out_n, rng)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == whole_rng.bit_generator.state

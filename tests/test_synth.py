@@ -1,5 +1,7 @@
 """Synthetic dataset generator: determinism, geometry, on-disk layout."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,31 @@ def test_mask_files_decode(tmp_path):
     bits = load_mask(tmp_path / "masks" / "000" / "frame_0000.sm")
     assert bits.shape == (48, 64)
     assert bits.any() and not bits.all()
+
+
+@pytest.mark.parametrize("edit, error", [
+    ("delete", "video 0 has no row for frame 5"),
+    ("repeat", "video 0 has two rows for frame 5")])
+def test_annotations_hold_each_frame_once(tmp_path, edit, error):
+    gen_dataset(SMALL, tmp_path)
+    path = tmp_path / "annotations.csv"
+    lines = path.read_text().splitlines()
+    # the header, then video 0's frames 0..11
+    assert lines[6].startswith("0,5,")
+    lines[6:7] = [] if edit == "delete" else [lines[6]] * 2
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
+        load_annotations(tmp_path)
+
+
+@pytest.mark.parametrize("loader, kind, suffix", [
+    (load_video_frames, "videos", "t4"), (load_video_masks, "masks", "sm")])
+def test_video_directory_without_frames_is_named(tmp_path, loader, kind,
+                                                 suffix):
+    gen_dataset(SMALL, tmp_path)
+    vdir = tmp_path / kind / "003"
+    for path in vdir.iterdir():
+        path.unlink()
+    with pytest.raises(ValueError, match=re.escape(
+            f"{vdir}: no frame_*.{suffix} files")):
+        loader(tmp_path, 3)
