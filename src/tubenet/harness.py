@@ -24,11 +24,18 @@ from .models import CLIP, STCNN, TCNN, UPSAMPLERS
 from .proposals import kmeans_anchors
 from .segmentation import mask_to_box
 from .synth import (ANNOTATIONS, SyntheticSpec, gen_dataset,
-                    load_annotations, load_video_frames, load_video_masks)
+                    load_annotations, load_video_frames, load_video_masks,
+                    read_csv)
 from .tensor import blas_threads, load_tensor, save_tensor, softmax
 from .toi import Box, Tube
 
 ENV_PREFIX = "TUBENET_"
+# the columns of detections/detections.csv and segmentations/labels.csv,
+# with the type of each
+DETECTION_FIELDS = {"video": int, "rank": int, "label": int,
+                    "confidence": float, "frame": int, "x1": float,
+                    "y1": float, "x2": float, "y2": float}
+LABEL_FIELDS = {"video": int, "label": int, "confidence": float}
 
 
 @dataclasses.dataclass
@@ -392,7 +399,7 @@ def run_detect(cfg):
             all_rows.append((vid, 0, label, conf, f,
                              b.x1, b.y1, b.x2, b.y2))
     with open(out / "detections.csv", "w") as fh:
-        fh.write("video,rank,label,confidence,frame,x1,y1,x2,y2\n")
+        fh.write(",".join(DETECTION_FIELDS) + "\n")
         for row in all_rows:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
@@ -432,7 +439,7 @@ def run_segment(cfg):
         label = int(np.argmax(probs[1:]) + 1)
         rows.append((vid, label, float(probs[label])))
     with open(out / "labels.csv", "w") as fh:
-        fh.write("video,label,confidence\n")
+        fh.write(",".join(LABEL_FIELDS) + "\n")
         for vid, label, conf in rows:
             fh.write(f"{vid},{label},{conf!r}\n")
     return rows
@@ -449,15 +456,12 @@ def eval_detections(cfg):
     vids = _test_videos(cfg, ann)
     det_rows, ranks = [], []
     path = Path(cfg.out_dir) / "detections" / "detections.csv"
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            vid, rank, label, conf, f, x1, y1, x2, y2 = line.split(",")
-            det_rows.append(mx.Detection(
-                video=int(vid), cls=int(label), confidence=float(conf),
-                frame=int(f), box=Box(float(x1), float(y1),
-                                      float(x2), float(y2))))
-            ranks.append(int(rank))
+    for row in read_csv(path, DETECTION_FIELDS):
+        det_rows.append(mx.Detection(
+            video=row["video"], cls=row["label"],
+            confidence=row["confidence"], frame=row["frame"],
+            box=Box(row["x1"], row["y1"], row["x2"], row["y2"])))
+        ranks.append(row["rank"])
     frame_gts = [{"video": vid, "frame": f, "cls": ann[vid]["label"],
                   "box": b}
                  for vid in vids
@@ -499,11 +503,8 @@ def eval_segmentations(cfg):
     label_rows = {}
     labels_path = Path(cfg.out_dir) / "segmentations" / "labels.csv"
     if labels_path.exists():
-        with open(labels_path) as fh:
-            next(fh)
-            for line in fh:
-                vid, label, conf = line.split(",")
-                label_rows[int(vid)] = int(label)
+        for row in read_csv(labels_path, LABEL_FIELDS):
+            label_rows[row["video"]] = row["label"]
     for vid in vids:
         gt = load_video_masks(cfg.data_dir, vid)
         vdir = Path(cfg.out_dir) / "segmentations" / f"{vid:03d}"

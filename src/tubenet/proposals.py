@@ -65,6 +65,21 @@ def iou(a: Box, b: Box) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def _iou_matrix(a, b) -> np.ndarray:
+    """`iou` of every box of `a` with every box of `b`, in float64, with
+    its operations in its order: the same bytes."""
+    a = np.array([box.astuple() for box in a], dtype=np.float64).T[:, :, None]
+    b = np.array([box.astuple() for box in b], dtype=np.float64).T[:, None]
+    ix = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0]) + 1
+    iy = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]) + 1
+    inter = ix * iy
+    union = ((a[2] - a[0] + 1) * (a[3] - a[1] + 1)
+             + (b[2] - b[0] + 1) * (b[3] - b[1] + 1) - inter)
+    out = np.zeros(inter.shape)
+    np.divide(inter, union, out=out, where=(ix > 0) & (iy > 0) & (union > 0))
+    return out
+
+
 def kmeans_anchors(boxes, k: int, seed: int):
     """Cluster (w, h) pairs into k anchors under the distance 1 - IoU of
     center-aligned boxes.
@@ -121,16 +136,14 @@ def assign_actionness_labels(candidates, gt):
     """
     if not candidates:
         return []
-    ious = np.zeros((len(candidates), max(len(gt), 1)))
-    for i, c in enumerate(candidates):
-        for j, g in enumerate(gt):
-            ious[i, j] = iou(c, g)
+    ious = (_iou_matrix(candidates, gt) if gt
+            else np.zeros((len(candidates), 1)))
     positive = (ious > POS_IOU).any(axis=1)
     if gt:
         positive[ious.argmax(axis=0)] = True
-    return [LabeledBox(c, float(ious[i].max()),
-                       POSITIVE if positive[i] else NEGATIVE)
-            for i, c in enumerate(candidates)]
+    return [LabeledBox(c, best, POSITIVE if pos else NEGATIVE)
+            for c, best, pos in zip(candidates, ious.max(axis=1).tolist(),
+                                    positive.tolist())]
 
 
 def encode_regression(anchor_box: Box, gt: Box) -> RegressionTarget:

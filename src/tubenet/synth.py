@@ -26,8 +26,11 @@ from .tensor import save_tensor
 from .toi import Box
 
 NUM_CLASSES = 4
-# the name of the per-frame annotations file under a dataset's root
+# the name of the per-frame annotations file under a dataset's root, and
+# its columns with the type of each
 ANNOTATIONS = "annotations.csv"
+ANNOTATION_FIELDS = {"video": int, "frame": int, "split": str, "label": int,
+                     "x1": float, "y1": float, "x2": float, "y2": float}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,12 +138,45 @@ def gen_dataset(spec, root):
                 "x1": int(b.x1), "y1": int(b.y1),
                 "x2": int(b.x2), "y2": int(b.y2),
             })
-    fields = ["video", "frame", "split", "label", "x1", "y1", "x2", "y2"]
     with open(root / ANNOTATIONS, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(ANNOTATION_FIELDS))
         writer.writeheader()
         writer.writerows(rows)
     return rows
+
+
+def read_csv(path, fields):
+    """Each row of the CSV file at `path` after its header, as
+    {column: value} over the columns of `fields`, each value converted by
+    its type there (int, float or str); blank lines are skipped. A header
+    without one of those columns, a row with another number of fields than
+    the header, or a value its type rejects raises
+    ValueError("<path>:<line>: ...") naming the column."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for name in fields:
+            if name not in header:
+                raise ValueError(f"{path}:1: no column {name!r} in the "
+                                 f"header {','.join(header)!r}")
+        columns = [(name, header.index(name), kind)
+                   for name, kind in fields.items()]
+        for values in reader:
+            if not values:
+                continue
+            if len(values) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: {len(values)} "
+                                 f"fields, but the header has {len(header)}")
+            row = {}
+            for name, i, kind in columns:
+                try:
+                    row[name] = kind(values[i])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: {name} {values[i]!r} is "
+                        f"not {'an integer' if kind is int else 'a number'}"
+                    ) from None
+            yield row
 
 
 def load_annotations(root):
@@ -148,18 +184,14 @@ def load_annotations(root):
     Each video's rows hold its frames 0..F-1, one row each."""
     path = Path(root) / ANNOTATIONS
     videos = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            vid, frame = int(row["video"]), int(row["frame"])
-            entry = videos.setdefault(
-                vid, {"split": row["split"], "label": int(row["label"]),
-                      "boxes": {}})
-            if frame in entry["boxes"]:
-                raise ValueError(f"{path}: video {vid} has two rows for "
-                                 f"frame {frame}")
-            entry["boxes"][frame] = Box(
-                float(row["x1"]), float(row["y1"]),
-                float(row["x2"]), float(row["y2"]))
+    for row in read_csv(path, ANNOTATION_FIELDS):
+        vid, frame = row["video"], row["frame"]
+        entry = videos.setdefault(
+            vid, {"split": row["split"], "label": row["label"], "boxes": {}})
+        if frame in entry["boxes"]:
+            raise ValueError(f"{path}: video {vid} has two rows for "
+                             f"frame {frame}")
+        entry["boxes"][frame] = Box(row["x1"], row["y1"], row["x2"], row["y2"])
     for vid, entry in videos.items():
         boxes = entry["boxes"]
         missing = next((f for f in range(len(boxes)) if f not in boxes), None)

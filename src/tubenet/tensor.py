@@ -23,11 +23,14 @@ large `conv3d` hands half of its (frame, band) units, each with an im2col
 buffer of its own, and a large `maxpool3d` half of its channels, to a
 second thread that the call starts and joins. A frame whose im2col matrix
 is large is computed in bands of whole output rows, and a band's GEMM is a
-column slice of its frame's:
-OpenBLAS's blocked sgemm sums each output element over K in an order that
-depends on K alone. Its small-matrix kernel sums in another order, so no
-band is narrower than `_BAND_MIN_COLS`. The bytes therefore stay the same
-at one worker or two, banded or whole.
+column slice of its frame's: OpenBLAS's blocked sgemm sums each output
+element over K in an order that depends on K alone. Two other paths sum
+in other orders, and no band takes either. numpy runs a product with one
+output row or column as a GEMV, so a frame with one output channel is
+never banded and no band has one column. OpenBLAS runs a GEMM of M*N*K
+up to 1e6 in a small-matrix kernel, so every band's M*N*K exceeds
+`_GEMM_MIN_MNK`. The bytes therefore stay the same at one worker or two,
+banded or whole.
 """
 
 from __future__ import annotations
@@ -165,16 +168,18 @@ def make_kernels(out_channels: int, in_channels: int, kdhw, rng) -> KernelSet:
 # The size, in bytes, from which `conv3d` (one output frame's im2col
 # matrix) and `maxpool3d` (the whole input) split their work between two
 # workers. It is also the most scratch one worker holds for a unit of
-# that work: a band of a frame's im2col matrix, or a block of a pool's
-# channels. Every desk-scale unit at 80x112 frames is under 6 MB; every
-# full-scale conv frame is at least 38.9 MB (conv1 at 300x400).
+# that work: a band of a frame's im2col matrix (unless the floor in
+# `_Im2col.bands` keeps a band wider, which no conv of either reference
+# table meets), or a block of a pool's channels. Every desk-scale unit at
+# 80x112 frames is under 6 MB; every full-scale conv frame is at least
+# 38.9 MB (conv1 at 300x400).
 _SPLIT_MIN_BYTES = 16 * 2**20
 
-# The fewest columns of an im2col band. Below about 1e6 for M*N*K,
-# OpenBLAS's sgemm takes a small-matrix kernel that sums in another order,
-# so a narrow band would not be a column slice of its frame's GEMM; each
-# band also repacks the weights, which costs high-K layers time.
-_BAND_MIN_COLS = 2048
+# Every im2col band's GEMM (M output channels, N columns, K rows) has
+# M*N*K above this: OpenBLAS's sgemm sums in another order in its
+# small-matrix kernel, which it takes up to M*N*K = 1e6; twice that is
+# the margin.
+_GEMM_MIN_MNK = 2**21
 
 
 def _usable_cpus() -> int:
@@ -265,14 +270,20 @@ class _Im2col:
         self.k = x.shape[0] * kd * kh * kw
         self.frame_bytes = self.k * self.oh * self.ow * x.itemsize
 
-    def bands(self):
-        """(r0, r1) of each band of a frame, in order: the whole frame if
-        its matrix is at most `_SPLIT_MIN_BYTES`, else the fewest even
-        bands of at most that size, but never fewer than `_BAND_MIN_COLS`
-        columns to a band (that floor wins)."""
+    def bands(self, m):
+        """(r0, r1) of each band of a frame convolved into `m` output
+        channels, in order: the whole frame if its matrix is at most
+        `_SPLIT_MIN_BYTES`, else the fewest even bands of at most that
+        size. A band is a GEMM of m rows and at least two columns whose
+        M*N*K exceeds `_GEMM_MIN_MNK`, and where that floor would be
+        crossed, it wins: fewer, larger bands, or with m = 1 the whole
+        frame."""
+        if m < 2:
+            return [(0, self.oh)]
         row_bytes = self.frame_bytes // self.oh
         most_rows = max(1, _SPLIT_MIN_BYTES // row_bytes)
-        fewest_rows = -(-_BAND_MIN_COLS // self.ow)
+        fewest_rows = max(_GEMM_MIN_MNK // (m * self.k * self.ow) + 1,
+                          -(-2 // self.ow))
         n = max(1, min(-(-self.oh // most_rows), self.oh // fewest_rows))
         return [(i * self.oh // n, (i + 1) * self.oh // n) for i in range(n)]
 
@@ -305,7 +316,7 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     w2 = kernels.weights.reshape(oc, -1)
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
     im2col = _Im2col(x, kernels.kdhw, pad)
-    bands = im2col.bands()
+    bands = im2col.bands(oc)
     units = [(d, r0, r1) for d in range(od) for r0, r1 in bands]
     rows = max(r1 - r0 for r0, r1 in bands)
 

@@ -371,6 +371,56 @@ def test_eval_rejects_a_short_mask_set_naming_the_directory(tmp_path, drop):
         run_eval(cfg)
 
 
+def _corrupt_csv(path, corruption, column):
+    """Drop `column` from every line of the CSV at `path`, write `abc` as
+    its value on line 2, or drop line 2's last field; returns the error
+    message a reader must give."""
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    header = lines[0]
+    i = header.index(column)
+    if corruption == "column":
+        for fields in lines:
+            del fields[i]
+        want = f"{path}:1: no column {column!r}"
+    elif corruption == "value":
+        lines[1][i] = "abc"
+        kind = "an integer" if column in ("frame", "label") else "a number"
+        want = f"{path}:2: {column} 'abc' is not {kind}"
+    else:
+        del lines[1][-1]
+        want = (f"{path}:2: {len(header) - 1} fields, but the header has "
+                f"{len(header)}")
+    path.write_text("\n".join(",".join(fields) for fields in lines) + "\n")
+    return want
+
+
+@pytest.mark.parametrize("corruption", ["column", "value", "count"])
+@pytest.mark.parametrize("csv_file, column", [
+    ("data/annotations.csv", "y2"),
+    ("out/detections/detections.csv", "frame"),
+    ("out/segmentations/labels.csv", "label")])
+def test_eval_names_the_line_and_field_of_a_bad_csv(tmp_path, csv_file,
+                                                    column, corruption):
+    # every file eval reads is whole (the ground truth as the detections
+    # and the masks, the true labels), then one of them is corrupted
+    cfg, vids = _ground_truth_as_predictions(tmp_path)
+    ann = load_annotations(cfg.data_dir)
+    lines = ["video,rank,label,confidence,frame,x1,y1,x2,y2"]
+    for vid in vids:
+        for f, b in enumerate(ann[vid]["boxes"]):
+            lines.append(",".join(map(str, (vid, 0, ann[vid]["label"], 0.5,
+                                            f) + b.astuple())))
+    (tmp_path / "out" / "detections").mkdir()
+    (tmp_path / "out" / "detections" / "detections.csv").write_text(
+        "\n".join(lines) + "\n")
+    (tmp_path / "out" / "segmentations" / "labels.csv").write_text(
+        "video,label,confidence\n" + "".join(
+            f"{vid},{ann[vid]['label']},0.5\n" for vid in vids))
+    want = _corrupt_csv(tmp_path / csv_file, corruption, column)
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+        run_eval(cfg)
+
+
 def test_eval_scores_each_rank_as_its_own_tube(tmp_path):
     # two kept sequences per video with the same label and confidence: the
     # first on the ground truth, the second far from it

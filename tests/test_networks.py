@@ -198,6 +198,46 @@ def test_reference_forwards_build_no_trainable_layer(monkeypatch):
         assert dict(shapes) == {r.name: r.out_shape for r in rows}
 
 
+def _conv_outputs(monkeypatch, gate, threads):
+    """The bytes of every `conv3d` output, and each call's band count, in
+    the top-down reference forward on 48x64 frames, with the size gate at
+    `gate` bytes."""
+    outputs, bands = [], []
+    conv3d, band_rows = tensor.conv3d, tensor._Im2col.bands
+
+    def recorded(*args, **kwargs):
+        y = conv3d(*args, **kwargs)
+        outputs.append(y.tobytes())
+        return y
+
+    def counted(self, m):
+        rows = band_rows(self, m)
+        bands.append(len(rows))
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "_SPLIT_MIN_BYTES", gate)
+        patch.setattr(tensor, "conv3d", recorded)
+        patch.setattr(tensor._Im2col, "bands", counted)
+        with tensor.blas_threads(threads):
+            networks.run_tcnn_table_forward((3, 8, 48, 64), 3)
+    return outputs, bands
+
+
+@pytest.mark.parametrize("threads", [1, "default"])
+def test_reference_forward_bytes_do_not_depend_on_the_banding(monkeypatch,
+                                                              threads):
+    # the gate at one byte cuts every conv frame into as many bands as the
+    # GEMM-size floor allows (conv2 into 24 one-row bands of 32 columns);
+    # at 2**62 every frame is one band
+    n = 1 if threads == 1 else tensor.blas_thread_count()
+    narrow, narrow_bands = _conv_outputs(monkeypatch, 1, n)
+    whole, whole_bands = _conv_outputs(monkeypatch, 2**62, n)
+    assert len(narrow) == len(whole) == 8
+    assert whole_bands == [1] * 8 and narrow_bands[1] == 24
+    assert narrow == whole
+
+
 @pytest.mark.parametrize("threads", [1, "default"])
 def test_fc_forward_keeps_the_bytes_of_the_whole_weight(threads):
     # at 8192 -> 4096 OpenBLAS splits the GEMV between threads

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubenet.proposals import (NEGATIVE, POSITIVE, PairedFeatureProjector,
+from tubenet.proposals import (NEGATIVE, POS_IOU, POSITIVE,
+                               PairedFeatureProjector,
                                RegressionTarget, assign_actionness_labels,
                                decode_regression,
                                encode_regression, iou, kmeans_anchors,
@@ -85,6 +86,39 @@ def test_actionness_disjoint_is_negative():
     cands = [Box(0, 0, 9, 9), Box(50, 50, 59, 59)]
     labeled = assign_actionness_labels(cands, gt)
     assert labeled[1].label == NEGATIVE
+
+
+def _labels_by_loop(candidates, gt):
+    """`assign_actionness_labels` as a loop over `iou`: (label,
+    actionness) per candidate."""
+    ious = [[iou(c, g) for g in gt] or [0.0] for c in candidates]
+    positive = [any(v > POS_IOU for v in row) for row in ious]
+    for j in range(len(gt)):
+        col = [row[j] for row in ious]
+        positive[col.index(max(col))] = True
+    return [(POSITIVE if p else NEGATIVE, max(row))
+            for p, row in zip(positive, ious)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_actionness_labels_equal_the_loop_over_iou(seed):
+    # integer corners on a small grid: many tied IoUs, repeated boxes,
+    # touching and disjoint pairs; half the candidates are float boxes
+    rng = np.random.default_rng(seed)
+
+    def boxes(n, scale=1.0):
+        x1, y1 = rng.integers(0, 12, (2, n))
+        w, h = rng.integers(0, 6, (2, n))
+        return [Box(a * scale, b * scale, (a + c) * scale, (b + d) * scale)
+                for a, b, c, d in zip(x1, y1, w, h)]
+
+    gt = boxes(int(rng.integers(0, 4)))
+    gt += gt[:1]  # a repeated ground-truth box
+    candidates = boxes(40) + boxes(20, 0.7) + gt
+    got = assign_actionness_labels(candidates, gt)
+    assert [(b.label, b.actionness) for b in got] == \
+        _labels_by_loop(candidates, gt)
+    assert [b.box for b in got] == candidates
 
 
 def test_regression_identity():

@@ -586,7 +586,12 @@ def test_two_worker_conv_cases_match_oracle_bytes(shape, out_c, kdhw, pad):
 
 
 def _bands(x, k, pad=(1, 1, 1)):
-    return tensor._Im2col(x, k.kdhw, pad).bands()
+    return tensor._Im2col(x, k.kdhw, pad).bands(k.out_channels)
+
+
+def _band_mnk(out_c, in_c, kdhw, rows, ow):
+    """M*N*K of the GEMM of a band of `rows` output rows."""
+    return out_c * rows * ow * in_c * int(np.prod(kdhw))
 
 
 @needs_blas_control
@@ -621,7 +626,7 @@ def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
     assert len(bands) == 13 and bands[0] == (0, 11) and bands[-1][1] == 150
     rows = {r1 - r0 for r0, r1 in bands}
     assert max(rows) * 200 * 64 * 27 * 4 <= tensor._SPLIT_MIN_BYTES
-    assert min(rows) * 200 >= tensor._BAND_MIN_COLS
+    assert _band_mnk(128, 64, k.kdhw, min(rows), 200) > tensor._GEMM_MIN_MNK
     with _split_everything(tensor._SPLIT_MIN_BYTES) as splits:
         tracemalloc.start()
         try:
@@ -637,9 +642,12 @@ def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
 @pytest.mark.parametrize("shape,out_c,want", [
     ((3, 1, 80, 112), 64, 1),        # desk conv1: one band
     ((64, 1, 40, 56), 128, 1),       # desk conv2: one band
-    ((512, 1, 19, 25), 512, 1),      # full-scale conv5: the floor wins
+    ((512, 1, 19, 25), 512, 2),      # full-scale conv5a/b
     ((3, 1, 300, 400), 64, 3),       # full-scale conv1
     ((64, 1, 150, 200), 128, 13),    # full-scale conv2
+    ((256, 1, 75, 100), 256, 13),    # full-scale conv3b
+    ((256, 1, 38, 50), 512, 4),      # full-scale conv4a
+    ((512, 1, 38, 50), 512, 7),      # full-scale conv4b
 ])
 def test_bands_cover_each_frame_within_the_size_bounds(shape, out_c, want):
     x = np.empty(shape, np.float32)
@@ -651,9 +659,34 @@ def test_bands_cover_each_frame_within_the_size_bounds(shape, out_c, want):
     assert bands == list(zip(ends[:-1], ends[1:])) and ends[0] == 0
     if want > 1:
         row_bytes = shape[0] * 27 * shape[3] * 4
-        assert all(tensor._BAND_MIN_COLS <= (r1 - r0) * shape[3]
+        assert all(_band_mnk(out_c, shape[0], (3, 3, 3), r1 - r0, shape[3])
+                   > tensor._GEMM_MIN_MNK
                    and (r1 - r0) * row_bytes <= tensor._SPLIT_MIN_BYTES
                    for r0, r1 in bands)
+
+
+@pytest.mark.parametrize("shape,out_c,kdhw,pad", [
+    # one output channel: numpy runs a band's product as a GEMV, and the
+    # GEMV of a 2500-column slice of this 5000-column frame sums in
+    # another order than the whole frame's
+    ((8, 2, 100, 50), 1, (3, 3, 3), (1, 1, 1)),
+    # one output column per row: a one-row band would be a GEMV too
+    ((2**17 + 1, 1, 4, 1), 16, (1, 1, 1), (0, 0, 0)),
+    # bands of M*N*K under 1e6 would take OpenBLAS's small-matrix kernel
+    ((64, 2, 48, 64), 8, (3, 3, 3), (1, 1, 1)),
+    ((64, 2, 24, 32), 4, (3, 3, 3), (1, 1, 1)),
+    ((8, 2, 40, 56), 16, (3, 3, 3), (1, 1, 1)),
+])
+def test_narrowest_bands_give_the_whole_frames_bytes(shape, out_c, kdhw,
+                                                     pad):
+    # the size gate at one byte: every frame cuts as narrow as it may
+    rng = np.random.default_rng(out_c)
+    x = rng.standard_normal(shape).astype(np.float32)
+    k = make_kernels(out_c, shape[0], kdhw, rng)
+    with mock.patch.object(tensor, "_SPLIT_MIN_BYTES", 1), blas_threads(1):
+        y = conv3d(x, k, pad=pad)
+        want = _conv3d_oracle(x, k, pad=pad)
+    assert y.tobytes() == want.tobytes()
 
 
 @needs_blas_control
