@@ -281,8 +281,8 @@ def train_tcnn(cfg, quiet=False):
             order = rng.permutation(len(train_vids))
             for vi in order:
                 vid = train_vids[vi]
-                frames = load_video_frames(cfg.data_dir, vid)
                 boxes = ann[vid]["boxes"]
+                frames = load_video_frames(cfg.data_dir, vid, len(boxes))
                 if phase in ("tpn", "refine"):
                     clip, gt = _random_clip(rng, frames, boxes)
                     # the final phase regresses from more candidates per
@@ -322,9 +322,9 @@ def train_stcnn(cfg, quiet=False):
         order = rng.permutation(len(train_vids))
         for vi in order:
             vid = train_vids[vi]
-            frames = load_video_frames(cfg.data_dir, vid)
-            masks = load_video_masks(cfg.data_dir, vid)
             boxes = ann[vid]["boxes"]
+            frames = load_video_frames(cfg.data_dir, vid, len(boxes))
+            masks = load_video_masks(cfg.data_dir, vid, len(boxes))
             clip, clip_masks, clip_boxes = _random_clip(rng, frames, masks,
                                                         boxes)
             seg, rec = model.train_step(clip, clip_masks, clip_boxes,
@@ -392,7 +392,8 @@ def run_detect(cfg):
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
     for vid in _test_videos(cfg, ann):
-        frames = load_video_frames(cfg.data_dir, vid)
+        frames = load_video_frames(cfg.data_dir, vid,
+                                   len(ann[vid]["boxes"]))
         seq, label, conf, boxes = detect_video(model, frames, cfg)
         save_sequences(out / f"video_{vid:03d}.txt", [seq])
         for f, b in enumerate(boxes):
@@ -414,8 +415,8 @@ def run_segment(cfg):
     out = Path(cfg.out_dir) / "segmentations"
     rows = []
     for vid in _test_videos(cfg, ann):
-        frames = load_video_frames(cfg.data_dir, vid)
-        num_frames = frames.shape[1]
+        num_frames = len(ann[vid]["boxes"])
+        frames = load_video_frames(cfg.data_dir, vid, num_frames)
         vdir = out / f"{vid:03d}"
         vdir.mkdir(parents=True, exist_ok=True)
         # classify the tube implied by the predicted masks, one clip at a
@@ -506,7 +507,7 @@ def eval_segmentations(cfg):
         for row in read_csv(labels_path, LABEL_FIELDS):
             label_rows[row["video"]] = row["label"]
     for vid in vids:
-        gt = load_video_masks(cfg.data_dir, vid)
+        gt = load_video_masks(cfg.data_dir, vid, len(ann[vid]["boxes"]))
         vdir = Path(cfg.out_dir) / "segmentations" / f"{vid:03d}"
         pred = [SegMask(load_mask(p)) for p in sorted(vdir.glob("*.sm"))]
         if len(pred) != len(gt):

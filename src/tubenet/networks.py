@@ -258,21 +258,70 @@ def _fc_forward(x, out_n, rng):
         for _ in range(out_n // _FC_ROWS)])
 
 
+# output frames of a conv that `_run_encoder` runs fused with its pool at a
+# time, rounded up to a multiple of the pool's depth kernel: with conv1's
+# three bands per 300x400 frame, two frames are six units, which split
+# evenly between two workers
+_FUSED_FRAMES = 2
+
+
+def _conv_relu_pool(x, kernels, pool):
+    """conv3d (3x3x3, pad 1), ReLU and maxpool3d of `x`, run on groups of
+    output frames so that the conv's whole output never exists. Returns
+    the conv output's shape (frames summed over the groups) and the pooled
+    output. The bytes are those of the three layers run one after the
+    other: each conv output frame is its own GEMMs, and a group is a whole
+    number of the pool's windows deep."""
+    d = x.shape[1]
+    group = -(-_FUSED_FRAMES // pool[0]) * pool[0]
+    pooled, frames = None, 0
+    for g0 in range(0, d, group):
+        g1 = min(g0 + group, d)
+        # the input frames the group's outputs read, zeros past either end
+        lo, hi = max(g0 - 1, 0), min(g1 + 1, d)
+        y = tz.conv3d(x[:, lo:hi], kernels,
+                      pad=((lo - g0 + 1, g1 + 1 - hi), 1, 1))
+        tz.relu(y, out=y)
+        p = tz.maxpool3d(y, pool)[0]
+        if pooled is None:
+            pooled = np.empty((p.shape[0], -(-d // pool[0])) + p.shape[2:],
+                              dtype=p.dtype)
+        pooled[:, g0 // pool[0]:g0 // pool[0] + p.shape[1]] = p
+        frames += y.shape[1]
+        shape = (y.shape[0], frames) + y.shape[2:]
+        del y, p  # before the next group's conv allocates its own
+    return shape, pooled
+
+
 def _run_encoder(in_shape, rng, keep):
     """Run the encoder rows on a random input with random weights. Returns
     each row's output shape and the outputs of the rows named in `keep`;
-    the others are freed as soon as the next row has read them."""
+    the others are freed as soon as the next row has read them. A conv
+    that is not kept and is followed by a pool runs fused with its ReLU
+    and that pool (`_conv_relu_pool`), with the same bytes."""
     x = rng.standard_normal(in_shape).astype(np.float32)
     shapes, kept = [], {}
-    for spec in _encoder_specs(in_shape):
-        if spec.kind == "conv":
+    specs = _encoder_specs(in_shape)
+    i = 0
+    while i < len(specs):
+        spec = specs[i]
+        if spec.kind == "pool":
+            x = tz.maxpool3d(x, spec.kernel)[0]
+        elif (spec.name not in keep and i + 1 < len(specs)
+              and specs[i + 1].kind == "pool"):
+            pool = specs[i + 1]
+            shape, x = _conv_relu_pool(
+                x, _weak_kernels(spec.out_shape[0], x.shape[0], rng),
+                pool.kernel)
+            shapes.append((spec.name, shape))
+            spec, i = pool, i + 1
+        else:
             x = tz.conv3d(x, _weak_kernels(spec.out_shape[0], x.shape[0], rng))
             tz.relu(x, out=x)
-        else:
-            x = tz.maxpool3d(x, spec.kernel)[0]
         shapes.append((spec.name, x.shape))
         if spec.name in keep:
             kept[spec.name] = x
+        i += 1
     return shapes, kept
 
 

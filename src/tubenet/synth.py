@@ -202,26 +202,40 @@ def load_annotations(root):
     return videos
 
 
-def _frame_files(vdir, pattern):
-    """The sorted files of a video directory; a directory with none is an
-    error that names it."""
-    paths = sorted(vdir.glob(pattern))
-    if not paths:
-        raise ValueError(f"{vdir}: no {pattern} files")
-    return paths
+def _frame_files(vdir, suffix, num_frames):
+    """The files frame_0000.<suffix> .. of a video directory, one per frame
+    0..F-1, in order, where F is `num_frames` (the video's annotation
+    rows), or the number of files if None. A directory with no such files,
+    a missing frame, or a file of another name is an error that names
+    the directory."""
+    names = sorted(p.name for p in vdir.glob(f"*.{suffix}"))
+    if not names:
+        raise ValueError(f"{vdir}: no frame_*.{suffix} files")
+    count = len(names) if num_frames is None else num_frames
+    want = [f"frame_{t:04d}.{suffix}" for t in range(count)]
+    if names != want:
+        missing = sorted(set(want) - set(names))
+        extra = sorted(set(names) - set(want))
+        raise ValueError(
+            f"{vdir}: {len(names)} .{suffix} files for frames 0..{count - 1}"
+            f": missing {missing[:3]}, unexpected {extra[:3]}")
+    return [vdir / name for name in names]
 
 
-def load_video_frames(root, video):
-    """Stack frame tensors into (3, F, H, W)."""
+def load_video_frames(root, video, num_frames=None):
+    """Stack frame tensors into (3, F, H, W); see `_frame_files` for F."""
     from .tensor import load_tensor
 
     vdir = Path(root) / "videos" / f"{video:03d}"
-    frames = [load_tensor(p)[:, 0] for p in _frame_files(vdir, "frame_*.t4")]
+    frames = [load_tensor(p)[:, 0]
+              for p in _frame_files(vdir, "t4", num_frames)]
     return np.stack(frames, axis=1)
 
 
-def load_video_masks(root, video):
+def load_video_masks(root, video, num_frames=None):
+    """The F masks of a video; see `_frame_files` for F."""
     from .segmentation import SegMask, load_mask
 
     mdir = Path(root) / "masks" / f"{video:03d}"
-    return [SegMask(load_mask(p)) for p in _frame_files(mdir, "frame_*.sm")]
+    return [SegMask(load_mask(p))
+            for p in _frame_files(mdir, "sm", num_frames)]

@@ -19,9 +19,12 @@ Every GEMM goes through the BLAS that numpy loaded. How that BLAS splits a
 GEMM across threads changes the last bits of the result, so runs hold it at
 one thread with `blas_threads` to make output bytes independent of the
 core count. The second core then goes to whole units of work instead: a
-large `conv3d` hands half of its (frame, band) units, each with an im2col
-buffer of its own, and a large `maxpool3d` half of its channels, to a
-second thread that the call starts and joins. A frame whose im2col matrix
+large `conv3d` hands half of its (band, frame) units, and a large
+`maxpool3d` half of its channels, to a second thread that the call starts
+and joins. Each worker has scratch of its own, and no call makes a padded
+copy of its whole input: a conv worker copies the zero-padded input rows
+of one band at a time (`_Im2col`), and a pool worker pads one block of
+channels at a time with -inf. A frame whose im2col matrix
 is large is computed in bands of whole output rows, and a band's GEMM is a
 column slice of its frame's: OpenBLAS's blocked sgemm sums each output
 element over K in an order that depends on K alone. Two other paths sum
@@ -209,24 +212,31 @@ def _on_two_workers(work, mine, theirs):
         raise errors[0]
 
 
-def _in_halves(work, units, gate_bytes, scratch=tuple):
-    """`work(lo, hi, *scratch())` over the units [0, units): once here, or
-    the first half here and the second on another thread, each with
-    scratch of its own allocated here. It splits only when there are two
-    units or more, `gate_bytes` (a conv frame's im2col matrix, a pool's
+def _in_halves(work, units, gate_bytes, scratch):
+    """`work(lo, hi, *scratch(hi - lo))` over the units [0, units): once
+    here, or the first half here and the second on another thread, each
+    with scratch of its own allocated here. It splits only when there are
+    two units or more, `gate_bytes` (a conv frame's im2col matrix, a pool's
     input) is at least `_SPLIT_MIN_BYTES`, BLAS is held at one thread
     (otherwise BLAS itself uses the cores) and the process may run on two
     CPUs."""
     if (units < 2 or gate_bytes < _SPLIT_MIN_BYTES
             or blas_thread_count() != 1 or _usable_cpus() < 2):
-        work(0, units, *scratch())
+        work(0, units, *scratch(units))
         return
     half = (units + 1) // 2
-    _on_two_workers(work, (0, half, *scratch()), (half, units, *scratch()))
+    _on_two_workers(work, (0, half, *scratch(half)),
+                    (half, units, *scratch(units - half)))
 
 
 # ---------------------------------------------------------------------------
 # 3D convolution
+
+
+def _pad_pairs(pad):
+    """(before, after) zeros of each axis of a conv's `pad`, whose entries
+    are a count for both sides or such a pair."""
+    return tuple((p, p) if np.ndim(p) == 0 else tuple(p) for p in pad)
 
 
 def conv3d_out_shape(in_shape, kernels: KernelSet, stride=(1, 1, 1), pad=(1, 1, 1)):
@@ -238,8 +248,9 @@ def conv3d_out_shape(in_shape, kernels: KernelSet, stride=(1, 1, 1), pad=(1, 1, 
         )
     kd, kh, kw = kernels.kdhw
     outs = []
-    for ext, k, s, p in zip((d, h, w), (kd, kh, kw), stride, pad):
-        o = (ext + 2 * p - k) // s + 1
+    for ext, k, s, (p0, p1) in zip((d, h, w), (kd, kh, kw), stride,
+                                   _pad_pairs(pad)):
+        o = (ext + p0 + p1 - k) // s + 1
         if o < 1:
             raise ShapeError(
                 f"kernel {kernels.kdhw} does not fit input {in_shape} "
@@ -254,20 +265,23 @@ class _Im2col:
     stride-1 convolution: (C*kd*kh*kw, (r1-r0)*ow), rows ordered
     (C, kd, kh, kw). A frame's matrix is its bands' matrices side by side.
 
-    `band(d, r0, r1, buf)` copies the matrix into `buf`, scratch from
-    `buffer(rows)` of at least r1 - r0 rows, and returns it, so a worker
-    must finish with one matrix before asking for the next; workers
-    holding buffers of their own may fill them at once.
+    No padded copy of the input is made. Each worker's scratch, from
+    `buffer(rows)`, holds the matrix and a slab: the zero-padded input rows
+    that one band of output rows reads, over every padded frame. A frame
+    that is one band reads all of them, so its slab is the whole padded
+    input. `band(d, r0, r1, scratch)` refills the slab only when asked for
+    another band than the one before, so a worker that walks its units
+    band-major copies each band's rows once. It copies the matrix into the
+    scratch and returns it: a worker must finish with one matrix before
+    asking for the next; workers holding scratch of their own may fill
+    theirs at once.
     """
 
     def __init__(self, x: np.ndarray, kdhw, pad):
-        kd, kh, kw = kdhw
-        xp = np.pad(x, ((0, 0), (pad[0], pad[0]), (pad[1], pad[1]),
-                        (pad[2], pad[2])))
-        # (C, oD, oH, oW, kd, kh, kw) view
-        self.win = sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
-        self.oh, self.ow = self.win.shape[2:4]
-        self.k = x.shape[0] * kd * kh * kw
+        self.x, self.kdhw, self.pad = x, tuple(kdhw), _pad_pairs(pad)
+        self.oh, self.ow = (n + p0 + p1 - k + 1 for n, k, (p0, p1)
+                            in zip(x.shape[2:], kdhw[1:], self.pad[1:]))
+        self.k = x.shape[0] * int(np.prod(kdhw))
         self.frame_bytes = self.k * self.oh * self.ow * x.itemsize
 
     def bands(self, m):
@@ -289,27 +303,67 @@ class _Im2col:
 
     def buffer(self, rows):
         """Scratch for one worker's bands of up to `rows` rows."""
-        return np.empty(self.k * rows * self.ow, dtype=self.win.dtype)
+        c, d, _, w = self.x.shape
+        (pd, _, pw), kh = self.pad, self.kdhw[1]
+        return _BandScratch(
+            np.empty(self.k * rows * self.ow, dtype=self.x.dtype),
+            np.zeros((c, d + sum(pd), rows + kh - 1, w + sum(pw)),
+                     dtype=self.x.dtype))
 
-    def band(self, d, r0, r1, buf):
-        c, _, _, ow, kd, kh, kw = self.win.shape
-        mat = buf[:self.k * (r1 - r0) * ow].reshape(c, kd, kh, kw, r1 - r0, ow)
-        np.copyto(mat, self.win[:, d, r0:r1].transpose(0, 3, 4, 5, 1, 2))
+    def band(self, d, r0, r1, scratch):
+        if scratch.rows != (r0, r1):
+            scratch.win = self._fill(r0, r1, scratch.slab)
+            scratch.rows = (r0, r1)
+        kd, kh, kw = self.kdhw
+        mat = scratch.mat[:self.k * (r1 - r0) * self.ow].reshape(
+            -1, kd, kh, kw, r1 - r0, self.ow)
+        np.copyto(mat, scratch.win[:, d].transpose(0, 3, 4, 5, 1, 2))
         return mat.reshape(self.k, -1)
+
+    def _fill(self, r0, r1, slab):
+        """Copy the input rows that output rows [r0, r1) read into the
+        slab, zero its rows that fall in the padding, and return the
+        (C, oD, r1-r0, oW, kd, kh, kw) window view of them. The slab's
+        padded frames and columns are zero from `buffer` on."""
+        x = self.x
+        _, d, h, w = x.shape
+        (pd, _), (ph, _), (pw, _) = self.pad
+        top = r0 - ph  # the input row of the slab's first row
+        n = r1 - r0 + self.kdhw[1] - 1
+        a = min(max(top, 0), h)
+        b = max(min(top + n, h), a)
+        rows = slab[:, :, :n]
+        rows[:, :, :a - top] = 0
+        rows[:, :, b - top:] = 0
+        rows[:, pd:pd + d, a - top:b - top, pw:pw + w] = x[:, :, a:b]
+        return sliding_window_view(rows, self.kdhw, axis=(1, 2, 3))
+
+
+class _BandScratch:
+    """One worker's `_Im2col` scratch: the matrix buffer `mat`, the `slab`
+    of padded input rows, and the band (`rows`) whose window view (`win`)
+    the slab holds."""
+
+    def __init__(self, mat, slab):
+        self.mat, self.slab = mat, slab
+        self.rows = self.win = None
 
 
 def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
-    """Stride-1 cross-correlation of a (C,D,H,W) cube with a KernelSet.
+    """Stride-1 cross-correlation of a (C,D,H,W) cube with a KernelSet,
+    zero-padded by `pad`: per axis, a count for both sides or a (before,
+    after) pair.
 
     Computed one band of output rows of one frame at a time via im2col +
     GEMM, to bound the scratch memory on large feature maps
     (`_Im2col.bands`: a frame at desk scale is one band). Each worker
-    reuses one im2col buffer and one GEMM product buffer of its own, both
-    allocated here. A call whose frames are large enough hands the second
-    half of its (frame, band) units to a second thread (`_in_halves`).
-    A band's GEMM is a column slice of its frame's, and each output
-    element's sum over K is the same in both, so the bytes depend neither
-    on the banding nor on the worker count.
+    reuses one im2col scratch and one GEMM product buffer of its own, both
+    allocated here, and walks its units band-major, so that it copies each
+    band's padded input rows once. A call whose frames are large enough
+    hands the second half of its (band, frame) units to a second thread
+    (`_in_halves`). A band's GEMM is a column slice of its frame's, and
+    each output element's sum over K is the same in both, so the bytes
+    depend neither on the banding nor on the worker count.
     """
     out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
     oc, od, oh, ow = out_shape
@@ -317,17 +371,17 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
     im2col = _Im2col(x, kernels.kdhw, pad)
     bands = im2col.bands(oc)
-    units = [(d, r0, r1) for d in range(od) for r0, r1 in bands]
+    units = [(d, r0, r1) for r0, r1 in bands for d in range(od)]
     rows = max(r1 - r0 for r0, r1 in bands)
 
-    def run(lo, hi, buf, prod):
+    def run(lo, hi, cols, prod):
         for d, r0, r1 in units[lo:hi]:
             n = (r1 - r0) * ow
             gemm = prod[:oc * n].reshape(oc, n)
-            np.matmul(w2, im2col.band(d, r0, r1, buf), out=gemm)
+            np.matmul(w2, im2col.band(d, r0, r1, cols), out=gemm)
             out[:, d, r0:r1] = gemm.reshape(oc, r1 - r0, ow)
 
-    def scratch():
+    def scratch(n):
         return im2col.buffer(rows), np.empty(oc * rows * ow, dtype=out.dtype)
 
     _in_halves(run, len(units), im2col.frame_bytes, scratch)
@@ -337,7 +391,8 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
 
 def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
                     *, pad=(1, 1, 1), input_grad=True):
-    """Gradients of sum(grad_out * conv3d(x, k)) w.r.t. x, weights, bias.
+    """Gradients of sum(grad_out * conv3d(x, k)) w.r.t. x, weights, bias,
+    for a `pad` of one count per axis.
 
     The weight gradient sums one GEMM per output frame over the forward's
     im2col matrices, whole frames and never bands (a band would cut that
@@ -360,10 +415,10 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     grad_w = np.zeros_like(kernels.weights)
     gw2 = grad_w.reshape(oc, -1)
     im2col = _Im2col(x, kernels.kdhw, pad)
-    buf = im2col.buffer(oh)
+    cols = im2col.buffer(oh)
     for d in range(od):
         gw2 += (grad_out[:, d].reshape(oc, oh * ow)
-                @ im2col.band(d, 0, oh, buf).T)
+                @ im2col.band(d, 0, oh, cols).T)
     grad_b = grad_out.sum(axis=(1, 2, 3), dtype=kernels.bias.dtype)
     if not input_grad:
         return None, grad_w, grad_b
@@ -427,33 +482,38 @@ def maxpool3d(x: np.ndarray, kernel):
     `np.argmax` a NaN beats any number and the first NaN wins. A large
     input is pooled in two channel halves on two workers (`_in_halves`),
     each walking its half in blocks of channels with scratch for one
-    block; every step is per channel, so the bytes are the same.
+    block; where the kernel does not divide the input, that scratch
+    includes the block padded with -inf, so no padded copy of the whole
+    input is made. Every step is per channel, so the bytes are the same.
     """
     kd, kh, kw = kernel
     c, d, h, w = x.shape
     if kd > d or kh > h or kw > w:
         raise ShapeError(f"pool kernel {kernel} larger than input {x.shape}")
-    pads = (-d % kd, -h % kh, -w % kw)
-    xp = x
-    if any(pads):
-        xp = np.pad(x, ((0, 0), (0, pads[0]), (0, pads[1]), (0, pads[2])),
-                    constant_values=-np.inf)
-    views = _pool_windows(xp, kernel)
-    out = np.empty(views[0].shape, dtype=x.dtype)
-    offsets = np.empty(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+    od, oh, ow = -(-d // kd), -(-h // kh), -(-w // kw)
+    padded = (od * kd, oh * kh, ow * kw) != (d, h, w)
+    out = np.empty((c, od, oh, ow), dtype=x.dtype)
+    offsets = np.empty(out.shape, dtype=np.min_scalar_type(kd * kh * kw - 1))
     block = max(1, _SPLIT_MIN_BYTES * c // max(1, x.nbytes))
 
-    def run(lo, hi, *scratch):
+    def run(lo, hi, xp, *scratch):
         for b in range(lo, hi, block):
             e = min(b + block, hi)
-            _pool_channels(xp[b:e], [v[b:e] for v in views], out[b:e],
+            xb = x[b:e]
+            if padded:  # the pads of xp are -inf from `scratch` on
+                xb = xp[:e - b]
+                xb[:, :d, :h, :w] = x[b:e]
+            _pool_channels(xb, _pool_windows(xb, kernel), out[b:e],
                            offsets[b:e], *(s[:e - b] for s in scratch))
 
-    def scratch():
+    def scratch(n):
         # allocated here, not in the second thread: memory a thread frees
         # stays in its own malloc arena
-        shape = (min(block, c),) + out.shape[1:]
-        return (np.empty(shape, dtype=bool), np.empty(shape, _bits(out).dtype),
+        shape = (min(block, n),) + out.shape[1:]
+        xp = (np.full((shape[0], od * kd, oh * kh, ow * kw), -np.inf,
+                      dtype=x.dtype) if padded else None)
+        return (xp, np.empty(shape, dtype=bool),
+                np.empty(shape, _bits(out).dtype),
                 np.empty(shape, dtype=offsets.dtype))
 
     _in_halves(run, c, x.nbytes, scratch)

@@ -16,7 +16,8 @@ import tubenet
 from tubenet.cli import main
 from tubenet.harness import (RunConfig, _clips_of, _new_model, _split_videos,
                              eval_detections, load_model_state, load_stcnn,
-                             run_eval, run_gen, run_segment, save_model)
+                             run_eval, run_gen, run_segment, save_model,
+                             train_stcnn, train_tcnn)
 from tubenet.models import STCNN, TCNN
 from tubenet.proposals import Anchor
 from tubenet.synth import NUM_CLASSES, load_annotations
@@ -459,3 +460,18 @@ def test_eval_splits_a_wrong_label_from_its_boxes(tmp_path):
     report = eval_detections(cfg)
     assert report["frame_map"] == 0.0
     assert report["frame_map_true_label"] == 1.0
+
+
+@pytest.mark.parametrize("train", [train_tcnn, train_stcnn])
+def test_training_rejects_a_video_short_of_its_rows(tmp_path, train):
+    cfg = RunConfig(data_dir=str(tmp_path / "data"),
+                    out_dir=str(tmp_path / "out"), num_videos=4,
+                    num_frames=16, height=48, width=64, epochs_tpn=1,
+                    epochs_rec=1, epochs_refine=1, epochs_seg=1)
+    run_gen(cfg)
+    # every video lacks its last frame file, so the first load fails
+    for path in (tmp_path / "data" / "videos").glob("*/frame_0015.t4"):
+        path.unlink()
+    with pytest.raises(ValueError, match=re.escape(
+            "15 .t4 files for frames 0..15: missing ['frame_0015.t4']")):
+        train(cfg, quiet=True)

@@ -199,24 +199,35 @@ def test_reference_forwards_build_no_trainable_layer(monkeypatch):
 
 
 def _conv_outputs(monkeypatch, gate, threads):
-    """The bytes of every `conv3d` output, and each call's band count, in
-    the top-down reference forward on 48x64 frames, with the size gate at
-    `gate` bytes."""
-    outputs, bands = [], []
-    conv3d, band_rows = tensor.conv3d, tensor._Im2col.bands
+    """The bytes of each conv row's `conv3d` outputs, and the band count of
+    each of its calls, in the top-down reference forward on 48x64 frames,
+    with the size gate at `gate` bytes; keyed by table row. A conv that
+    runs fused with its pool makes one call per group of frames."""
+    rows = iter([r.name for r in networks.tcnn_table_specs((3, 8, 48, 64))
+                 if r.kind == "conv"])
+    row_of, calls, outputs, bands = {}, [], {}, {}
+    weak, conv3d = networks._weak_kernels, tensor.conv3d
+    band_rows = tensor._Im2col.bands
 
-    def recorded(*args, **kwargs):
-        y = conv3d(*args, **kwargs)
-        outputs.append(y.tobytes())
+    def named(*args):
+        kernels = weak(*args)
+        row_of[id(kernels)] = next(rows)
+        return kernels
+
+    def recorded(x, kernels, **kwargs):
+        calls.append(row_of[id(kernels)])
+        y = conv3d(x, kernels, **kwargs)
+        outputs[calls[-1]] = outputs.get(calls[-1], b"") + y.tobytes()
         return y
 
     def counted(self, m):
-        rows = band_rows(self, m)
-        bands.append(len(rows))
-        return rows
+        cut = band_rows(self, m)
+        bands.setdefault(calls[-1], []).append(len(cut))
+        return cut
 
     with monkeypatch.context() as patch:
         patch.setattr(tensor, "_SPLIT_MIN_BYTES", gate)
+        patch.setattr(networks, "_weak_kernels", named)
         patch.setattr(tensor, "conv3d", recorded)
         patch.setattr(tensor._Im2col, "bands", counted)
         with tensor.blas_threads(threads):
@@ -233,9 +244,65 @@ def test_reference_forward_bytes_do_not_depend_on_the_banding(monkeypatch,
     n = 1 if threads == 1 else tensor.blas_thread_count()
     narrow, narrow_bands = _conv_outputs(monkeypatch, 1, n)
     whole, whole_bands = _conv_outputs(monkeypatch, 2**62, n)
-    assert len(narrow) == len(whole) == 8
-    assert whole_bands == [1] * 8 and narrow_bands[1] == 24
+    assert list(narrow) == list(whole) == [
+        "conv1", "conv2", "conv3a", "conv3b", "conv4a", "conv4b", "conv5a",
+        "conv5b"]
+    assert all(set(c) == {1} for c in whole_bands.values())
+    assert narrow_bands["conv2"] == [24]
     assert narrow == whole
+
+
+_POOLED = ("conv1", "conv3b", "conv4b")  # convs a pool follows
+
+
+@pytest.mark.parametrize("threads, gate", [
+    (1, None), ("default", None),
+    # conv1's 48x64 frames cut into four bands, which two workers share
+    (1, 2**18)])
+def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
+    # keeping a conv runs it alone; not keeping one that a pool follows
+    # runs the conv, its ReLU and the pool in groups of frames
+    names = [r.name for r in networks._encoder_specs((3, 8, 48, 64))]
+    conv1_calls = []  # (frames, bands, splits) of each conv1 call
+    if gate is not None:
+        conv3d, band_rows = tensor.conv3d, tensor._Im2col.bands
+        split, bands, splits = tensor._on_two_workers, [], []
+
+        def logged(x, kernels, **kwargs):
+            before = len(splits)
+            y = conv3d(x, kernels, **kwargs)
+            if x.shape[0] == 3:
+                conv1_calls.append((y.shape[1], bands[-1],
+                                    len(splits) - before))
+            return y
+
+        def counted(self, m):
+            cut = band_rows(self, m)
+            bands.append(len(cut))
+            return cut
+
+        monkeypatch.setattr(tensor, "_SPLIT_MIN_BYTES", gate)
+        monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(tensor, "_on_two_workers",
+                            lambda *a: splits.append(a) or split(*a))
+        monkeypatch.setattr(tensor, "conv3d", logged)
+        monkeypatch.setattr(tensor._Im2col, "bands", counted)
+    n = 1 if threads == 1 else tensor.blas_thread_count()
+    runs = []
+    for keep in (names, [r for r in names if r not in _POOLED]):
+        rng = np.random.default_rng(5)
+        with tensor.blas_threads(n):
+            shapes, kept = networks._run_encoder((3, 8, 48, 64), rng, keep)
+        runs.append((shapes, kept, rng.bit_generator.state))
+    (shapes, alone, state), (fused_shapes, fused, fused_state) = runs
+    assert fused_shapes == shapes
+    assert dict(shapes)["conv1"] == (64, 8, 48, 64)
+    assert sorted(fused) == sorted(set(names) - set(_POOLED))
+    assert all(fused[r].tobytes() == alone[r].tobytes() for r in fused)
+    assert fused_state == state
+    if gate is not None:
+        # alone, then fused: four calls of two frames
+        assert conv1_calls == [(8, 4, 1)] + [(2, 4, 1)] * 4
 
 
 @pytest.mark.parametrize("threads", [1, "default"])

@@ -182,3 +182,28 @@ def test_video_directory_without_frames_is_named(tmp_path, loader, kind,
     with pytest.raises(ValueError, match=re.escape(
             f"{vdir}: no frame_*.{suffix} files")):
         loader(tmp_path, 3)
+
+
+@pytest.mark.parametrize("corruption", ["last deleted", "renamed", "extra"])
+@pytest.mark.parametrize("loader, kind, suffix", [
+    (load_video_frames, "videos", "t4"), (load_video_masks, "masks", "sm")])
+def test_frame_files_that_disagree_with_the_rows_are_named(
+        tmp_path, loader, kind, suffix, corruption):
+    gen_dataset(SMALL, tmp_path)
+    vdir = tmp_path / kind / "003"
+    frame = vdir / f"frame_0005.{suffix}"
+    if corruption == "last deleted":
+        (vdir / f"frame_0011.{suffix}").unlink()
+        count, problem = 11, f"missing ['frame_0011.{suffix}'], unexpected []"
+    elif corruption == "renamed":
+        frame.rename(vdir / f"frame_5.{suffix}")
+        count, problem = 12, (f"missing ['frame_0005.{suffix}'], "
+                              f"unexpected ['frame_5.{suffix}']")
+    else:
+        (vdir / f"frame_0012.{suffix}").write_bytes(frame.read_bytes())
+        count, problem = 13, f"missing [], unexpected ['frame_0012.{suffix}']"
+    rows = len(load_annotations(tmp_path)[3]["boxes"])
+    with pytest.raises(ValueError, match=f"^{re.escape(vdir.as_posix())}: "
+                       f"{count} .{suffix} files for frames 0..11: "
+                       f"{re.escape(problem)}$"):
+        loader(tmp_path, 3, rows)

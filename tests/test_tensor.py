@@ -617,8 +617,8 @@ def test_full_scale_conv1_frame_pair_on_two_workers():
 def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
     # a 64->128 conv on 150x200 frames: each frame's im2col matrix is
     # 207 MB, cut into 13 bands of at most 16 MiB, which the two workers
-    # share; the scratch the call allocates (both workers' bands and GEMM
-    # products, the padded input and the output) stays under 128 MB
+    # share; the scratch the call allocates (both workers' bands, padded
+    # input rows and GEMM products, and the output) stays under 128 MB
     rng = np.random.default_rng(12)
     x = rng.standard_normal((64, 2, 150, 200)).astype(np.float32)
     k = make_kernels(128, 64, (3, 3, 3), rng)
@@ -637,6 +637,50 @@ def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
     assert len(splits) == 1
     assert peak < 128 * 2**20
     assert y.tobytes() == _conv3d_oracle(x, k).tobytes()
+
+
+@needs_blas_control
+def test_banded_conv_holds_no_padded_copy_of_its_input():
+    # 16->16 channels on 64x64 frames, the size gate at 1 MiB: each
+    # frame's 7 MB im2col matrix is cut into 8-row bands, and each of the
+    # two workers holds one band's matrix, padded input rows and product;
+    # a padded copy of the whole input would not fit in the slack
+    rng = np.random.default_rng(13)
+    src = rng.standard_normal((16, 4, 64, 64)).astype(np.float32)
+    k = make_kernels(16, 16, (3, 3, 3), rng)
+    with _split_everything(2**20) as splits:
+        rows = max(r1 - r0 for r0, r1 in _bands(src, k))
+        assert rows == 8
+        tracemalloc.start()
+        try:
+            x = src.copy()
+            y = conv3d(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(splits) == 1
+    matrix = 16 * 27 * rows * 64 * 4
+    padded_rows = 16 * (4 + 2) * (rows + 2) * (64 + 2) * 4
+    product = 16 * rows * 64 * 4
+    slack = 2**17
+    assert peak < x.nbytes + y.nbytes + 2 * (matrix + padded_rows
+                                             + product) + slack
+    assert 2 * padded_rows + slack < 16 * 6 * 66 * 66 * 4  # whole, padded
+    assert y.tobytes() == _conv3d_oracle(src, k).tobytes()
+
+
+@pytest.mark.parametrize("pad", [((1, 0), 1, 1), ((0, 2), 1, 1),
+                                 ((0, 0), (1, 0), (0, 1)), (1, (2, 0), 1)])
+def test_conv_pad_pairs_pad_each_side_on_its_own(pad):
+    # a (before, after) pair zero-pads the two sides of an axis apart
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((3, 5, 6, 7)).astype(np.float32)
+    k = make_kernels(4, 3, (3, 3, 3), rng)
+    pairs = [(p, p) if np.ndim(p) == 0 else p for p in pad]
+    xp = np.pad(x, [(0, 0)] + pairs)
+    got = conv3d(x, k, pad=pad)
+    assert got.shape == conv3d_out_shape(x.shape, k, pad=pad)
+    assert got.tobytes() == _conv3d_oracle(xp, k, pad=(0, 0, 0)).tobytes()
 
 
 @pytest.mark.parametrize("shape,out_c,want", [
@@ -703,6 +747,36 @@ def test_pool_blocks_of_channels_give_the_oracle_bytes(channels):
     y_ref, arg_ref, _ = _maxpool3d_oracle(x, (1, 2, 2))
     assert y.tobytes() == y_ref.tobytes()
     assert np.array_equal(amap.offsets, arg_ref)
+
+
+@needs_blas_control
+def test_pool_pads_one_block_of_channels_at_a_time():
+    # odd depth and height under a 2x2x2 kernel, the size gate set so that
+    # each block holds two channels: each worker pads one block with -inf
+    # at a time, never the whole input; ReLU zeros tie and a NaN wins
+    rng = np.random.default_rng(15)
+    src = np.maximum(rng.standard_normal((7, 3, 129, 128)), -0.5).astype(
+        np.float32)
+    src[3, 1, 2, 5] = np.nan
+    src[5, 2, 128] = 0.0
+    with _split_everything(2 * src.nbytes // 7) as splits:
+        tracemalloc.start()
+        try:
+            x = src.copy()
+            y, amap = maxpool3d(x, (2, 2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(splits) == 1
+    y_ref, arg_ref, _ = _maxpool3d_oracle(src, (2, 2, 2))
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(amap.offsets, arg_ref)
+    block = 2 * 4 * 130 * 128 * 4  # two channels, padded
+    step_scratch = 2 * 2 * 65 * 64 * (1 + 4 + 1)
+    slack = 2**17
+    assert peak < (x.nbytes + y.nbytes + amap.offsets.nbytes
+                   + 2 * (block + step_scratch) + slack)
+    assert 2 * block + slack < 7 * 4 * 130 * 128 * 4  # whole, padded
 
 
 @needs_blas_control
