@@ -14,12 +14,11 @@ import numpy as np
 
 from . import tensor as tz
 from . import toi
-from .networks import (FC, Conv3D, Pool3D, ReLU, SubpixelUp, UnpoolUp,
-                       clip_grads)
+from .networks import FC, Conv3D, SubpixelUp, UnpoolUp, clip_grads
 from .proposals import (POSITIVE, PairedFeatureProjector, RegressionTarget,
                         assign_actionness_labels, decode_regression,
                         encode_regression, smooth_l1)
-from .segmentation import segmentation_loss
+from .segmentation import SegMask, channel_softmax, segmentation_loss
 from .tensor import ShapeError, softmax_xent
 from .toi import Box, Tube, pixel_box_to_cells
 from .upsample import UpscaleFactors
@@ -99,37 +98,36 @@ class _ModelBase:
 class Encoder(_ModelBase):
     """conv1..conv5 3D feature extractor with taps for skip connections.
 
-    Activation names conv1..conv5 refer to the post-ReLU outputs; pooling
-    follows conv1..conv4 as in the reference tables.
+    Each stage is its conv, a ReLU and, after conv1..conv4, a max-pool of
+    kernel `ENC_POOLS[i]`, as in the reference tables. Only the convs are
+    layers; the ReLU and the pool are tensor calls. Activation names
+    conv1..conv5 refer to the post-ReLU outputs.
     """
 
     def __init__(self, rng):
         cs = (3,) + ENC_CHANNELS
         self.convs = [Conv3D(cs[i], cs[i + 1], rng) for i in range(5)]
-        self.relus = [ReLU() for _ in range(5)]
-        self.pools = [Pool3D(k) for k in ENC_POOLS]
 
     def forward(self, x, keep_cache=True):
         """The activations conv1..conv5 and this call's cache (None when
         `keep_cache` is false, as inference needs none).
 
-        The cache holds, for each of the five stages, the caches of its
-        conv, its ReLU and its pool (None after conv5): the conv's input,
-        the ReLU's output (the stage's activation) and the pool's argmax
-        map. `backward` takes it back, so the caches of several clips can
-        be held at once.
+        The cache holds one tuple per stage: the conv's cache (its input),
+        the ReLU's output (the stage's activation, rectified in place in
+        the conv's output) and the pool's `PoolArgmax` (None after conv5).
+        `backward` takes it back, so the caches of several clips can be
+        held at once.
         """
         acts, cache = {}, []
         h = x
         for i in range(5):
             z, conv_cache = self.convs[i].forward(h)
-            h, relu_cache = self.relus[i].forward(z)
-            acts[f"conv{i + 1}"] = h
-            pool_cache = None
+            h = act = acts[f"conv{i + 1}"] = tz.relu(z, out=z)
+            amap = None
             if i < 4:
-                h, pool_cache = self.pools[i].forward(h)
+                h, amap = tz.maxpool3d(act, ENC_POOLS[i])
             if keep_cache:
-                cache.append((conv_cache, relu_cache, pool_cache))
+                cache.append((conv_cache, act, amap))
         return acts, cache if keep_cache else None
 
     def backward(self, taps, cache):
@@ -144,15 +142,15 @@ class Encoder(_ModelBase):
         top = max((STAGES.index(name) for name in taps), default=-1)
         g = None
         for i in range(top, -1, -1):
-            conv_cache, relu_cache, pool_cache = cache[i]
+            conv_cache, relu_out, amap = cache[i]
             t = taps.get(STAGES[i])
             if i == top:
                 g = t
             else:
-                g = self.pools[i].backward(g, pool_cache)
+                g = tz.maxpool3d_backward(g, amap)
                 if t is not None:
                     g = g + t
-            g = self.convs[i].backward(self.relus[i].backward(g, relu_cache),
+            g = self.convs[i].backward(tz.relu_backward(g, relu_out),
                                        conv_cache, input_grad=i > 0)
 
     def _parts(self):
@@ -160,10 +158,10 @@ class Encoder(_ModelBase):
 
 
 def _head_forward(fc1, fc2, x):
-    """fc1, ReLU, fc2. Returns the output and the cache `_head_backward`
-    takes."""
+    """fc1, ReLU (in place in fc1's output), fc2. Returns the output and
+    the cache `_head_backward` takes."""
     z, fc1_cache = fc1.forward(x)
-    y, fc2_cache = fc2.forward(tz.relu(z))
+    y, fc2_cache = fc2.forward(tz.relu(z, out=z))
     return y, (fc1_cache, fc2_cache)
 
 
@@ -436,14 +434,14 @@ class STCNN(_Recognizer):
 
     # the decoder, deepest stage first. Each stage upsamples by its factors
     # to UP_C channels, concatenates the encoder's skip, and runs its conv
-    # (kernel given) to 16 channels and its ReLU. The last concatenation is
+    # (kernel given) to 16 channels and a ReLU. The last concatenation is
     # concat1, which conv7 reads through conv6 to give the logits.
-    DECODER = (("up4", (2, 2, 2), "conv4", "conv4c", (3, 3, 3), "relu4c"),
-               ("up3", (2, 2, 2), "conv3", "conv3c", (3, 3, 3), "relu3c"),
-               ("up2", (2, 2, 2), "conv2", "conv2c", (3, 3, 3), "relu2c"),
-               ("up1", (1, 2, 2), "conv1", "conv6", (1, 1, 1), "relu6"))
+    DECODER = (("up4", (2, 2, 2), "conv4", "conv4c", (3, 3, 3)),
+               ("up3", (2, 2, 2), "conv3", "conv3c", (3, 3, 3)),
+               ("up2", (2, 2, 2), "conv2", "conv2c", (3, 3, 3)),
+               ("up1", (1, 2, 2), "conv1", "conv6", (1, 1, 1)))
     UP_C = 8
-    LAYERS = ("encoder", *[n for up, _, _, conv, *_ in DECODER
+    LAYERS = ("encoder", *[n for up, _, _, conv, _ in DECODER
                            for n in (up, conv)], "conv7", "rec_fc1", "rec_fc2")
 
     def __init__(self, num_classes, frame_hw, seed=0, upsampler="subpixel"):
@@ -456,12 +454,11 @@ class STCNN(_Recognizer):
         self.upsampler = upsampler
         self.encoder = Encoder(rng)
         in_c = ENC_CHANNELS[-1]
-        for up, p, skip, conv, kdhw, relu in self.DECODER:
+        for up, p, skip, conv, kdhw in self.DECODER:
             concat_c = self.UP_C + ENC_CHANNELS[STAGES.index(skip)]
             setattr(self, up, UPSAMPLERS[upsampler](
                 in_c, self.UP_C, UpscaleFactors(*p), rng))
             setattr(self, conv, Conv3D(concat_c, 16, rng, kdhw))
-            setattr(self, relu, ReLU())
             in_c = 16
         self.conv7 = Conv3D(16, 2, rng, (1, 1, 1))
         self._init_recognizer(concat_c, 64, num_classes, rng)  # concat1's
@@ -470,38 +467,44 @@ class STCNN(_Recognizer):
     def forward(self, frames, cache=None):
         """Encoder activations, concat1 and the segmentation logits of one
         clip. A dict passed as `cache` receives what `backward` takes: the
-        encoder's cache and each decoder layer's, by name; without one,
-        none is kept."""
+        encoder's cache under "encoder", one tuple per decoder stage under
+        "decoder" (the upsampler's cache, the conv's, and the ReLU's
+        output, rectified in place in the conv's) and conv7's under
+        "conv7"; without one, none is kept."""
         keep = cache is not None
         acts, enc_cache = self._encode(frames, keep_cache=keep)
-        if keep:
-            cache["encoder"] = enc_cache
-
-        def run(name, x):
-            y, layer_cache = getattr(self, name).forward(x)
+        h, stages = acts["conv5"], []
+        for up, _, skip, conv, _ in self.DECODER:
+            y, up_cache = getattr(self, up).forward(h)
+            concat = np.concatenate([y, acts[skip]], axis=0)
+            del y  # before the conv allocates its output
+            if not keep:
+                del up_cache  # un-pooling's is a whole upsampled cube
+            z, conv_cache = getattr(self, conv).forward(concat)
+            h = tz.relu(z, out=z)
             if keep:
-                cache[name] = layer_cache
-            return y
-
-        h = acts["conv5"]
-        for up, _, skip, conv, _, relu in self.DECODER:
-            concat = np.concatenate([run(up, h), acts[skip]], axis=0)
-            h = run(relu, run(conv, concat))
-        return acts, concat, run("conv7", h)
+                stages.append((up_cache, conv_cache, h))
+            del conv_cache  # concat: the next stage's conv must not hold it
+        logits, conv7_cache = self.conv7.forward(h)
+        if keep:
+            cache.update(encoder=enc_cache, decoder=stages, conv7=conv7_cache)
+        return acts, concat, logits
 
     def backward(self, cache, g_seg_logits, g_concat1_extra):
         """Accumulate the gradients of the forward that filled `cache`,
-        from those of the logits and an extra one of concat1."""
-        def back(name, g):
-            return getattr(self, name).backward(g, cache[name])
-
-        g, extra, taps = back("conv7", g_seg_logits), g_concat1_extra, {}
-        for up, _, skip, conv, _, relu in reversed(self.DECODER):
-            g = back(conv, back(relu, g))
+        from those of the logits and an extra one of concat1, walking the
+        decoder stages' caches from the last back to the first."""
+        g = self.conv7.backward(g_seg_logits, cache["conv7"])
+        extra, taps = g_concat1_extra, {}
+        for (up, _, skip, conv, _), (up_cache, conv_cache, relu_out) in zip(
+                reversed(self.DECODER), reversed(cache["decoder"])):
+            g = getattr(self, conv).backward(tz.relu_backward(g, relu_out),
+                                             conv_cache)
             if extra is not None:  # concat1's: the first concatenation back
                 g, extra = g + extra, None
             taps[skip] = np.ascontiguousarray(g[self.UP_C:])
-            g = back(up, np.ascontiguousarray(g[:self.UP_C]))
+            g = getattr(self, up).backward(np.ascontiguousarray(g[:self.UP_C]),
+                                           up_cache)
         taps["conv5"] = g
         self.encoder.backward(taps, cache["encoder"])
 
@@ -527,11 +530,7 @@ class STCNN(_Recognizer):
     def segment_clip(self, frames, threshold=0.5):
         """The binary mask of each frame of a clip, foreground where its
         softmax probability reaches `threshold`, and the clip's concat1."""
-        from .segmentation import SegMask
-
         _, concat1, seg_logits = self.forward(frames)
-        z = seg_logits - seg_logits.max(axis=0, keepdims=True)
-        e = np.exp(z)
-        p_fg = (e / e.sum(axis=0, keepdims=True))[1]
+        p_fg = channel_softmax(seg_logits)[1]
         masks = [SegMask(p_fg[t] >= threshold) for t in range(p_fg.shape[0])]
         return masks, concat1

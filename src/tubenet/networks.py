@@ -1,15 +1,16 @@
-"""Layer objects with hand-written backward passes, plus the reference
+"""Trainable layers with hand-written backward passes, plus the reference
 architecture tables of both pipelines and a forward shape-fidelity runner.
 
-Every layer's `forward(x)` returns `(y, cache)` and its `backward(gy,
-cache)` takes that cache back: layers keep no per-call state, so a caller
-can hold the caches of several forwards at once.
-
-Every trainable layer is a `_Trainable`: weights `w`, bias `b` and their
-gradients `gw`/`gb`, which `backward` accumulates until `zero_grads`. The
-base writes the update (`sgd_update`: clip, then step) and the checkpoint
-keys (`state`/`load_state`: "w" and "b") once for `Conv3D`, `FC` and the
-two upsamplers, which are convolutions themselves.
+A layer is what holds parameters. Every one is a `_Trainable`: weights
+`w`, bias `b` and their gradients `gw`/`gb`, which `backward` accumulates
+until `zero_grads`. The base writes the update (`sgd_update`: clip, then
+step) and the checkpoint keys (`state`/`load_state`: "w" and "b") once for
+`Conv3D`, `FC` and the two upsamplers, which are convolutions themselves.
+Its `forward(x)` returns `(y, cache)` and its `backward(gy, cache)` takes
+that cache back: layers keep no per-call state, so a caller can hold the
+caches of several forwards at once. ReLU and max-pooling hold nothing, so
+the models call `tensor.relu` and `tensor.maxpool3d` (and their backwards)
+directly.
 """
 
 from __future__ import annotations
@@ -88,27 +89,6 @@ class Conv3D(_Trainable):
         self.gw += gw
         self.gb += gb
         return gx
-
-
-class Pool3D:
-    def __init__(self, kernel):
-        self.kernel = kernel
-
-    def forward(self, x):
-        return tz.maxpool3d(x, self.kernel)
-
-    def backward(self, gy, amap):
-        return tz.maxpool3d_backward(gy, amap)
-
-
-class ReLU:
-    def forward(self, x):
-        # the cache is the output, which the next layer holds anyway
-        y = tz.relu(x)
-        return y, y
-
-    def backward(self, gy, x):
-        return tz.relu_backward(gy, x)
 
 
 class FC(_Trainable):
@@ -372,13 +352,14 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
         cur = subpixel_upsample3d(
             cur, _weak_kernels(up_c * p.volume, cur.shape[0], rng), p)
         shapes.append((up_name, cur.shape))
-        cur = np.concatenate([cur, acts.pop(skip)], axis=0)
-        if conv_name == "conv1c":
-            concat1 = cur
-        out = tz.relu(tz.conv3d(cur, _weak_kernels(conv_c, cur.shape[0], rng)))
-        shapes.append((conv_name, out.shape))
-        if conv_name != "conv1c":
-            cur = out
+        concat1 = np.concatenate([cur, acts.pop(skip)], axis=0)
+        del cur  # the upsample's output, before the conv allocates its own
+        cur = tz.conv3d(concat1, _weak_kernels(conv_c, concat1.shape[0], rng))
+        tz.relu(cur, out=cur)
+        shapes.append((conv_name, cur.shape))
+        if conv_name != "conv1c":  # only the last concatenation is read
+            del concat1
+    del cur  # conv1c's output: nothing reads it once its shape is recorded
 
     # segmentation head: per-frame 1x1 maps, streamed in blocks of one
     # frame's columns so that conv6 never exists as a whole
@@ -399,6 +380,8 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     pooled, _ = toi.toi_pool_forward(
         concat1, toi.full_frame_tube(*concat1.shape[1:]), (8, 8, 8))
     shapes.append(("toi-pool", pooled.shape))
+    # concat1 and all that keeps it alive, before fc6's blocks are drawn
+    del concat1, seg, frame, seg_t, h6
     v = tz.relu(_fc_forward(pooled.ravel(), 4096, rng))
     shapes.append(("fc6", v.shape))
     v = _fc_forward(v, 4096, rng)

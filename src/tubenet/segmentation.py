@@ -72,6 +72,14 @@ def mask_to_box(mask: SegMask) -> Box | None:
     return Box(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
 
 
+def channel_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the channel axis of a (2, D, H, W) logit cube: each
+    pixel's background and foreground probabilities."""
+    z = logits - logits.max(axis=0, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=0, keepdims=True)
+
+
 def segmentation_loss(logits: np.ndarray, gt_masks):
     """Mean per-pixel 2-class cross-entropy over a (2, D, H, W) logit cube.
 
@@ -84,9 +92,7 @@ def segmentation_loss(logits: np.ndarray, gt_masks):
         raise ShapeError(
             f"gt masks {labels.shape} do not match logits {logits.shape[1:]}"
         )
-    z = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=0, keepdims=True)
+    p = channel_softmax(logits)
     n = labels.size
     picked = np.where(labels, p[1], p[0])
     loss = float(-np.log(np.maximum(picked, np.finfo(p.dtype).tiny)).sum(

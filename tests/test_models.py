@@ -76,14 +76,14 @@ def _encoder_backward_full_depth(encoder, taps, cache):
     if g is None:
         g = np.zeros_like(cache[4][1])
     for i in (4, 3, 2, 1, 0):
-        conv_cache, relu_cache, pool_cache = cache[i]
+        conv_cache, relu_out, amap = cache[i]
         if i < 4:
-            g = encoder.pools[i].backward(g, pool_cache)
+            g = tensor.maxpool3d_backward(g, amap)
             t = taps.get(f"conv{i + 1}")
             if t is not None:
                 g = g + t
         g = encoder.convs[i].backward(
-            encoder.relus[i].backward(g, relu_cache), conv_cache)
+            tensor.relu_backward(g, relu_out), conv_cache)
 
 
 @pytest.mark.parametrize("names", [
@@ -139,7 +139,11 @@ def test_inference_forwards_keep_no_caches(monkeypatch):
     seg_cache = {}
     _, concat_c, seg_c = stcnn.forward(frames, seg_cache)
     assert set(cached) == {"encoder", "act_head"}
-    assert {"encoder", "up1", "conv6", "relu6", "conv7"} <= set(seg_cache)
+    assert set(seg_cache) == {"encoder", "decoder", "conv7"}
+    # one (upsampler, conv, ReLU output) tuple per decoder stage
+    assert [len(stage) for stage in seg_cache["decoder"]] == [3] * 4
+    # the last ReLU's output is conv7's input, held once
+    assert seg_cache["decoder"][-1][2] is seg_cache["conv7"]
 
     kept = []
     forward = Encoder.forward

@@ -5,14 +5,15 @@ build no trainable layer, and the bytes of their fc helper."""
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubenet import networks, tensor
-from tubenet.models import STCNN, TCNN
-from tubenet.networks import ReLU, SubpixelUp, UnpoolUp
+from tubenet.models import STCNN, TCNN, Encoder
+from tubenet.networks import SubpixelUp, UnpoolUp
 from tubenet.proposals import Anchor
 from tubenet.tensor import finite_diff_grad
 from tubenet.upsample import UpscaleFactors, subpixel_upsample3d
@@ -104,6 +105,22 @@ def test_every_parameter_has_one_trainable_owner(kind):
 
 
 @pytest.mark.parametrize("kind", MODELS)
+def test_every_layer_object_a_model_holds_has_parameters(kind):
+    # a layer is what holds parameters: ReLU and pooling are tensor calls
+    model = _model(kind)
+    trainables = model.trainables()
+    loose = []
+    for owner, prefix in ((model, ""), (model.encoder, "encoder.")):
+        for name, value in vars(owner).items():
+            for obj in value if isinstance(value, list) else [value]:
+                if (hasattr(obj, "forward") and obj is not model.encoder
+                        and not any(obj is t for t in trainables)):
+                    loose.append(prefix + name)
+    # the projector is stepped inside tpn_step, outside LAYERS
+    assert loose == (["projector"] if kind == "tcnn" else [])
+
+
+@pytest.mark.parametrize("kind", MODELS)
 def test_state_round_trip_keeps_every_byte(kind):
     src, dst = _model(kind, seed=7), _model(kind, seed=8)
     dst.load_state(src.state())
@@ -177,13 +194,22 @@ def test_every_traced_name_resolves():
 def test_relu_caches_its_output_and_masks_the_same_gradient():
     x = np.array([-1.0, -0.0, 0.0, 2.0, np.nan, -np.inf, 1e-40],
                  np.float32)
-    y, cache = ReLU().forward(x)
-    assert cache is y
+    y = tensor.relu(x)
+    # in place, as the models rectify a conv's or fc's output: same bytes
+    z = x.copy()
+    assert tensor.relu(z, out=z) is z
+    assert z.tobytes() == y.tobytes()
     gy = np.arange(1, 8, dtype=np.float32)
     # positive exactly where the input is: NaN and -0.0 are neither
     assert np.array_equal(y > 0, x > 0)
-    got = ReLU().backward(gy, cache)
+    got = tensor.relu_backward(gy, y)
     assert got.tobytes() == np.where(x > 0, gy, 0).tobytes()
+    # the encoder caches each ReLU's output, the activation it returns
+    frames = np.random.default_rng(4).standard_normal((3, 8, 16, 16))
+    acts, cache = Encoder(np.random.default_rng(5)).forward(
+        frames.astype(np.float32))
+    assert all(relu_out is acts[f"conv{i + 1}"]
+               for i, (_, relu_out, _) in enumerate(cache))
 
 
 def test_reference_forwards_build_no_trainable_layer(monkeypatch):
@@ -196,6 +222,31 @@ def test_reference_forwards_build_no_trainable_layer(monkeypatch):
                 networks.run_stcnn_table_forward):
         rows, shapes = run((3, 8, 48, 64), 0)
         assert dict(shapes) == {r.name: r.out_shape for r in rows}
+
+
+def test_bottom_up_forward_frees_concat1_and_conv1c_before_fc6(monkeypatch):
+    # once toi-pool has read concat1, neither it nor conv1c's output (read
+    # by nothing but its shape) is live when fc6's first row block is drawn
+    shape = (3, 8, 48, 64)
+    c1 = dict((r.name, r.out_shape)
+              for r in networks.stcnn_table_specs(shape))["toi-pool"][0]
+    pooled_n = c1 * 8 * 8 * 8
+    draw, live = tensor.glorot_uniform, []
+
+    def traced(w_shape, *args):
+        if w_shape == (networks._FC_ROWS, pooled_n) and not live:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return draw(w_shape, *args)
+
+    monkeypatch.setattr(tensor, "glorot_uniform", traced)
+    tracemalloc.start()
+    try:
+        networks.run_stcnn_table_forward(shape, 0)
+    finally:
+        tracemalloc.stop()
+    concat1 = c1 * 8 * 48 * 64 * 4
+    conv1c = 64 * 8 * 48 * 64 * 4
+    assert live and live[0] < concat1 + conv1c
 
 
 def _conv_outputs(monkeypatch, gate, threads):

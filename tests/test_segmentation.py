@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from tubenet.segmentation import (SegMask, load_mask, mask_to_box, save_mask,
-                                  segmentation_loss)
+from tubenet.segmentation import (SegMask, channel_softmax, load_mask,
+                                  mask_to_box, save_mask, segmentation_loss)
 from tubenet.tensor import finite_diff_grad
 
 
@@ -117,3 +117,22 @@ def test_loss_grad_matches_finite_differences():
     fg = finite_diff_grad(lambda v: segmentation_loss(v, masks)[0], logits)
     denom = max(np.abs(fg).max(), 1e-12)
     assert np.abs(grad - fg).max() / denom < 1e-5
+
+
+def test_loss_and_segment_clip_share_one_channel_softmax():
+    from tubenet.models import STCNN
+
+    rng = np.random.default_rng(2)
+    model = STCNN(2, (48, 64), seed=3)
+    frames = rng.standard_normal((3, 8, 48, 64)).astype(np.float32)
+    _, _, logits = model.forward(frames)
+    p = channel_softmax(logits)
+    assert p.dtype == logits.dtype and np.allclose(p.sum(axis=0), 1.0)
+    masks, _ = model.segment_clip(frames, 0.5)
+    assert np.array_equal(np.stack([m.bits for m in masks]), p[1] >= 0.5)
+    gt = [SegMask(b) for b in rng.random((8, 48, 64)) > 0.5]
+    labels = np.stack([m.bits for m in gt])
+    _, grad = segmentation_loss(logits, gt)
+    want = p - np.stack([~labels, labels])
+    want /= labels.size
+    assert grad.tobytes() == want.tobytes()
