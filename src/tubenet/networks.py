@@ -15,11 +15,13 @@ directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
+from . import toi
 from .tensor import KernelSet
 from .upsample import (UpscaleFactors, channel_to_spacedepth_backward,
                        subpixel_upsample3d, unpool3d, unpool3d_backward)
@@ -239,22 +241,50 @@ def _fc_forward(x, out_n, rng):
 
 
 # output frames of a conv that `_run_encoder` runs fused with its pool at a
-# time, rounded up to a multiple of the pool's depth kernel: with conv1's
-# three bands per 300x400 frame, two frames are six units, which split
-# evenly between two workers
+# time, rounded up to a multiple of the pool's depth kernel (and of a ToI
+# pool's temporal bin): with conv1's three bands per 300x400 frame, two
+# frames are six units, which split evenly between two workers
 _FUSED_FRAMES = 2
 
 
-def _conv_relu_pool(x, kernels, pool):
+def _full_frame_toi(y, out_shape):
+    """`y` ToI-pooled over a full-frame tube to (C,) + `out_shape`."""
+    return toi.toi_pool_forward(y, toi.full_frame_tube(*y.shape[1:]),
+                                out_shape)[0]
+
+
+def _into(out, part, t0, depth):
+    """`part` written into `out` from frame `t0` on; `out` is allocated
+    `depth` frames deep, in `part`'s dtype, when it is None. Returns it."""
+    if out is None:
+        out = np.empty((part.shape[0], depth) + part.shape[2:],
+                       dtype=part.dtype)
+    out[:, t0:t0 + part.shape[1]] = part
+    return out
+
+
+def _conv_relu_pool(x, kernels, pool, toi_shape=None):
     """conv3d (3x3x3, pad 1), ReLU and maxpool3d of `x`, run on groups of
     output frames so that the conv's whole output never exists. Returns
-    the conv output's shape (frames summed over the groups) and the pooled
-    output. The bytes are those of the three layers run one after the
-    other: each conv output frame is its own GEMMs, and a group is a whole
-    number of the pool's windows deep."""
+    the conv output's shape (frames summed over the groups), the pooled
+    output and, given a (D, H, W) `toi_shape`, the rectified conv output
+    ToI-pooled over a full-frame tube (else None). The bytes are those of
+    the layers run one after the other: each conv output frame is its own
+    GEMMs, a group is a whole number of the pool's windows deep, and each
+    group edge falls on an edge of the ToI pool's D temporal bins, which
+    must be of equal depth: a frame's ToI pool reads its bin's frames
+    alone."""
     d = x.shape[1]
-    group = -(-_FUSED_FRAMES // pool[0]) * pool[0]
-    pooled, frames = None, 0
+    step = pool[0]
+    if toi_shape is not None:
+        bins = toi_shape[0]
+        if d % bins:
+            raise tz.ShapeError(f"{d} frames do not split into {bins} "
+                                "ToI bins of equal depth")
+        step = math.lcm(step, d // bins)
+    group = -(-_FUSED_FRAMES // step) * step
+    pooled = tois = None
+    frames = 0
     for g0 in range(0, d, group):
         g1 = min(g0 + group, d)
         # the input frames the group's outputs read, zeros past either end
@@ -262,42 +292,52 @@ def _conv_relu_pool(x, kernels, pool):
         y = tz.conv3d(x[:, lo:hi], kernels,
                       pad=((lo - g0 + 1, g1 + 1 - hi), 1, 1))
         tz.relu(y, out=y)
-        p = tz.maxpool3d(y, pool)[0]
-        if pooled is None:
-            pooled = np.empty((p.shape[0], -(-d // pool[0])) + p.shape[2:],
-                              dtype=p.dtype)
-        pooled[:, g0 // pool[0]:g0 // pool[0] + p.shape[1]] = p
+        if toi_shape is not None:  # the group's bins, at its first bin
+            part = ((g1 - g0) * bins // d,) + toi_shape[1:]
+            tois = _into(tois, _full_frame_toi(y, part), g0 * bins // d,
+                         bins)
+        pooled = _into(pooled, tz.maxpool3d(y, pool)[0], g0 // pool[0],
+                       -(-d // pool[0]))
         frames += y.shape[1]
         shape = (y.shape[0], frames) + y.shape[2:]
-        del y, p  # before the next group's conv allocates its own
-    return shape, pooled
+        del y  # before the next group's conv allocates its own
+    return shape, pooled, tois
 
 
-def _run_encoder(in_shape, rng, keep):
+def _run_encoder(in_shape, rng, keep, toi_rows=None):
     """Run the encoder rows on a random input with random weights. Returns
     each row's output shape and the outputs of the rows named in `keep`;
-    the others are freed as soon as the next row has read them. A conv
-    that is not kept and is followed by a pool runs fused with its ReLU
-    and that pool (`_conv_relu_pool`), with the same bytes."""
+    the others are freed as soon as the next row has read them.
+    `toi_rows` maps a conv row to a ToI row's name and (D, H, W): the
+    conv's rectified output ToI-pooled over a full-frame tube is returned
+    under that name with the kept outputs. A conv that is not kept and is
+    followed by a pool runs fused with its ReLU, its ToI pool and that
+    pool (`_conv_relu_pool`), with the same bytes."""
+    toi_rows = toi_rows or {}
     x = rng.standard_normal(in_shape).astype(np.float32)
     shapes, kept = [], {}
     specs = _encoder_specs(in_shape)
     i = 0
     while i < len(specs):
         spec = specs[i]
+        toi_name, toi_shape = toi_rows.get(spec.name, (None, None))
         if spec.kind == "pool":
             x = tz.maxpool3d(x, spec.kernel)[0]
         elif (spec.name not in keep and i + 1 < len(specs)
               and specs[i + 1].kind == "pool"):
             pool = specs[i + 1]
-            shape, x = _conv_relu_pool(
+            shape, x, pooled = _conv_relu_pool(
                 x, _weak_kernels(spec.out_shape[0], x.shape[0], rng),
-                pool.kernel)
+                pool.kernel, toi_shape)
+            if toi_name:
+                kept[toi_name] = pooled
             shapes.append((spec.name, shape))
             spec, i = pool, i + 1
         else:
             x = tz.conv3d(x, _weak_kernels(spec.out_shape[0], x.shape[0], rng))
             tz.relu(x, out=x)
+            if toi_name:
+                kept[toi_name] = _full_frame_toi(x, toi_shape)
         shapes.append((spec.name, x.shape))
         if spec.name in keep:
             kept[spec.name] = x
@@ -305,33 +345,37 @@ def _run_encoder(in_shape, rng, keep):
     return shapes, kept
 
 
+# the ToI rows of the top-down table and the conv row each pools
+_TOI_ROWS = (("toi-pool2", "conv2"), ("toi-pool5", "conv5b"))
+
+
 def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     """Execute the full top-down reference forward with random weights;
-    returns [(name, actual shape)] for every table row."""
-    from . import toi
+    returns [(name, actual shape)] for every table row.
+
+    No conv output outlives the next row: conv2 runs fused with its ReLU,
+    toi-pool2 and pool2 (`_conv_relu_pool`), and conv5b is ToI-pooled as
+    soon as it is rectified."""
     from .proposals import PairedFeatureProjector
 
     rng = np.random.default_rng(seed)
-    shapes, acts = _run_encoder(in_shape, rng, ("conv2", "conv5b"))
-    conv2, conv5 = acts.pop("conv2"), acts.pop("conv5b")
-    pooled2, _ = toi.toi_pool_forward(
-        conv2, toi.full_frame_tube(*conv2.shape[1:]), (8, 8, 8))
-    shapes.append(("toi-pool2", pooled2.shape))
-    pooled5, _ = toi.toi_pool_forward(
-        conv5, toi.full_frame_tube(*conv5.shape[1:]), (1, 4, 4))
-    shapes.append(("toi-pool5", pooled5.shape))
+    rows = tcnn_table_specs(in_shape)
+    table = {r.name: r.out_shape for r in rows}
+    shapes, acts = _run_encoder(in_shape, rng, (), {
+        conv: (name, table[name][1:]) for name, conv in _TOI_ROWS})
+    pooled2, pooled5 = (acts.pop(name) for name, _ in _TOI_ROWS)
+    shapes += [("toi-pool2", pooled2.shape), ("toi-pool5", pooled5.shape)]
 
     # per-tube 1x1 channel projections sized so the halves total 8192
-    proj = PairedFeatureProjector(conv2.shape[0], conv5.shape[0],
+    proj = PairedFeatureProjector(pooled2.shape[0], pooled5.shape[0],
                                   proj2=8, proj5=32, rng=rng)
     vec, _ = proj.forward(pooled2, pooled5)
     shapes.append(("1x1 conv", vec.shape))
-    del conv2, conv5
     v = tz.relu(_fc_forward(vec, 4096, rng))
     shapes.append(("fc6", v.shape))
     v = _fc_forward(v, 4096, rng)
     shapes.append(("fc7", v.shape))
-    return tcnn_table_specs(in_shape), shapes
+    return rows, shapes
 
 
 # columns of one frame the bottom-up head maps at a time: a 4096-channel
@@ -341,8 +385,6 @@ _HEAD_COLS = 2048
 
 def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     """Execute the full bottom-up reference forward with random weights."""
-    from . import toi
-
     rng = np.random.default_rng(seed)
     shapes, acts = _run_encoder(
         in_shape, rng, ("conv5b",) + tuple(row[3] for row in _DECODER_ROWS))

@@ -24,9 +24,10 @@ large `conv3d` hands half of its (band, frame) units, and a large
 and joins. Each worker has scratch of its own, and no call makes a padded
 copy of its whole input: a conv worker copies the zero-padded input rows
 of one band at a time (`_Im2col`), and a pool worker pads one block of
-channels at a time with -inf. A frame whose im2col matrix
-is large is computed in bands of whole output rows, and a band's GEMM is a
-column slice of its frame's: OpenBLAS's blocked sgemm sums each output
+channels at a time with -inf. A conv's GEMMs write into the output itself,
+so no worker holds a product buffer. A frame whose im2col matrix is large
+is computed in bands of whole output rows, and a band's GEMM is a column
+slice of its frame's: OpenBLAS's blocked sgemm sums each output
 element over K in an order that depends on K alone. Two other paths sum
 in other orders, and no band takes either. numpy runs a product with one
 output row or column as a GEMV, so a frame with one output channel is
@@ -356,14 +357,15 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
 
     Computed one band of output rows of one frame at a time via im2col +
     GEMM, to bound the scratch memory on large feature maps
-    (`_Im2col.bands`: a frame at desk scale is one band). Each worker
-    reuses one im2col scratch and one GEMM product buffer of its own, both
-    allocated here, and walks its units band-major, so that it copies each
-    band's padded input rows once. A call whose frames are large enough
+    (`_Im2col.bands`: a frame at desk scale is one band). Each worker reuses
+    one im2col scratch of its own, allocated here, and walks its units
+    band-major, so that it copies each band's padded input rows once. Each
+    GEMM writes its product straight into its rows of the output, a strided
+    view, so no product buffer exists. A call whose frames are large enough
     hands the second half of its (band, frame) units to a second thread
-    (`_in_halves`). A band's GEMM is a column slice of its frame's, and
-    each output element's sum over K is the same in both, so the bytes
-    depend neither on the banding nor on the worker count.
+    (`_in_halves`). A band's GEMM is a column slice of its frame's, and each
+    output element's sum over K is the same in both, so the bytes depend
+    neither on the banding nor on the worker count.
     """
     out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
     oc, od, oh, ow = out_shape
@@ -374,17 +376,13 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     units = [(d, r0, r1) for r0, r1 in bands for d in range(od)]
     rows = max(r1 - r0 for r0, r1 in bands)
 
-    def run(lo, hi, cols, prod):
+    def run(lo, hi, cols):
         for d, r0, r1 in units[lo:hi]:
-            n = (r1 - r0) * ow
-            gemm = prod[:oc * n].reshape(oc, n)
-            np.matmul(w2, im2col.band(d, r0, r1, cols), out=gemm)
-            out[:, d, r0:r1] = gemm.reshape(oc, r1 - r0, ow)
+            np.matmul(w2, im2col.band(d, r0, r1, cols),
+                      out=out[:, d, r0:r1].reshape(oc, -1))
 
-    def scratch(n):
-        return im2col.buffer(rows), np.empty(oc * rows * ow, dtype=out.dtype)
-
-    _in_halves(run, len(units), im2col.frame_bytes, scratch)
+    _in_halves(run, len(units), im2col.frame_bytes,
+               lambda n: (im2col.buffer(rows),))
     out += kernels.bias[:, None, None, None]
     return out
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubenet import networks, tensor
+from tubenet import networks, tensor, toi
 from tubenet.models import STCNN, TCNN, Encoder
 from tubenet.networks import SubpixelUp, UnpoolUp
 from tubenet.proposals import Anchor
@@ -290,8 +290,8 @@ def _conv_outputs(monkeypatch, gate, threads):
 def test_reference_forward_bytes_do_not_depend_on_the_banding(monkeypatch,
                                                               threads):
     # the gate at one byte cuts every conv frame into as many bands as the
-    # GEMM-size floor allows (conv2 into 24 one-row bands of 32 columns);
-    # at 2**62 every frame is one band
+    # GEMM-size floor allows (conv2, in four two-frame groups, into 24
+    # one-row bands of 32 columns); at 2**62 every frame is one band
     n = 1 if threads == 1 else tensor.blas_thread_count()
     narrow, narrow_bands = _conv_outputs(monkeypatch, 1, n)
     whole, whole_bands = _conv_outputs(monkeypatch, 2**62, n)
@@ -299,11 +299,68 @@ def test_reference_forward_bytes_do_not_depend_on_the_banding(monkeypatch,
         "conv1", "conv2", "conv3a", "conv3b", "conv4a", "conv4b", "conv5a",
         "conv5b"]
     assert all(set(c) == {1} for c in whole_bands.values())
-    assert narrow_bands["conv2"] == [24]
+    assert narrow_bands["conv2"] == [24] * 4
     assert narrow == whole
 
 
-_POOLED = ("conv1", "conv3b", "conv4b")  # convs a pool follows
+def test_top_down_forward_frees_conv2_before_conv3a(monkeypatch):
+    # conv2 runs fused with its ReLU, toi-pool2 and pool2, so none of its
+    # output is live when conv3a starts: besides conv3a's weights, only
+    # its input, toi-pool2's output and small arrays are: 1.4 MB against
+    # conv2's 3.1 MB output, and 4.3 MB while conv2 was kept whole
+    shape = (3, 8, 48, 64)
+    conv2 = dict((r.name, r.out_shape)
+                 for r in networks.tcnn_table_specs(shape))["conv2"]
+    conv3d, live = tensor.conv3d, []
+
+    def traced(x, kernels, **kwargs):
+        if kernels.weights.shape[:2] == (256, conv2[0]) and not live:
+            live.append(tracemalloc.get_traced_memory()[0]
+                        - kernels.weights.nbytes)
+        return conv3d(x, kernels, **kwargs)
+
+    monkeypatch.setattr(tensor, "conv3d", traced)
+    tracemalloc.start()
+    try:
+        networks.run_tcnn_table_forward(shape, 0)
+    finally:
+        tracemalloc.stop()
+    assert live and live[0] < int(np.prod(conv2)) * 4
+
+
+@pytest.mark.parametrize("depth", [8, 24])
+def test_fused_toi_pool_keeps_the_bytes_of_the_whole_cube(depth):
+    # conv2 kept runs alone and is ToI-pooled whole; not kept, it is
+    # pooled group by group (at depth 24, groups of six frames: a multiple
+    # of pool2's depth 2 and of the three frames of each of the 8 bins)
+    shape = (3, depth, 48, 64)
+    rows = dict((r.name, r.out_shape)
+                for r in networks.tcnn_table_specs(shape))
+    toi_rows = {conv: (name, rows[name][1:])
+                for name, conv in networks._TOI_ROWS}
+    runs = []
+    for keep in (("conv2",), ()):
+        rng = np.random.default_rng(6)
+        runs.append(networks._run_encoder(shape, rng, keep, toi_rows)[1])
+    alone, fused = runs
+    want = toi.toi_pool_forward(
+        alone["conv2"], toi.full_frame_tube(*alone["conv2"].shape[1:]),
+        rows["toi-pool2"][1:])[0]
+    assert sorted(fused) == ["toi-pool2", "toi-pool5"]
+    assert fused["toi-pool2"].shape == rows["toi-pool2"]
+    for name in fused:
+        assert fused[name].tobytes() == alone[name].tobytes()
+    assert fused["toi-pool2"].tobytes() == want.tobytes()
+
+
+def test_fused_toi_pool_needs_bins_of_equal_depth():
+    x = np.zeros((2, 12, 4, 4), np.float32)
+    kernels = tensor.make_kernels(2, 2, (3, 3, 3), np.random.default_rng(0))
+    with pytest.raises(tensor.ShapeError, match="12 frames .* 8 ToI bins"):
+        networks._conv_relu_pool(x, kernels, (2, 2, 2), (8, 2, 2))
+
+
+_POOLED = ("conv1", "conv2", "conv3b", "conv4b")  # convs a pool follows
 
 
 @pytest.mark.parametrize("threads, gate", [

@@ -617,8 +617,8 @@ def test_full_scale_conv1_frame_pair_on_two_workers():
 def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
     # a 64->128 conv on 150x200 frames: each frame's im2col matrix is
     # 207 MB, cut into 13 bands of at most 16 MiB, which the two workers
-    # share; the scratch the call allocates (both workers' bands, padded
-    # input rows and GEMM products, and the output) stays under 128 MB
+    # share; the scratch the call allocates (both workers' bands and
+    # padded input rows, and the output) stays under 128 MB
     rng = np.random.default_rng(12)
     x = rng.standard_normal((64, 2, 150, 200)).astype(np.float32)
     k = make_kernels(128, 64, (3, 3, 3), rng)
@@ -667,6 +667,55 @@ def test_banded_conv_holds_no_padded_copy_of_its_input():
                                              + product) + slack
     assert 2 * padded_rows + slack < 16 * 6 * 66 * 66 * 4  # whole, padded
     assert y.tobytes() == _conv3d_oracle(src, k).tobytes()
+
+
+@needs_blas_control
+def test_banded_conv_gemms_write_into_the_output():
+    # 2->128 channels on 64x64 frames, the size gate at 128 KiB: eight
+    # 8-row bands per frame, shared by two workers. Each band's product
+    # (128 x 512) is twice its im2col matrix (54 x 512), so a product
+    # buffer per worker would not fit in the slack
+    rng = np.random.default_rng(15)
+    src = rng.standard_normal((2, 4, 64, 64)).astype(np.float32)
+    k = make_kernels(128, 2, (3, 3, 3), rng)
+    with _split_everything(2**17) as splits:
+        rows = max(r1 - r0 for r0, r1 in _bands(src, k))
+        assert rows == 8
+        tracemalloc.start()
+        try:
+            x = src.copy()
+            y = conv3d(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(splits) == 1
+    matrix = 2 * 27 * rows * 64 * 4
+    padded_rows = 2 * (4 + 2) * (rows + 2) * (64 + 2) * 4
+    product = 128 * rows * 64 * 4
+    slack = 2**17
+    assert peak < x.nbytes + y.nbytes + 2 * (matrix + padded_rows) + slack
+    assert 2 * product > slack
+    assert y.tobytes() == _conv3d_oracle(src, k).tobytes()
+
+
+@needs_blas_control
+@pytest.mark.parametrize("shape,out_c,kdhw,pad", [
+    ((8, 1, 40, 48), 32, (3, 3, 3), (1, 1, 1)),   # one frame, in bands
+    ((8, 3, 40, 48), 1, (3, 3, 3), (1, 1, 1)),    # one output channel
+    ((64, 3, 48, 40), 64, (1, 1, 1), (0, 0, 0)),  # 1x1x1, in bands
+])
+def test_gemms_through_the_strided_output_view_match_oracle_bytes(
+        shape, out_c, kdhw, pad):
+    # each GEMM writes its rows of one output frame in place, through a
+    # view whose row stride is the output's channel stride
+    rng = np.random.default_rng(out_c)
+    x = rng.standard_normal(shape).astype(np.float32)
+    k = make_kernels(out_c, shape[0], kdhw, rng)
+    k = KernelSet(k.weights, rng.standard_normal(out_c).astype(np.float32))
+    with _split_everything(2**14):
+        assert (len(_bands(x, k, pad)) > 1) == (out_c > 1)
+        y = conv3d(x, k, pad=pad)
+    assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
 
 
 @pytest.mark.parametrize("pad", [((1, 0), 1, 1), ((0, 2), 1, 1),

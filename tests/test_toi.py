@@ -232,3 +232,36 @@ def test_toi_pool_run_tie_nan_and_minus_inf_order():
     assert np.signbit(y[0, 0, 0, 0]) and np.isnan(y[0, 0, 0, 1])
     assert y[0, 0, 0, 2] == -np.inf
     assert amap.indices.ravel().tolist() == [0, 4, 2]
+
+
+@pytest.mark.parametrize("layout", ["full frame", "moving"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_depth_groups_pooled_one_bin_per_frame_give_the_whole_cubes_bytes(
+        layout, data):
+    # the top-down reference forward ToI-pools each group of frames of
+    # conv2's output as it is made: with one temporal bin per frame, each
+    # frame pools on its own, so the groups' results side by side are the
+    # whole cube's, values and winners alike
+    d = data.draw(st.integers(1, 8))
+    shape = (data.draw(st.integers(1, 3)), d, data.draw(st.integers(1, 7)),
+             data.draw(st.integers(1, 7)))
+    x = data.draw(hnp.arrays(np.float32, shape, elements=_TOI_VALUES))
+    if data.draw(st.booleans()):  # a ReLU output: many tied zeros
+        x = np.maximum(x, 0)
+    h, w = shape[2:]
+    tube = (full_frame_tube(d, h, w) if layout == "full frame" else
+            Tube([data.draw(_box(h, w)) for _ in range(d)]))
+    bins = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+    cuts = sorted(set(data.draw(
+        st.lists(st.integers(1, d - 1)) if d > 1 else st.just([]))))
+    whole, amap = toi_pool_forward(x, tube, (d,) + bins)
+    values, winners = [], []
+    for g0, g1 in zip([0] + cuts, cuts + [d]):
+        y, gmap = toi_pool_forward(x[:, g0:g1], Tube(tube.boxes[g0:g1]),
+                                   (g1 - g0,) + bins)
+        c, t, i, j = np.unravel_index(gmap.indices, gmap.in_shape)
+        values.append(y)
+        winners.append(np.ravel_multi_index((c, t + g0, i, j), x.shape))
+    assert np.concatenate(values, axis=1).tobytes() == whole.tobytes()
+    assert np.array_equal(np.concatenate(winners, axis=1), amap.indices)
