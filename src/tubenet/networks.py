@@ -1,5 +1,6 @@
 """Trainable layers with hand-written backward passes, plus the reference
-architecture tables of both pipelines and a forward shape-fidelity runner.
+architecture tables of both pipelines and forwards that reproduce them,
+running every conv, its ReLU and its pools in one stage (`_conv_stage`).
 
 A layer is what holds parameters. Every one is a `_Trainable`: weights
 `w`, bias `b` and their gradients `gw`/`gb`, which `backward` accumulates
@@ -240,42 +241,36 @@ def _fc_forward(x, out_n, rng):
         for _ in range(out_n // _FC_ROWS)])
 
 
-# output frames of a conv that `_run_encoder` runs fused with its pool at a
-# time, rounded up to a multiple of the pool's depth kernel (and of a ToI
-# pool's temporal bin): with conv1's three bands per 300x400 frame, two
-# frames are six units, which split evenly between two workers
+# output frames per `_conv_stage` group before a pool: two of conv1's
+# 300x400 frames are six bands, which split evenly between two workers
 _FUSED_FRAMES = 2
 
 
-def _full_frame_toi(y, out_shape):
-    """`y` ToI-pooled over a full-frame tube to (C,) + `out_shape`."""
-    return toi.toi_pool_forward(y, toi.full_frame_tube(*y.shape[1:]),
-                                out_shape)[0]
-
-
 def _into(out, part, t0, depth):
-    """`part` written into `out` from frame `t0` on; `out` is allocated
-    `depth` frames deep, in `part`'s dtype, when it is None. Returns it."""
+    """`part` written into `out` from frame `t0` on. For a None `out`, a
+    `part` all `depth` frames deep is returned uncopied; any other makes
+    an `out` `depth` frames deep, in `part`'s dtype."""
+    if out is None and part.shape[1] == depth:
+        return part
     if out is None:
-        out = np.empty((part.shape[0], depth) + part.shape[2:],
-                       dtype=part.dtype)
+        out = np.empty_like(part, shape=(len(part), depth) + part.shape[2:])
     out[:, t0:t0 + part.shape[1]] = part
     return out
 
 
-def _conv_relu_pool(x, kernels, pool, toi_shape=None):
-    """conv3d (3x3x3, pad 1), ReLU and maxpool3d of `x`, run on groups of
-    output frames so that the conv's whole output never exists. Returns
-    the conv output's shape (frames summed over the groups), the pooled
-    output and, given a (D, H, W) `toi_shape`, the rectified conv output
-    ToI-pooled over a full-frame tube (else None). The bytes are those of
-    the layers run one after the other: each conv output frame is its own
-    GEMMs, a group is a whole number of the pool's windows deep, and each
-    group edge falls on an edge of the ToI pool's D temporal bins, which
-    must be of equal depth: a frame's ToI pool reads its bin's frames
-    alone."""
+def _conv_stage(x, kernels, pool=None, toi_shape=None, keep=False):
+    """conv3d (3x3x3, pad 1) and ReLU of `x` on groups of output frames,
+    each group ToI-pooled over a full-frame tube to (C,) + a (D, H, W)
+    `toi_shape` and max-pooled by a `pool` kernel, where given. Returns the
+    conv output's shape, the whole rectified output if `keep` (else None),
+    and the pooled and ToI-pooled outputs (None without their pools). With
+    a pool, a group is `_FUSED_FRAMES` frames rounded up to whole pool
+    windows and whole ToI bins, which must be of equal depth; without one,
+    all frames. The bytes are those of the layers run one after the other:
+    each output frame is its own GEMMs, and a frame's ToI pool reads its
+    bin's frames alone."""
     d = x.shape[1]
-    step = pool[0]
+    step = d if pool is None else pool[0]
     if toi_shape is not None:
         bins = toi_shape[0]
         if d % bins:
@@ -283,8 +278,7 @@ def _conv_relu_pool(x, kernels, pool, toi_shape=None):
                                 "ToI bins of equal depth")
         step = math.lcm(step, d // bins)
     group = -(-_FUSED_FRAMES // step) * step
-    pooled = tois = None
-    frames = 0
+    whole = pooled = tois = None
     for g0 in range(0, d, group):
         g1 = min(g0 + group, d)
         # the input frames the group's outputs read, zeros past either end
@@ -294,54 +288,47 @@ def _conv_relu_pool(x, kernels, pool, toi_shape=None):
         tz.relu(y, out=y)
         if toi_shape is not None:  # the group's bins, at its first bin
             part = ((g1 - g0) * bins // d,) + toi_shape[1:]
-            tois = _into(tois, _full_frame_toi(y, part), g0 * bins // d,
-                         bins)
-        pooled = _into(pooled, tz.maxpool3d(y, pool)[0], g0 // pool[0],
-                       -(-d // pool[0]))
-        frames += y.shape[1]
-        shape = (y.shape[0], frames) + y.shape[2:]
+            tois = _into(tois, toi.toi_pool_forward(
+                y, toi.full_frame_tube(*y.shape[1:]), part)[0],
+                g0 * bins // d, bins)
+        if pool is not None:
+            pooled = _into(pooled, tz.maxpool3d(y, pool)[0], g0 // pool[0],
+                           -(-d // pool[0]))
+        if keep:
+            whole = _into(whole, y, g0, d)
+        shape = (y.shape[0], g0 + y.shape[1]) + y.shape[2:]
         del y  # before the next group's conv allocates its own
-    return shape, pooled, tois
+    return shape, whole, pooled, tois
 
 
-def _run_encoder(in_shape, rng, keep, toi_rows=None):
+def _run_encoder(in_shape, rng, keep, toi_rows):
     """Run the encoder rows on a random input with random weights. Returns
-    each row's output shape and the outputs of the rows named in `keep`;
-    the others are freed as soon as the next row has read them.
-    `toi_rows` maps a conv row to a ToI row's name and (D, H, W): the
-    conv's rectified output ToI-pooled over a full-frame tube is returned
-    under that name with the kept outputs. A conv that is not kept and is
-    followed by a pool runs fused with its ReLU, its ToI pool and that
-    pool (`_conv_relu_pool`), with the same bytes."""
-    toi_rows = toi_rows or {}
+    each row's output shape and the outputs of the conv rows named in
+    `keep`. `toi_rows` maps a conv row to a ToI row's name and (D, H, W):
+    the conv's output ToI-pooled over a full-frame tube is returned under
+    that name too. Each conv runs in `_conv_stage` with its ToI pool and
+    the pool row that follows it, if any."""
     x = rng.standard_normal(in_shape).astype(np.float32)
     shapes, kept = [], {}
-    specs = _encoder_specs(in_shape)
-    i = 0
-    while i < len(specs):
-        spec = specs[i]
-        toi_name, toi_shape = toi_rows.get(spec.name, (None, None))
+    specs = _encoder_specs(in_shape) + [None]
+    for spec, after in zip(specs, specs[1:]):
         if spec.kind == "pool":
-            x = tz.maxpool3d(x, spec.kernel)[0]
-        elif (spec.name not in keep and i + 1 < len(specs)
-              and specs[i + 1].kind == "pool"):
-            pool = specs[i + 1]
-            shape, x, pooled = _conv_relu_pool(
-                x, _weak_kernels(spec.out_shape[0], x.shape[0], rng),
-                pool.kernel, toi_shape)
-            if toi_name:
-                kept[toi_name] = pooled
-            shapes.append((spec.name, shape))
-            spec, i = pool, i + 1
-        else:
-            x = tz.conv3d(x, _weak_kernels(spec.out_shape[0], x.shape[0], rng))
-            tz.relu(x, out=x)
-            if toi_name:
-                kept[toi_name] = _full_frame_toi(x, toi_shape)
-        shapes.append((spec.name, x.shape))
+            continue
+        pool = after if after is not None and after.kind == "pool" else None
+        toi_name, toi_shape = toi_rows.get(spec.name, (None, None))
+        # a conv that no pool follows is the next row's input, whole
+        shape, whole, pooled, tois = _conv_stage(
+            x, _weak_kernels(spec.out_shape[0], x.shape[0], rng),
+            None if pool is None else pool.kernel, toi_shape,
+            keep=pool is None or spec.name in keep)
+        shapes.append((spec.name, shape))
         if spec.name in keep:
-            kept[spec.name] = x
-        i += 1
+            kept[spec.name] = whole
+        if toi_name:
+            kept[toi_name] = tois
+        x = whole if pool is None else pooled
+        if pool is not None:
+            shapes.append((pool.name, x.shape))
     return shapes, kept
 
 
@@ -349,15 +336,21 @@ def _run_encoder(in_shape, rng, keep, toi_rows=None):
 _TOI_ROWS = (("toi-pool2", "conv2"), ("toi-pool5", "conv5b"))
 
 
+def _check_multiples(in_shape, *ks):
+    """Raise ShapeError unless the input's D, H, W are multiples of `ks`."""
+    for axis, n, k in zip(("depth", "height", "width"), in_shape[1:], ks):
+        if n % k:
+            raise tz.ShapeError(f"input {axis} {n} is not a multiple of {k}")
+
+
 def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     """Execute the full top-down reference forward with random weights;
-    returns [(name, actual shape)] for every table row.
-
-    No conv output outlives the next row: conv2 runs fused with its ReLU,
-    toi-pool2 and pool2 (`_conv_relu_pool`), and conv5b is ToI-pooled as
-    soon as it is rectified."""
+    returns the table rows and [(name, actual shape)] for every row. The
+    depth must be a multiple of 8, toi-pool2's bins over conv2. No conv
+    output is kept: conv2 and conv5b are ToI-pooled in their stages."""
     from .proposals import PairedFeatureProjector
 
+    _check_multiples(in_shape, 8)
     rng = np.random.default_rng(seed)
     rows = tcnn_table_specs(in_shape)
     table = {r.name: r.out_shape for r in rows}
@@ -384,10 +377,15 @@ _HEAD_COLS = 2048
 
 
 def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
-    """Execute the full bottom-up reference forward with random weights."""
+    """Execute the full bottom-up reference forward with random weights;
+    returns the table rows and [(name, actual shape)] for every row. The
+    depth must be a multiple of 8 and the height and width of 16, the
+    encoder pools' strides, so that each upsample meets its skip's shape.
+    A kept skip is assembled group by group as its pool runs."""
+    _check_multiples(in_shape, 8, 16, 16)
     rng = np.random.default_rng(seed)
-    shapes, acts = _run_encoder(
-        in_shape, rng, ("conv5b",) + tuple(row[3] for row in _DECODER_ROWS))
+    shapes, acts = _run_encoder(in_shape, rng, ("conv5b",) + tuple(
+        row[3] for row in _DECODER_ROWS), {})
     cur = acts.pop("conv5b")
     for up_name, up_c, p, skip, conv_name, conv_c in _DECODER_ROWS:
         p = UpscaleFactors(*p)
@@ -396,8 +394,9 @@ def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
         shapes.append((up_name, cur.shape))
         concat1 = np.concatenate([cur, acts.pop(skip)], axis=0)
         del cur  # the upsample's output, before the conv allocates its own
-        cur = tz.conv3d(concat1, _weak_kernels(conv_c, concat1.shape[0], rng))
-        tz.relu(cur, out=cur)
+        # indexed: a name bound to conv2c's output would outlive upsample1
+        cur = _conv_stage(concat1, _weak_kernels(conv_c, concat1.shape[0],
+                                                 rng), keep=True)[1]
         shapes.append((conv_name, cur.shape))
         if conv_name != "conv1c":  # only the last concatenation is read
             del concat1

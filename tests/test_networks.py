@@ -1,7 +1,8 @@
 """The trainable-layer contract: the checkpoint keys of both models, which
 layer owns each key's gradients, state round trips, the upsampler layers,
 and the names the benchmark's tracer wraps. The reference forwards, which
-build no trainable layer, and the bytes of their fc helper."""
+build no trainable layer: the inputs they reject, their conv stage against
+whole-cube layers, what they hold, and the bytes of their fc helper."""
 
 import importlib.util
 import sys
@@ -252,8 +253,8 @@ def test_bottom_up_forward_frees_concat1_and_conv1c_before_fc6(monkeypatch):
 def _conv_outputs(monkeypatch, gate, threads):
     """The bytes of each conv row's `conv3d` outputs, and the band count of
     each of its calls, in the top-down reference forward on 48x64 frames,
-    with the size gate at `gate` bytes; keyed by table row. A conv that
-    runs fused with its pool makes one call per group of frames."""
+    with the size gate at `gate` bytes; keyed by table row. A conv that a
+    pool follows makes one call per group of frames."""
     rows = iter([r.name for r in networks.tcnn_table_specs((3, 8, 48, 64))
                  if r.kind == "conv"])
     row_of, calls, outputs, bands = {}, [], {}, {}
@@ -328,36 +329,63 @@ def test_top_down_forward_frees_conv2_before_conv3a(monkeypatch):
     assert live and live[0] < int(np.prod(conv2)) * 4
 
 
-@pytest.mark.parametrize("depth", [8, 24])
-def test_fused_toi_pool_keeps_the_bytes_of_the_whole_cube(depth):
-    # conv2 kept runs alone and is ToI-pooled whole; not kept, it is
-    # pooled group by group (at depth 24, groups of six frames: a multiple
-    # of pool2's depth 2 and of the three frames of each of the 8 bins)
-    shape = (3, depth, 48, 64)
+def _oracle_encoder(in_shape, rng, toi_rows):
+    """Each encoder row's output and each ToI row's, by name, from the
+    layers applied one after the other to whole cubes: conv3d, ReLU,
+    `toi_pool_forward` over a full-frame tube where `toi_rows` names the
+    conv (as `_run_encoder` reads it), and maxpool3d. The weights are
+    drawn as the reference forwards draw them."""
+    x = rng.standard_normal(in_shape).astype(np.float32)
+    outs = {}
+    for spec in networks._encoder_specs(in_shape):
+        if spec.kind == "pool":
+            x = tensor.maxpool3d(x, spec.kernel)[0]
+        else:
+            x = tensor.relu(tensor.conv3d(x, networks._weak_kernels(
+                spec.out_shape[0], x.shape[0], rng)))
+            if spec.name in toi_rows:
+                name, toi_shape = toi_rows[spec.name]
+                outs[name] = toi.toi_pool_forward(
+                    x, toi.full_frame_tube(*x.shape[1:]), toi_shape)[0]
+        outs[spec.name] = x
+    return outs
+
+
+def _top_down_toi_rows(shape):
     rows = dict((r.name, r.out_shape)
                 for r in networks.tcnn_table_specs(shape))
-    toi_rows = {conv: (name, rows[name][1:])
-                for name, conv in networks._TOI_ROWS}
-    runs = []
-    for keep in (("conv2",), ()):
-        rng = np.random.default_rng(6)
-        runs.append(networks._run_encoder(shape, rng, keep, toi_rows)[1])
-    alone, fused = runs
-    want = toi.toi_pool_forward(
-        alone["conv2"], toi.full_frame_tube(*alone["conv2"].shape[1:]),
-        rows["toi-pool2"][1:])[0]
-    assert sorted(fused) == ["toi-pool2", "toi-pool5"]
-    assert fused["toi-pool2"].shape == rows["toi-pool2"]
-    for name in fused:
-        assert fused[name].tobytes() == alone[name].tobytes()
-    assert fused["toi-pool2"].tobytes() == want.tobytes()
+    return {conv: (name, rows[name][1:]) for name, conv in networks._TOI_ROWS}
 
 
-def test_fused_toi_pool_needs_bins_of_equal_depth():
+def _check_encoder(shape, seed, keep, toi_rows):
+    """`_run_encoder`'s shapes, kept outputs, ToI outputs and generator
+    state against the oracle's."""
+    want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _oracle_encoder(shape, want_rng, toi_rows)
+    shapes, got = networks._run_encoder(shape, rng, keep, toi_rows)
+    assert shapes == [(r.name, want[r.name].shape)
+                      for r in networks._encoder_specs(shape)]
+    assert sorted(got) == sorted([*keep, *(n for n, _ in toi_rows.values())])
+    for name in got:
+        assert got[name].shape == want[name].shape
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("depth", [8, 24])
+def test_fused_toi_pool_keeps_the_bytes_of_the_whole_cube(depth):
+    # no conv is kept: conv2 is ToI-pooled group by group (at depth 24, in
+    # groups of six frames: a multiple of pool2's depth 2 and of the three
+    # frames of each of the 8 bins), conv5b, which no pool follows, whole
+    shape = (3, depth, 48, 64)
+    _check_encoder(shape, 6, (), _top_down_toi_rows(shape))
+
+
+def test_conv_stage_needs_toi_bins_of_equal_depth():
     x = np.zeros((2, 12, 4, 4), np.float32)
     kernels = tensor.make_kernels(2, 2, (3, 3, 3), np.random.default_rng(0))
     with pytest.raises(tensor.ShapeError, match="12 frames .* 8 ToI bins"):
-        networks._conv_relu_pool(x, kernels, (2, 2, 2), (8, 2, 2))
+        networks._conv_stage(x, kernels, (2, 2, 2), (8, 2, 2))
 
 
 _POOLED = ("conv1", "conv2", "conv3b", "conv4b")  # convs a pool follows
@@ -368,9 +396,12 @@ _POOLED = ("conv1", "conv2", "conv3b", "conv4b")  # convs a pool follows
     # conv1's 48x64 frames cut into four bands, which two workers share
     (1, 2**18)])
 def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
-    # keeping a conv runs it alone; not keeping one that a pool follows
-    # runs the conv, its ReLU and the pool in groups of frames
-    names = [r.name for r in networks._encoder_specs((3, 8, 48, 64))]
+    # every conv runs with its ReLU and the pool that follows it in groups
+    # of frames, kept or not: each kept output, and through them each
+    # pooled one, has the oracle's bytes
+    shape = (3, 8, 48, 64)
+    convs = [r.name for r in networks._encoder_specs(shape)
+             if r.kind == "conv"]
     conv1_calls = []  # (frames, bands, splits) of each conv1 call
     if gate is not None:
         conv3d, band_rows = tensor.conv3d, tensor._Im2col.bands
@@ -396,21 +427,77 @@ def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
         monkeypatch.setattr(tensor, "conv3d", logged)
         monkeypatch.setattr(tensor._Im2col, "bands", counted)
     n = 1 if threads == 1 else tensor.blas_thread_count()
-    runs = []
-    for keep in (names, [r for r in names if r not in _POOLED]):
-        rng = np.random.default_rng(5)
-        with tensor.blas_threads(n):
-            shapes, kept = networks._run_encoder((3, 8, 48, 64), rng, keep)
-        runs.append((shapes, kept, rng.bit_generator.state))
-    (shapes, alone, state), (fused_shapes, fused, fused_state) = runs
-    assert fused_shapes == shapes
-    assert dict(shapes)["conv1"] == (64, 8, 48, 64)
-    assert sorted(fused) == sorted(set(names) - set(_POOLED))
-    assert all(fused[r].tobytes() == alone[r].tobytes() for r in fused)
-    assert fused_state == state
+    with tensor.blas_threads(n):
+        for keep in (convs, [r for r in convs if r not in _POOLED]):
+            _check_encoder(shape, 5, keep, {})
     if gate is not None:
-        # alone, then fused: four calls of two frames
-        assert conv1_calls == [(8, 4, 1)] + [(2, 4, 1)] * 4
+        # per run, the oracle's whole cube, then four groups of two frames
+        assert conv1_calls == ([(8, 4, 1)] + [(2, 4, 1)] * 4) * 2
+
+
+@pytest.mark.parametrize("frames", [2, 4, 8])
+def test_conv_stage_groups_of_any_depth_keep_the_bytes(monkeypatch, frames):
+    # at depth 24 a group is `frames` deep for conv1, rounded up to whole
+    # six-frame steps for conv2 (pool2's depth 2, a ToI bin's 3 frames),
+    # and cut short where they do not divide conv3b's 12 or conv4b's 6
+    monkeypatch.setattr(networks, "_FUSED_FRAMES", frames)
+    shape = (3, 24, 24, 32)
+    convs = [r.name for r in networks._encoder_specs(shape)
+             if r.kind == "conv"]
+    for keep in (convs, ()):
+        _check_encoder(shape, 7, keep, _top_down_toi_rows(shape))
+
+
+@pytest.mark.parametrize("run, shape, message", [
+    pytest.param(networks.run_tcnn_table_forward, (3, 12, 48, 64),
+                 "input depth 12 is not a multiple of 8", id="top-down-d12"),
+    pytest.param(networks.run_tcnn_table_forward, (3, 20, 48, 64),
+                 "input depth 20 is not a multiple of 8", id="top-down-d20"),
+    pytest.param(networks.run_stcnn_table_forward, (3, 12, 48, 64),
+                 "input depth 12 is not a multiple of 8", id="bottom-up-d12"),
+    pytest.param(networks.run_stcnn_table_forward, (3, 8, 40, 64),
+                 "input height 40 is not a multiple of 16",
+                 id="bottom-up-h40"),
+    pytest.param(networks.run_stcnn_table_forward, (3, 8, 48, 72),
+                 "input width 72 is not a multiple of 16",
+                 id="bottom-up-w72")])
+def test_reference_forwards_reject_a_shape_before_drawing_a_weight(
+        monkeypatch, run, shape, message):
+    def refuse(*args):
+        raise AssertionError("a weight was drawn")
+
+    monkeypatch.setattr(networks, "_weak_kernels", refuse)
+    with pytest.raises(tensor.ShapeError, match=message):
+        run(shape, 0)
+
+
+def test_bottom_up_decoder_holds_no_conv_output_while_concat1_is_built(
+        monkeypatch):
+    # while concat1 is built, upsample1's output, the conv1 skip and
+    # concat1 itself are the only cubes live: no name still holds conv2c's
+    # output (3.1 MB here). The forward's own peak is fc6's row block.
+    shape = (3, 8, 48, 64)
+    rows = dict((r.name, r.out_shape)
+                for r in networks.stcnn_table_specs(shape))
+    concat1 = (rows["upsample1"][0] + rows["conv1"][0],) + rows["conv1"][1:]
+    concatenate, peaks = np.concatenate, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        out = concatenate(*args, **kwargs)
+        if out.shape == concat1:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(np, "concatenate", traced)
+    tracemalloc.start()
+    try:
+        networks.run_stcnn_table_forward(shape, 0)
+    finally:
+        tracemalloc.stop()
+    cubes = sum(int(np.prod(s)) * 4
+                for s in (rows["upsample1"], rows["conv1"], concat1))
+    assert len(peaks) == 1 and peaks[0] < cubes + 2**20
 
 
 @pytest.mark.parametrize("threads", [1, "default"])
