@@ -241,9 +241,11 @@ def _fc_forward(x, out_n, rng):
         for _ in range(out_n // _FC_ROWS)])
 
 
-# output frames per `_conv_stage` group before a pool: two of conv1's
-# 300x400 frames are six bands, which split evenly between two workers
-_FUSED_FRAMES = 2
+# output frames per `_conv_stage` group before a pool, rounded up to whole
+# pool windows and ToI bins: at 1, a group is the smallest such range, one
+# frame for conv1 (pool1's depth kernel is 1) and two for conv2, conv3b
+# and conv4b. A 300x400 conv1 frame is then six bands, three per worker
+_FUSED_FRAMES = 1
 
 
 def _into(out, part, t0, depth):
@@ -343,11 +345,14 @@ def _check_multiples(in_shape, *ks):
             raise tz.ShapeError(f"input {axis} {n} is not a multiple of {k}")
 
 
+@tz.blas_threads(1)
 def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     """Execute the full top-down reference forward with random weights;
     returns the table rows and [(name, actual shape)] for every row. The
     depth must be a multiple of 8, toi-pool2's bins over conv2. No conv
-    output is kept: conv2 and conv5b are ToI-pooled in their stages."""
+    output is kept: conv2 and conv5b are ToI-pooled in their stages. BLAS
+    is held at one thread, as in the harness stages, so the bytes do not
+    depend on the core count."""
     from .proposals import PairedFeatureProjector
 
     _check_multiples(in_shape, 8)
@@ -376,12 +381,14 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
 _HEAD_COLS = 2048
 
 
+@tz.blas_threads(1)
 def run_stcnn_table_forward(in_shape=(3, 8, 240, 320), seed=0):
     """Execute the full bottom-up reference forward with random weights;
     returns the table rows and [(name, actual shape)] for every row. The
     depth must be a multiple of 8 and the height and width of 16, the
     encoder pools' strides, so that each upsample meets its skip's shape.
-    A kept skip is assembled group by group as its pool runs."""
+    A kept skip is assembled group by group as its pool runs. BLAS is
+    held at one thread, as in `run_tcnn_table_forward`."""
     _check_multiples(in_shape, 8, 16, 16)
     rng = np.random.default_rng(seed)
     shapes, acts = _run_encoder(in_shape, rng, ("conv5b",) + tuple(

@@ -21,20 +21,22 @@ one thread with `blas_threads` to make output bytes independent of the
 core count. The second core then goes to whole units of work instead: a
 large `conv3d` hands half of its (band, frame) units, and a large
 `maxpool3d` half of its channels, to a second thread that the call starts
-and joins. Each worker has scratch of its own, and no call makes a padded
-copy of its whole input: a conv worker copies the zero-padded input rows
-of one band at a time (`_Im2col`), and a pool worker pads one block of
-channels at a time with -inf. A conv's GEMMs write into the output itself,
-so no worker holds a product buffer. A frame whose im2col matrix is large
-is computed in bands of whole output rows, and a band's GEMM is a column
-slice of its frame's: OpenBLAS's blocked sgemm sums each output
-element over K in an order that depends on K alone. Two other paths sum
-in other orders, and no band takes either. numpy runs a product with one
-output row or column as a GEMV, so a frame with one output channel is
-never banded and no band has one column. OpenBLAS runs a GEMM of M*N*K
-up to 1e6 in a small-matrix kernel, so every band's M*N*K exceeds
-`_GEMM_MIN_MNK`. The bytes therefore stay the same at one worker or two,
-banded or whole.
+and joins. Each worker has scratch of its own, sized from one budget per
+call (`_workers`): on two workers each band or block is half the size it
+would be on one, so a call's scratch does not grow with its worker count.
+No call makes a padded copy of its whole input: a conv worker copies the
+zero-padded input rows of one band at a time (`_Im2col`), and a pool
+worker pads one block of channels at a time with -inf. A conv's GEMMs
+write into the output itself, so no worker holds a product buffer. A frame
+whose im2col matrix is large is computed in bands of whole output rows,
+and a band's GEMM is a column slice of its frame's: OpenBLAS's blocked
+sgemm sums each output element over K in an order that depends on K
+alone. Two other paths sum in other orders, and no band takes either.
+numpy runs a product with one output row or column as a GEMV, so a frame
+with one output channel is never banded and no band has one column.
+OpenBLAS runs a GEMM of M*N*K up to 1e6 in a small-matrix kernel, so
+every band's M*N*K exceeds `_GEMM_MIN_MNK`. The bytes therefore stay the
+same at one worker or two, banded or whole.
 """
 
 from __future__ import annotations
@@ -171,12 +173,15 @@ def make_kernels(out_channels: int, in_channels: int, kdhw, rng) -> KernelSet:
 
 # The size, in bytes, from which `conv3d` (one output frame's im2col
 # matrix) and `maxpool3d` (the whole input) split their work between two
-# workers. It is also the most scratch one worker holds for a unit of
-# that work: a band of a frame's im2col matrix (unless the floor in
-# `_Im2col.bands` keeps a band wider, which no conv of either reference
-# table meets), or a block of a pool's channels. Every desk-scale unit at
-# 80x112 frames is under 6 MB; every full-scale conv frame is at least
-# 38.9 MB (conv1 at 300x400).
+# workers. It is also the most scratch a call holds for its units of
+# work, whatever its worker count (`_workers`): on one worker a unit is a
+# band of a frame's im2col matrix (unless the floor in `_Im2col.bands`
+# keeps a band wider, which no conv of either reference table meets), or
+# a block of a pool's channels, of at most this size; on two, each
+# worker's unit is at most half of it. Every desk-scale unit at 80x112
+# frames is under 8 MiB (the largest, 7.38 MiB, is up1's input-gradient
+# conv in `STCNN.train_step`); every conv frame of the top-down reference
+# forward at 300x400 is at least 26.3 MB (conv5a/b at 19x25).
 _SPLIT_MIN_BYTES = 16 * 2**20
 
 # Every im2col band's GEMM (M output channels, N columns, K rows) has
@@ -213,16 +218,24 @@ def _on_two_workers(work, mine, theirs):
         raise errors[0]
 
 
-def _in_halves(work, units, gate_bytes, scratch):
+def _workers(gate_bytes):
+    """How many workers a call runs on: two when `gate_bytes` (a conv
+    frame's im2col matrix, a pool's input) is at least `_SPLIT_MIN_BYTES`,
+    BLAS is held at one thread (otherwise BLAS itself uses the cores) and
+    the process may run on two CPUs; else one. The call sizes its units
+    of work from this, so that its workers share one scratch budget."""
+    if (gate_bytes < _SPLIT_MIN_BYTES or blas_thread_count() != 1
+            or _usable_cpus() < 2):
+        return 1
+    return 2
+
+
+def _in_halves(work, units, workers, scratch):
     """`work(lo, hi, *scratch(hi - lo))` over the units [0, units): once
-    here, or the first half here and the second on another thread, each
-    with scratch of its own allocated here. It splits only when there are
-    two units or more, `gate_bytes` (a conv frame's im2col matrix, a pool's
-    input) is at least `_SPLIT_MIN_BYTES`, BLAS is held at one thread
-    (otherwise BLAS itself uses the cores) and the process may run on two
-    CPUs."""
-    if (units < 2 or gate_bytes < _SPLIT_MIN_BYTES
-            or blas_thread_count() != 1 or _usable_cpus() < 2):
+    here, or, on two `workers` with two units or more, the first half here
+    and the second on another thread, each with scratch of its own
+    allocated here."""
+    if workers < 2 or units < 2:
         work(0, units, *scratch(units))
         return
     half = (units + 1) // 2
@@ -285,21 +298,23 @@ class _Im2col:
         self.k = x.shape[0] * int(np.prod(kdhw))
         self.frame_bytes = self.k * self.oh * self.ow * x.itemsize
 
-    def bands(self, m):
+    def bands(self, m, workers):
         """(r0, r1) of each band of a frame convolved into `m` output
-        channels, in order: the whole frame if its matrix is at most
-        `_SPLIT_MIN_BYTES`, else the fewest even bands of at most that
-        size. A band is a GEMM of m rows and at least two columns whose
-        M*N*K exceeds `_GEMM_MIN_MNK`, and where that floor would be
-        crossed, it wins: fewer, larger bands, or with m = 1 the whole
-        frame."""
+        channels on `workers` workers, in order: the fewest even bands of
+        at most `_SPLIT_MIN_BYTES / workers` bytes each whose count is a
+        multiple of `workers`, so that each worker gets as many (on one
+        worker, the whole frame if it fits). A band is a GEMM of m rows
+        and at least two columns whose M*N*K exceeds `_GEMM_MIN_MNK`, and
+        where that floor would be crossed, it wins: fewer, larger bands,
+        or with m = 1 the whole frame."""
         if m < 2:
             return [(0, self.oh)]
         row_bytes = self.frame_bytes // self.oh
-        most_rows = max(1, _SPLIT_MIN_BYTES // row_bytes)
+        most_rows = max(1, _SPLIT_MIN_BYTES // workers // row_bytes)
         fewest_rows = max(_GEMM_MIN_MNK // (m * self.k * self.ow) + 1,
                           -(-2 // self.ow))
-        n = max(1, min(-(-self.oh // most_rows), self.oh // fewest_rows))
+        n = -(-self.oh // most_rows)
+        n = max(1, min(-(-n // workers) * workers, self.oh // fewest_rows))
         return [(i * self.oh // n, (i + 1) * self.oh // n) for i in range(n)]
 
     def buffer(self, rows):
@@ -362,7 +377,9 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     band-major, so that it copies each band's padded input rows once. Each
     GEMM writes its product straight into its rows of the output, a strided
     view, so no product buffer exists. A call whose frames are large enough
-    hands the second half of its (band, frame) units to a second thread
+    runs on two workers (`_workers`): it cuts its frames into an even
+    number of bands of at most half the one-worker size and hands the
+    second half of its (band, frame) units to a second thread
     (`_in_halves`). A band's GEMM is a column slice of its frame's, and each
     output element's sum over K is the same in both, so the bytes depend
     neither on the banding nor on the worker count.
@@ -372,7 +389,8 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     w2 = kernels.weights.reshape(oc, -1)
     out = np.empty(out_shape, dtype=np.result_type(x, kernels.weights))
     im2col = _Im2col(x, kernels.kdhw, pad)
-    bands = im2col.bands(oc)
+    workers = _workers(im2col.frame_bytes)
+    bands = im2col.bands(oc, workers)
     units = [(d, r0, r1) for r0, r1 in bands for d in range(od)]
     rows = max(r1 - r0 for r0, r1 in bands)
 
@@ -381,8 +399,7 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
             np.matmul(w2, im2col.band(d, r0, r1, cols),
                       out=out[:, d, r0:r1].reshape(oc, -1))
 
-    _in_halves(run, len(units), im2col.frame_bytes,
-               lambda n: (im2col.buffer(rows),))
+    _in_halves(run, len(units), workers, lambda n: (im2col.buffer(rows),))
     out += kernels.bias[:, None, None, None]
     return out
 
@@ -406,6 +423,9 @@ def conv3d_backward(grad_out: np.ndarray, x: np.ndarray, kernels: KernelSet,
     returned: the first element is None. The weight and bias gradients are
     the same bytes either way.
     """
+    if any(np.ndim(p) for p in pad):
+        raise ShapeError(f"conv3d_backward takes one pad count per axis, "
+                         f"not a (before, after) pair: pad {pad}")
     out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
     if grad_out.shape != out_shape:
         raise ShapeError(f"grad shape {grad_out.shape} != conv output {out_shape}")
@@ -478,11 +498,11 @@ def maxpool3d(x: np.ndarray, kernel):
     Each output is the first maximum of its window in row-major (d, h, w)
     order, bytes included (of a -0.0 and +0.0 the first wins), and as in
     `np.argmax` a NaN beats any number and the first NaN wins. A large
-    input is pooled in two channel halves on two workers (`_in_halves`),
-    each walking its half in blocks of channels with scratch for one
-    block; where the kernel does not divide the input, that scratch
-    includes the block padded with -inf, so no padded copy of the whole
-    input is made. Every step is per channel, so the bytes are the same.
+    input is pooled in two channel halves on two workers (`_workers`,
+    `_in_halves`), each walking its half in blocks of channels, half the
+    size of a lone worker's, with scratch for one block; where the kernel
+    does not divide the input, that scratch includes the block padded with
+    -inf, so no padded copy of the whole input is made. Every step is per channel, so the bytes are the same.
     """
     kd, kh, kw = kernel
     c, d, h, w = x.shape
@@ -492,7 +512,8 @@ def maxpool3d(x: np.ndarray, kernel):
     padded = (od * kd, oh * kh, ow * kw) != (d, h, w)
     out = np.empty((c, od, oh, ow), dtype=x.dtype)
     offsets = np.empty(out.shape, dtype=np.min_scalar_type(kd * kh * kw - 1))
-    block = max(1, _SPLIT_MIN_BYTES * c // max(1, x.nbytes))
+    workers = _workers(x.nbytes)
+    block = max(1, _SPLIT_MIN_BYTES // workers * c // max(1, x.nbytes))
 
     def run(lo, hi, xp, *scratch):
         for b in range(lo, hi, block):
@@ -514,7 +535,7 @@ def maxpool3d(x: np.ndarray, kernel):
                 np.empty(shape, _bits(out).dtype),
                 np.empty(shape, dtype=offsets.dtype))
 
-    _in_halves(run, c, x.nbytes, scratch)
+    _in_halves(run, c, workers, scratch)
     return out, PoolArgmax(offsets, kernel, x.shape)
 
 

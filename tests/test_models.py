@@ -162,16 +162,33 @@ def test_inference_forwards_keep_no_caches(monkeypatch):
 
 
 def test_desk_scale_models_stay_on_one_worker(monkeypatch):
-    # the default 80x112 frames: no conv or pool reaches the size gate, so
-    # training and inference keep the serial path
+    # the default 80x112 frames, on two usable CPUs with BLAS at one
+    # thread: no conv or pool of any training step or inference call
+    # reaches the size gate (the largest unit, up1's input-gradient conv
+    # in STCNN.train_step, is 7.38 MiB against 16 MiB), so training and
+    # inference keep the serial path
     from tubenet.models import STCNN
+    from tubenet.segmentation import SegMask
 
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(tensor, "_on_two_workers",
                         lambda *a: pytest.fail("split a desk-scale call"))
     frames = _clip(4, (3, 8, 80, 112))
+    boxes = [Box(30.0 + f, 20.0, 70.0, 60.0) for f in range(8)]
+    masks = []
+    for b in boxes:
+        bits = np.zeros((80, 112), dtype=bool)
+        bits[int(b.y1):int(b.y2), int(b.x1):int(b.x2)] = True
+        masks.append(SegMask(bits))
+    tcnn = TCNN(2, [Anchor(40.0, 40.0)], (80, 112), seed=1)
+    stcnn = STCNN(2, (80, 112), seed=1)
     with tensor.blas_threads(1):
-        TCNN(2, [Anchor(20.0, 16.0)], (80, 112), seed=1).encode_clip(frames)
-        STCNN(2, (80, 112), seed=1).forward(frames)
+        tcnn.tpn_step(frames, boxes, np.random.default_rng(2), 0.0)
+        tcnn.recognition_step([frames], boxes, 1, np.random.default_rng(3),
+                              0.0)
+        stcnn.train_step(frames, masks, boxes, 1, 0.0)
+        tcnn.encode_clip(frames)
+        stcnn.segment_clip(frames)
 
 
 # ----------------------------------------------------------------------

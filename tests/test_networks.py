@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubenet import networks, tensor, toi
+from tubenet import networks, tensor, toi, upsample
 from tubenet.models import STCNN, TCNN, Encoder
 from tubenet.networks import SubpixelUp, UnpoolUp
 from tubenet.proposals import Anchor
@@ -272,8 +272,8 @@ def _conv_outputs(monkeypatch, gate, threads):
         outputs[calls[-1]] = outputs.get(calls[-1], b"") + y.tobytes()
         return y
 
-    def counted(self, m):
-        cut = band_rows(self, m)
+    def counted(self, m, workers):
+        cut = band_rows(self, m, workers)
         bands.setdefault(calls[-1], []).append(len(cut))
         return cut
 
@@ -302,6 +302,44 @@ def test_reference_forward_bytes_do_not_depend_on_the_banding(monkeypatch,
     assert all(set(c) == {1} for c in whole_bands.values())
     assert narrow_bands["conv2"] == [24] * 4
     assert narrow == whole
+
+
+class _Stop(Exception):
+    """Ends a forward once the convs a test reads have run."""
+
+
+@pytest.mark.skipif(tensor.blas_thread_count() is None,
+                    reason="the loaded BLAS exposes no thread control")
+def test_bottom_up_conv_bytes_do_not_depend_on_the_callers_blas_threads(
+        monkeypatch):
+    # the forward holds BLAS at one thread itself, so every conv, the
+    # upsamplers' included, gives the same bytes whether its caller holds
+    # BLAS at one thread or at two; conv1c (112 -> 64 channels) once
+    # differed. The forward stops after conv1c, before the fc draws
+    conv3d = tensor.conv3d
+
+    def outputs(threads):
+        outs = []
+
+        def recorded(x, kernels, **kwargs):
+            y = conv3d(x, kernels, **kwargs)
+            outs.append(y.tobytes())
+            if kernels.weights.shape[:2] == (64, 112):
+                raise _Stop
+            return y
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor, "conv3d", recorded)
+            patch.setattr(upsample, "conv3d", recorded)
+            with tensor.blas_threads(threads), pytest.raises(_Stop):
+                networks.run_stcnn_table_forward((3, 8, 48, 64), 4)
+        return outs
+
+    one, two = outputs(1), outputs(2)
+    assert one == two
+    # conv1 and conv2 in groups, conv3a, conv3b in groups, conv4a, conv4b
+    # in groups, conv5a, conv5b, then four upsamplers and their convs
+    assert len(one) == 8 + 4 + 1 + 2 + 1 + 1 + 1 + 1 + 8
 
 
 def test_top_down_forward_frees_conv2_before_conv3a(monkeypatch):
@@ -393,7 +431,8 @@ _POOLED = ("conv1", "conv2", "conv3b", "conv4b")  # convs a pool follows
 
 @pytest.mark.parametrize("threads, gate", [
     (1, None), ("default", None),
-    # conv1's 48x64 frames cut into four bands, which two workers share
+    # conv1's 48x64 frames cut into six bands, three per worker: half the
+    # gate would take eight, the GEMM-size floor allows six
     (1, 2**18)])
 def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
     # every conv runs with its ReLU and the pool that follows it in groups
@@ -415,8 +454,8 @@ def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
                                     len(splits) - before))
             return y
 
-        def counted(self, m):
-            cut = band_rows(self, m)
+        def counted(self, m, workers):
+            cut = band_rows(self, m, workers)
             bands.append(len(cut))
             return cut
 
@@ -431,8 +470,8 @@ def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
         for keep in (convs, [r for r in convs if r not in _POOLED]):
             _check_encoder(shape, 5, keep, {})
     if gate is not None:
-        # per run, the oracle's whole cube, then four groups of two frames
-        assert conv1_calls == ([(8, 4, 1)] + [(2, 4, 1)] * 4) * 2
+        # per run, the oracle's whole cube, then eight one-frame groups
+        assert conv1_calls == ([(8, 6, 1)] + [(1, 6, 1)] * 8) * 2
 
 
 @pytest.mark.parametrize("frames", [2, 4, 8])

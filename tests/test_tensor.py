@@ -1,6 +1,7 @@
 import contextlib
 import multiprocessing
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -328,6 +329,18 @@ def test_pointwise_conv_one_output_channel_matches_oracle_bytes():
     assert gw.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("pad", [((1, 0), 1, 1), (1, 1, (0, 2))])
+def test_conv_backward_rejects_a_pad_pair_naming_the_pad(pad):
+    # the forward takes a (before, after) pair; the backward takes one
+    # count per axis and names the pad it cannot use
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+    k = make_kernels(3, 2, (3, 3, 3), rng)
+    gy = np.ones(conv3d(x, k, pad=pad).shape, np.float32)
+    with pytest.raises(ShapeError, match=re.escape(f"pad {pad}")):
+        conv3d_backward(gy, x, k, pad=pad)
+
+
 @pytest.mark.parametrize("shape", [(16, 8, 1, 1), (16, 8, 2, 3)])
 def test_pointwise_conv_one_output_channel_many_frames(shape):
     # one output channel over several frames: the forward of 1x1 frames
@@ -585,8 +598,8 @@ def test_two_worker_conv_cases_match_oracle_bytes(shape, out_c, kdhw, pad):
     assert y.tobytes() == _conv3d_oracle(x, k, pad=pad).tobytes()
 
 
-def _bands(x, k, pad=(1, 1, 1)):
-    return tensor._Im2col(x, k.kdhw, pad).bands(k.out_channels)
+def _bands(x, k, pad=(1, 1, 1), workers=1):
+    return tensor._Im2col(x, k.kdhw, pad).bands(k.out_channels, workers)
 
 
 def _band_mnk(out_c, in_c, kdhw, rows, ow):
@@ -598,11 +611,12 @@ def _band_mnk(out_c, in_c, kdhw, rows, ow):
 def test_full_scale_conv1_frame_pair_on_two_workers():
     # conv1 of the top-down table on two 300x400 frames: each frame's
     # im2col matrix is 38.9 MB, above the size gate as it stands, and is
-    # cut into three bands of 100 rows
+    # cut into three bands of 100 rows on one worker, six of 50 on two
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3, 2, 300, 400)).astype(np.float32)
     k = make_kernels(64, 3, (3, 3, 3), rng)
     assert _bands(x, k) == [(0, 100), (100, 200), (200, 300)]
+    assert _bands(x, k, workers=2) == [(r, r + 50) for r in range(0, 300, 50)]
     with _split_everything(2**62) as splits:
         serial = conv3d(x, k)
     assert not splits
@@ -616,16 +630,16 @@ def test_full_scale_conv1_frame_pair_on_two_workers():
 @needs_blas_control
 def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
     # a 64->128 conv on 150x200 frames: each frame's im2col matrix is
-    # 207 MB, cut into 13 bands of at most 16 MiB, which the two workers
-    # share; the scratch the call allocates (both workers' bands and
-    # padded input rows, and the output) stays under 128 MB
+    # 207 MB, cut into 26 bands of at most 8 MiB, 13 per worker; the
+    # scratch the call allocates (both workers' bands and padded input
+    # rows, and the output) stays under 128 MB
     rng = np.random.default_rng(12)
     x = rng.standard_normal((64, 2, 150, 200)).astype(np.float32)
     k = make_kernels(128, 64, (3, 3, 3), rng)
-    bands = _bands(x, k)
-    assert len(bands) == 13 and bands[0] == (0, 11) and bands[-1][1] == 150
+    bands = _bands(x, k, workers=2)
+    assert len(bands) == 26 and bands[0] == (0, 5) and bands[-1][1] == 150
     rows = {r1 - r0 for r0, r1 in bands}
-    assert max(rows) * 200 * 64 * 27 * 4 <= tensor._SPLIT_MIN_BYTES
+    assert max(rows) * 200 * 64 * 27 * 4 <= tensor._SPLIT_MIN_BYTES // 2
     assert _band_mnk(128, 64, k.kdhw, min(rows), 200) > tensor._GEMM_MIN_MNK
     with _split_everything(tensor._SPLIT_MIN_BYTES) as splits:
         tracemalloc.start()
@@ -642,15 +656,17 @@ def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
 @needs_blas_control
 def test_banded_conv_holds_no_padded_copy_of_its_input():
     # 16->16 channels on 64x64 frames, the size gate at 1 MiB: each
-    # frame's 7 MB im2col matrix is cut into 8-row bands, and each of the
-    # two workers holds one band's matrix, padded input rows and product;
-    # a padded copy of the whole input would not fit in the slack
+    # frame's 7 MB im2col matrix is cut into 12 bands of at most 6 rows
+    # (half the gate would take 4, the GEMM-size floor allows 12 bands),
+    # and each of the two workers holds one band's matrix, padded input
+    # rows and product; a padded copy of the whole input would not fit in
+    # the slack
     rng = np.random.default_rng(13)
     src = rng.standard_normal((16, 4, 64, 64)).astype(np.float32)
     k = make_kernels(16, 16, (3, 3, 3), rng)
     with _split_everything(2**20) as splits:
-        rows = max(r1 - r0 for r0, r1 in _bands(src, k))
-        assert rows == 8
+        rows = max(r1 - r0 for r0, r1 in _bands(src, k, workers=2))
+        assert rows == 6
         tracemalloc.start()
         try:
             x = src.copy()
@@ -671,16 +687,17 @@ def test_banded_conv_holds_no_padded_copy_of_its_input():
 
 @needs_blas_control
 def test_banded_conv_gemms_write_into_the_output():
-    # 2->128 channels on 64x64 frames, the size gate at 128 KiB: eight
-    # 8-row bands per frame, shared by two workers. Each band's product
-    # (128 x 512) is twice its im2col matrix (54 x 512), so a product
-    # buffer per worker would not fit in the slack
+    # 2->128 channels on 64x64 frames, the size gate at 128 KiB: 12
+    # bands of at most 6 rows per frame (the GEMM-size floor), shared by
+    # two workers. Each band's product (128 x 384) is twice its im2col
+    # matrix (54 x 384), so a product buffer per worker would not fit in
+    # the slack
     rng = np.random.default_rng(15)
     src = rng.standard_normal((2, 4, 64, 64)).astype(np.float32)
     k = make_kernels(128, 2, (3, 3, 3), rng)
     with _split_everything(2**17) as splits:
-        rows = max(r1 - r0 for r0, r1 in _bands(src, k))
-        assert rows == 8
+        rows = max(r1 - r0 for r0, r1 in _bands(src, k, workers=2))
+        assert rows == 6
         tracemalloc.start()
         try:
             x = src.copy()
@@ -758,6 +775,68 @@ def test_bands_cover_each_frame_within_the_size_bounds(shape, out_c, want):
                    for r0, r1 in bands)
 
 
+@pytest.mark.parametrize("shape,out_c,want", [
+    ((512, 1, 19, 25), 512, 4),      # full-scale conv5a/b
+    ((3, 1, 300, 400), 64, 6),       # full-scale conv1
+    ((64, 1, 150, 200), 128, 26),    # full-scale conv2
+    ((256, 1, 75, 100), 256, 26),    # full-scale conv3b
+    ((256, 1, 38, 50), 512, 8),      # full-scale conv4a
+    ((512, 1, 38, 50), 512, 14),     # full-scale conv4b
+])
+def test_bands_on_two_workers_are_even_and_within_half_the_budget(
+        shape, out_c, want):
+    # every full-scale conv frame splits: its bands are at most half the
+    # one-worker size, and as many go to each worker
+    x = np.empty(shape, np.float32)
+    k = KernelSet(np.empty((out_c, shape[0], 3, 3, 3), np.float32),
+                  np.empty(out_c, np.float32))
+    bands = _bands(x, k, workers=2)
+    assert len(bands) == want and want % 2 == 0
+    ends = [r0 for r0, _ in bands] + [shape[2]]
+    assert bands == list(zip(ends[:-1], ends[1:])) and ends[0] == 0
+    row_bytes = shape[0] * 27 * shape[3] * 4
+    assert all(_band_mnk(out_c, shape[0], (3, 3, 3), r1 - r0, shape[3])
+               > tensor._GEMM_MIN_MNK
+               and (r1 - r0) * row_bytes <= tensor._SPLIT_MIN_BYTES // 2
+               for r0, r1 in bands)
+
+
+def _traced_peak(fn, *args):
+    """The traced memory peak of `fn(*args)`, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@needs_blas_control
+def test_a_split_call_holds_no_more_scratch_than_one_worker():
+    # one scratch budget per call, the size gate at 1 MiB: on one worker
+    # the conv cuts each frame's 7 MB im2col matrix into 8 bands of 8 rows
+    # and the pool walks blocks of 5 channels; on two, 16 bands of 4 rows
+    # and blocks of 2. Beyond one worker's peak, a split holds only the
+    # input rows that a second band's padded rows repeat (kh - 1 of them)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((16, 4, 64, 64)).astype(np.float32)
+    k = make_kernels(64, 16, (3, 3, 3), rng)
+    src = rng.standard_normal((16, 3, 129, 128)).astype(np.float32)
+    with _split_everything(2**20) as splits:
+        assert len(_bands(x, k, workers=2)) == 2 * len(_bands(x, k)) == 16
+        conv_two = _traced_peak(conv3d, x, k)
+        pool_two = _traced_peak(maxpool3d, src, (2, 2, 2))
+        assert len(splits) == 2
+        with mock.patch.object(tensor, "_usable_cpus", lambda: 1):
+            conv_one = _traced_peak(conv3d, x, k)
+            pool_one = _traced_peak(maxpool3d, src, (2, 2, 2))
+    assert len(splits) == 2
+    halo = 16 * (4 + 2) * 2 * (64 + 2) * 4
+    slack = 2**16
+    assert conv_two < conv_one + halo + slack
+    assert pool_two < pool_one + slack
+
+
 @pytest.mark.parametrize("shape,out_c,kdhw,pad", [
     # one output channel: numpy runs a band's product as a GEMV, and the
     # GEMV of a 2500-column slice of this 5000-column frame sums in
@@ -785,12 +864,13 @@ def test_narrowest_bands_give_the_whole_frames_bytes(shape, out_c, kdhw,
 @needs_blas_control
 @pytest.mark.parametrize("channels", [7, 8])
 def test_pool_blocks_of_channels_give_the_oracle_bytes(channels):
-    # the size gate set so that each block holds two channels: each
-    # worker walks two blocks, the last one partial for 7 channels
+    # the size gate set so that each block holds two channels (a worker's
+    # budget is half the gate): each worker walks two blocks, the last one
+    # partial for 7 channels
     rng = np.random.default_rng(channels)
     x = rng.standard_normal((channels, 2, 6, 8)).astype(np.float32)
     x[3, 1, 2, 5] = np.nan
-    with _split_everything(2 * x.nbytes // channels) as splits:
+    with _split_everything(4 * x.nbytes // channels) as splits:
         y, amap = maxpool3d(x, (1, 2, 2))
     assert len(splits) == 1
     y_ref, arg_ref, _ = _maxpool3d_oracle(x, (1, 2, 2))
@@ -801,14 +881,15 @@ def test_pool_blocks_of_channels_give_the_oracle_bytes(channels):
 @needs_blas_control
 def test_pool_pads_one_block_of_channels_at_a_time():
     # odd depth and height under a 2x2x2 kernel, the size gate set so that
-    # each block holds two channels: each worker pads one block with -inf
+    # each block holds two channels (a worker's budget is half the gate):
+    # each worker pads one block with -inf
     # at a time, never the whole input; ReLU zeros tie and a NaN wins
     rng = np.random.default_rng(15)
     src = np.maximum(rng.standard_normal((7, 3, 129, 128)), -0.5).astype(
         np.float32)
     src[3, 1, 2, 5] = np.nan
     src[5, 2, 128] = 0.0
-    with _split_everything(2 * src.nbytes // 7) as splits:
+    with _split_everything(4 * src.nbytes // 7) as splits:
         tracemalloc.start()
         try:
             x = src.copy()
