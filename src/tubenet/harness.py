@@ -230,6 +230,16 @@ def _write_loss_csv(path, rows, header):
                               for v in row) + "\n")
 
 
+def _write_csv(path, fields, rows):
+    """A header of the field names, then one line per row: ints by `str`,
+    floats by `repr`, so that each reads back as the same value."""
+    with open(path, "w") as fh:
+        fh.write(",".join(fields) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 def _new_model(name, cfg, ann):
     """The initial "tcnn" or "stcnn" of a run, which `train_*` trains and
     `load_*` fills from the checkpoint. The class count is the largest
@@ -399,11 +409,7 @@ def run_detect(cfg):
         for f, b in enumerate(boxes):
             all_rows.append((vid, 0, label, conf, f,
                              b.x1, b.y1, b.x2, b.y2))
-    with open(out / "detections.csv", "w") as fh:
-        fh.write(",".join(DETECTION_FIELDS) + "\n")
-        for row in all_rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    _write_csv(out / "detections.csv", DETECTION_FIELDS, all_rows)
     return all_rows
 
 
@@ -439,10 +445,7 @@ def run_segment(cfg):
         probs = softmax(logits_sum / max(1, len(clips)))
         label = int(np.argmax(probs[1:]) + 1)
         rows.append((vid, label, float(probs[label])))
-    with open(out / "labels.csv", "w") as fh:
-        fh.write(",".join(LABEL_FIELDS) + "\n")
-        for vid, label, conf in rows:
-            fh.write(f"{vid},{label},{conf!r}\n")
+    _write_csv(out / "labels.csv", LABEL_FIELDS, rows)
     return rows
 
 

@@ -241,13 +241,6 @@ def _fc_forward(x, out_n, rng):
         for _ in range(out_n // _FC_ROWS)])
 
 
-# output frames per `_conv_stage` group before a pool, rounded up to whole
-# pool windows and ToI bins: at 1, a group is the smallest such range, one
-# frame for conv1 (pool1's depth kernel is 1) and two for conv2, conv3b
-# and conv4b. A 300x400 conv1 frame is then six bands, three per worker
-_FUSED_FRAMES = 1
-
-
 def _into(out, part, t0, depth):
     """`part` written into `out` from frame `t0` on. For a None `out`, a
     `part` all `depth` frames deep is returned uncopied; any other makes
@@ -266,20 +259,20 @@ def _conv_stage(x, kernels, pool=None, toi_shape=None, keep=False):
     `toi_shape` and max-pooled by a `pool` kernel, where given. Returns the
     conv output's shape, the whole rectified output if `keep` (else None),
     and the pooled and ToI-pooled outputs (None without their pools). With
-    a pool, a group is `_FUSED_FRAMES` frames rounded up to whole pool
-    windows and whole ToI bins, which must be of equal depth; without one,
-    all frames. The bytes are those of the layers run one after the other:
-    each output frame is its own GEMMs, and a frame's ToI pool reads its
-    bin's frames alone."""
+    a pool, a group is the fewest frames that make whole pool windows and
+    whole ToI bins, which must be of equal depth (one frame for conv1,
+    whose pool's depth kernel is 1; two for conv2, conv3b and conv4b of an
+    8-frame input); without one, all frames. The bytes are those of the
+    layers run one after the other: each output frame is its own GEMMs,
+    and a frame's ToI pool reads its bin's frames alone."""
     d = x.shape[1]
-    step = d if pool is None else pool[0]
+    group = d if pool is None else pool[0]
     if toi_shape is not None:
         bins = toi_shape[0]
         if d % bins:
             raise tz.ShapeError(f"{d} frames do not split into {bins} "
                                 "ToI bins of equal depth")
-        step = math.lcm(step, d // bins)
-    group = -(-_FUSED_FRAMES // step) * step
+        group = math.lcm(group, d // bins)
     whole = pooled = tois = None
     for g0 in range(0, d, group):
         g1 = min(g0 + group, d)

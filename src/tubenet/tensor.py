@@ -19,17 +19,16 @@ Every GEMM goes through the BLAS that numpy loaded. How that BLAS splits a
 GEMM across threads changes the last bits of the result, so runs hold it at
 one thread with `blas_threads` to make output bytes independent of the
 core count. The second core then goes to whole units of work instead: a
-large `conv3d` hands half of its (band, frame) units, and a large
-`maxpool3d` half of its channels, to a second thread that the call starts
-and joins. Each worker has scratch of its own, sized from one budget per
-call (`_workers`): on two workers each band or block is half the size it
-would be on one, so a call's scratch does not grow with its worker count.
-No call makes a padded copy of its whole input: a conv worker copies the
-zero-padded input rows of one band at a time (`_Im2col`), and a pool
-worker pads one block of channels at a time with -inf. A conv's GEMMs
-write into the output itself, so no worker holds a product buffer. A frame
-whose im2col matrix is large is computed in bands of whole output rows,
-and a band's GEMM is a column slice of its frame's: OpenBLAS's blocked
+large `conv3d` hands half of its (band, frame) units to a second thread
+that the call starts and joins; it is the only call that does. Each
+worker has scratch of its own, sized from one budget per call
+(`_workers`): on two workers each band is half the size it would be on
+one, so a call's scratch does not grow with its worker count. No conv
+makes a padded copy of its input: a worker copies the zero-padded input
+rows of one band at a time (`_Im2col`). A conv's GEMMs write into the
+output itself, so no worker holds a product buffer. A frame whose im2col
+matrix is large is computed in bands of whole output rows, and a band's
+GEMM is a column slice of its frame's: OpenBLAS's blocked
 sgemm sums each output element over K in an order that depends on K
 alone. Two other paths sum in other orders, and no band takes either.
 numpy runs a product with one output row or column as a GEMV, so a frame
@@ -169,17 +168,16 @@ def make_kernels(out_channels: int, in_channels: int, kdhw, rng) -> KernelSet:
 
 
 # ---------------------------------------------------------------------------
-# Two workers for large inputs
+# Two workers for large convs
 
-# The size, in bytes, from which `conv3d` (one output frame's im2col
-# matrix) and `maxpool3d` (the whole input) split their work between two
-# workers. It is also the most scratch a call holds for its units of
-# work, whatever its worker count (`_workers`): on one worker a unit is a
-# band of a frame's im2col matrix (unless the floor in `_Im2col.bands`
-# keeps a band wider, which no conv of either reference table meets), or
-# a block of a pool's channels, of at most this size; on two, each
-# worker's unit is at most half of it. Every desk-scale unit at 80x112
-# frames is under 8 MiB (the largest, 7.38 MiB, is up1's input-gradient
+# The size, in bytes, of one output frame's im2col matrix from which
+# `conv3d` splits its work between two workers. It is also the most
+# scratch a conv holds for its units of work, whatever its worker count
+# (`_workers`): on one worker a unit is a band of a frame's im2col matrix
+# of at most this size (unless the floor in `_Im2col.bands` keeps a band
+# wider, which no conv of either reference table meets); on two, each
+# worker's band is at most half of it. Every desk-scale conv frame at
+# 80x112 is under 8 MiB (the largest, 7.38 MiB, is up1's input-gradient
 # conv in `STCNN.train_step`); every conv frame of the top-down reference
 # forward at 300x400 is at least 26.3 MB (conv5a/b at 19x25).
 _SPLIT_MIN_BYTES = 16 * 2**20
@@ -219,28 +217,15 @@ def _on_two_workers(work, mine, theirs):
 
 
 def _workers(gate_bytes):
-    """How many workers a call runs on: two when `gate_bytes` (a conv
-    frame's im2col matrix, a pool's input) is at least `_SPLIT_MIN_BYTES`,
-    BLAS is held at one thread (otherwise BLAS itself uses the cores) and
-    the process may run on two CPUs; else one. The call sizes its units
-    of work from this, so that its workers share one scratch budget."""
+    """How many workers a `conv3d` runs on: two when `gate_bytes` (one
+    output frame's im2col matrix) is at least `_SPLIT_MIN_BYTES`, BLAS is
+    held at one thread (otherwise BLAS itself uses the cores) and the
+    process may run on two CPUs; else one. The conv sizes its bands from
+    this, so that its workers share one scratch budget."""
     if (gate_bytes < _SPLIT_MIN_BYTES or blas_thread_count() != 1
             or _usable_cpus() < 2):
         return 1
     return 2
-
-
-def _in_halves(work, units, workers, scratch):
-    """`work(lo, hi, *scratch(hi - lo))` over the units [0, units): once
-    here, or, on two `workers` with two units or more, the first half here
-    and the second on another thread, each with scratch of its own
-    allocated here."""
-    if workers < 2 or units < 2:
-        work(0, units, *scratch(units))
-        return
-    half = (units + 1) // 2
-    _on_two_workers(work, (0, half, *scratch(half)),
-                    (half, units, *scratch(units - half)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +365,9 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     runs on two workers (`_workers`): it cuts its frames into an even
     number of bands of at most half the one-worker size and hands the
     second half of its (band, frame) units to a second thread
-    (`_in_halves`). A band's GEMM is a column slice of its frame's, and each
-    output element's sum over K is the same in both, so the bytes depend
-    neither on the banding nor on the worker count.
+    (`_on_two_workers`). A band's GEMM is a column slice of its frame's,
+    and each output element's sum over K is the same in both, so the bytes
+    depend neither on the banding nor on the worker count.
     """
     out_shape = conv3d_out_shape(x.shape, kernels, (1, 1, 1), pad)
     oc, od, oh, ow = out_shape
@@ -394,12 +379,19 @@ def conv3d(x: np.ndarray, kernels: KernelSet, *, pad=(1, 1, 1)) -> np.ndarray:
     units = [(d, r0, r1) for r0, r1 in bands for d in range(od)]
     rows = max(r1 - r0 for r0, r1 in bands)
 
-    def run(lo, hi, cols):
-        for d, r0, r1 in units[lo:hi]:
+    def run(part, cols):
+        for d, r0, r1 in part:
             np.matmul(w2, im2col.band(d, r0, r1, cols),
                       out=out[:, d, r0:r1].reshape(oc, -1))
 
-    _in_halves(run, len(units), workers, lambda n: (im2col.buffer(rows),))
+    if workers < 2 or len(units) < 2:
+        run(units, im2col.buffer(rows))
+    else:
+        # both workers' scratch is allocated here, not in the second
+        # thread: memory a thread frees stays in its own malloc arena
+        half = (len(units) + 1) // 2
+        _on_two_workers(run, (units[:half], im2col.buffer(rows)),
+                        (units[half:], im2col.buffer(rows)))
     out += kernels.bias[:, None, None, None]
     return out
 
@@ -494,58 +486,32 @@ def maxpool3d(x: np.ndarray, kernel):
     """Max pool a (C,D,H,W) cube with stride equal to the kernel. Returns
     (output, PoolArgmax).
 
-    Trailing windows that do not fit are pooled over the available elements.
-    Each output is the first maximum of its window in row-major (d, h, w)
-    order, bytes included (of a -0.0 and +0.0 the first wins), and as in
-    `np.argmax` a NaN beats any number and the first NaN wins. A large
-    input is pooled in two channel halves on two workers (`_workers`,
-    `_in_halves`), each walking its half in blocks of channels, half the
-    size of a lone worker's, with scratch for one block; where the kernel
-    does not divide the input, that scratch includes the block padded with
-    -inf, so no padded copy of the whole input is made. Every step is per channel, so the bytes are the same.
+    Trailing windows that do not fit are pooled over the available elements:
+    where the kernel does not divide the input, it is copied once into a
+    cube padded with -inf. Each output is the first maximum of its window
+    in row-major (d, h, w) order, bytes included (of a -0.0 and +0.0 the
+    first wins), and as in `np.argmax` a NaN beats any number and the first
+    NaN wins. Every channel is pooled on the calling thread, one window
+    offset at a time, with one set of scratch the size of the output.
     """
     kd, kh, kw = kernel
     c, d, h, w = x.shape
     if kd > d or kh > h or kw > w:
         raise ShapeError(f"pool kernel {kernel} larger than input {x.shape}")
     od, oh, ow = -(-d // kd), -(-h // kh), -(-w // kw)
-    padded = (od * kd, oh * kh, ow * kw) != (d, h, w)
+    xp = x
+    if (od * kd, oh * kh, ow * kw) != (d, h, w):
+        xp = np.full((c, od * kd, oh * kh, ow * kw), -np.inf, dtype=x.dtype)
+        xp[:, :d, :h, :w] = x
+    views = _pool_windows(xp, kernel)
     out = np.empty((c, od, oh, ow), dtype=x.dtype)
     offsets = np.empty(out.shape, dtype=np.min_scalar_type(kd * kh * kw - 1))
-    workers = _workers(x.nbytes)
-    block = max(1, _SPLIT_MIN_BYTES // workers * c // max(1, x.nbytes))
-
-    def run(lo, hi, xp, *scratch):
-        for b in range(lo, hi, block):
-            e = min(b + block, hi)
-            xb = x[b:e]
-            if padded:  # the pads of xp are -inf from `scratch` on
-                xb = xp[:e - b]
-                xb[:, :d, :h, :w] = x[b:e]
-            _pool_channels(xb, _pool_windows(xb, kernel), out[b:e],
-                           offsets[b:e], *(s[:e - b] for s in scratch))
-
-    def scratch(n):
-        # allocated here, not in the second thread: memory a thread frees
-        # stays in its own malloc arena
-        shape = (min(block, n),) + out.shape[1:]
-        xp = (np.full((shape[0], od * kd, oh * kh, ow * kw), -np.inf,
-                      dtype=x.dtype) if padded else None)
-        return (xp, np.empty(shape, dtype=bool),
-                np.empty(shape, _bits(out).dtype),
-                np.empty(shape, dtype=offsets.dtype))
-
-    _in_halves(run, c, workers, scratch)
-    return out, PoolArgmax(offsets, kernel, x.shape)
-
-
-def _pool_channels(xp, views, out, offsets, better, flips, step):
-    """Max pool a range of channels: their padded input `xp` and its
-    window views, into `out` and `offsets`, with scratch `better`,
-    `flips` and `step`."""
+    better = np.empty(out.shape, dtype=bool)
+    bits = _bits(out)
+    flips = np.empty_like(bits)
+    step = np.empty_like(offsets)
     np.copyto(out, views[0])
     offsets[...] = 0
-    bits = _bits(out)
     for k, view in enumerate(views[1:], 1):
         np.greater(view, out, out=better)  # strict: a tie keeps the first
         # out = where(better, view, out), bit for bit, without a masked copy
@@ -561,6 +527,7 @@ def _pool_channels(xp, views, out, offsets, better, flips, step):
             np.isnan(views[k], out=better)
             np.copyto(out, views[k], where=better)
             np.copyto(offsets, k, where=better)
+    return out, PoolArgmax(offsets, kernel, x.shape)
 
 
 def maxpool3d_backward(grad_out: np.ndarray, amap: PoolArgmax) -> np.ndarray:

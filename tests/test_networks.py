@@ -474,12 +474,10 @@ def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
         assert conv1_calls == ([(8, 6, 1)] + [(1, 6, 1)] * 8) * 2
 
 
-@pytest.mark.parametrize("frames", [2, 4, 8])
-def test_conv_stage_groups_of_any_depth_keep_the_bytes(monkeypatch, frames):
-    # at depth 24 a group is `frames` deep for conv1, rounded up to whole
-    # six-frame steps for conv2 (pool2's depth 2, a ToI bin's 3 frames),
-    # and cut short where they do not divide conv3b's 12 or conv4b's 6
-    monkeypatch.setattr(networks, "_FUSED_FRAMES", frames)
+def test_conv_stage_groups_keep_the_bytes_at_depth_24():
+    # at depth 24 a group is one frame for conv1 and six for conv2 (pool2's
+    # depth 2 and a ToI bin's 3 frames), and conv3b's 12 frames and
+    # conv4b's 6 run in groups of two
     shape = (3, 24, 24, 32)
     convs = [r.name for r in networks._encoder_specs(shape)
              if r.kind == "conv"]

@@ -527,6 +527,15 @@ def test_pool_signed_zero_nan_and_all_minus_inf_windows():
     assert amap.offsets.ravel().tolist() == [0, 1, 0]
     gx = maxpool3d_backward(np.full(y.shape, -0.0, np.float32), amap)
     assert not np.signbit(gx).any()
+    # one NaN in a middle channel of seven: every channel has the oracle's
+    # bytes and offsets
+    x = np.random.default_rng(7).standard_normal((7, 2, 6, 8)).astype(
+        np.float32)
+    x[3, 1, 2, 5] = np.nan
+    y, amap = maxpool3d(x, (1, 2, 2))
+    y_ref, arg_ref, _ = _maxpool3d_oracle(x, (1, 2, 2))
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(amap.offsets, arg_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +548,9 @@ needs_blas_control = pytest.mark.skipif(
 
 @contextlib.contextmanager
 def _split_everything(min_bytes=0):
-    """conv3d/maxpool3d with BLAS at one thread on two usable CPUs, where
-    every call with two or more frames or channels, each of at least
-    `min_bytes`, splits; yields the list of splits made."""
+    """Calls with BLAS at one thread on two usable CPUs, where every conv3d
+    with two or more (band, frame) units, its frames' im2col matrices of at
+    least `min_bytes`, splits; yields the list of splits made."""
     splits = []
     real = tensor._on_two_workers
 
@@ -574,7 +583,7 @@ def test_two_workers_give_the_serial_bytes(conv_case, pool_case):
         p1, a1 = maxpool3d(x, kernel)
     with _split_everything() as splits:
         p2, a2 = maxpool3d(x, kernel)
-    assert len(splits) == (x.shape[0] >= 2)
+    assert not splits  # a pool never splits
     assert p1.tobytes() == p2.tobytes()
     assert a1.offsets.tobytes() == a2.offsets.tobytes()
     assert p2.tobytes() == _maxpool3d_oracle(x, kernel)[0].tobytes()
@@ -814,10 +823,11 @@ def _traced_peak(fn, *args):
 @needs_blas_control
 def test_a_split_call_holds_no_more_scratch_than_one_worker():
     # one scratch budget per call, the size gate at 1 MiB: on one worker
-    # the conv cuts each frame's 7 MB im2col matrix into 8 bands of 8 rows
-    # and the pool walks blocks of 5 channels; on two, 16 bands of 4 rows
-    # and blocks of 2. Beyond one worker's peak, a split holds only the
-    # input rows that a second band's padded rows repeat (kh - 1 of them)
+    # the conv cuts each frame's 7 MB im2col matrix into 8 bands of 8 rows,
+    # on two into 16 bands of 4 rows. Beyond one worker's peak, a split
+    # holds only the input rows that a second band's padded rows repeat
+    # (kh - 1 of them). The pool does not split: it holds the same on two
+    # usable CPUs as on one
     rng = np.random.default_rng(16)
     x = rng.standard_normal((16, 4, 64, 64)).astype(np.float32)
     k = make_kernels(64, 16, (3, 3, 3), rng)
@@ -826,11 +836,11 @@ def test_a_split_call_holds_no_more_scratch_than_one_worker():
         assert len(_bands(x, k, workers=2)) == 2 * len(_bands(x, k)) == 16
         conv_two = _traced_peak(conv3d, x, k)
         pool_two = _traced_peak(maxpool3d, src, (2, 2, 2))
-        assert len(splits) == 2
+        assert len(splits) == 1
         with mock.patch.object(tensor, "_usable_cpus", lambda: 1):
             conv_one = _traced_peak(conv3d, x, k)
             pool_one = _traced_peak(maxpool3d, src, (2, 2, 2))
-    assert len(splits) == 2
+    assert len(splits) == 1
     halo = 16 * (4 + 2) * 2 * (64 + 2) * 4
     slack = 2**16
     assert conv_two < conv_one + halo + slack
@@ -862,34 +872,17 @@ def test_narrowest_bands_give_the_whole_frames_bytes(shape, out_c, kdhw,
 
 
 @needs_blas_control
-@pytest.mark.parametrize("channels", [7, 8])
-def test_pool_blocks_of_channels_give_the_oracle_bytes(channels):
-    # the size gate set so that each block holds two channels (a worker's
-    # budget is half the gate): each worker walks two blocks, the last one
-    # partial for 7 channels
-    rng = np.random.default_rng(channels)
-    x = rng.standard_normal((channels, 2, 6, 8)).astype(np.float32)
-    x[3, 1, 2, 5] = np.nan
-    with _split_everything(4 * x.nbytes // channels) as splits:
-        y, amap = maxpool3d(x, (1, 2, 2))
-    assert len(splits) == 1
-    y_ref, arg_ref, _ = _maxpool3d_oracle(x, (1, 2, 2))
-    assert y.tobytes() == y_ref.tobytes()
-    assert np.array_equal(amap.offsets, arg_ref)
-
-
-@needs_blas_control
-def test_pool_pads_one_block_of_channels_at_a_time():
-    # odd depth and height under a 2x2x2 kernel, the size gate set so that
-    # each block holds two channels (a worker's budget is half the gate):
-    # each worker pads one block with -inf
-    # at a time, never the whole input; ReLU zeros tie and a NaN wins
+def test_pool_pads_its_input_once():
+    # odd depth and height under a 2x2x2 kernel, the size gate at zero:
+    # the pool starts no second worker, copies its input once into a cube
+    # padded with -inf and holds one set of scratch the size of its
+    # output; ReLU zeros tie and a NaN wins
     rng = np.random.default_rng(15)
     src = np.maximum(rng.standard_normal((7, 3, 129, 128)), -0.5).astype(
         np.float32)
     src[3, 1, 2, 5] = np.nan
     src[5, 2, 128] = 0.0
-    with _split_everything(4 * src.nbytes // 7) as splits:
+    with _split_everything(0) as splits:
         tracemalloc.start()
         try:
             x = src.copy()
@@ -897,16 +890,32 @@ def test_pool_pads_one_block_of_channels_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert len(splits) == 1
+    assert not splits
     y_ref, arg_ref, _ = _maxpool3d_oracle(src, (2, 2, 2))
     assert y.tobytes() == y_ref.tobytes()
     assert np.array_equal(amap.offsets, arg_ref)
-    block = 2 * 4 * 130 * 128 * 4  # two channels, padded
-    step_scratch = 2 * 2 * 65 * 64 * (1 + 4 + 1)
+    padded = 7 * 4 * 130 * 128 * 4
+    scratch = 7 * 2 * 65 * 64 * (1 + 4 + 1)  # better, flips, step
     slack = 2**17
-    assert peak < (x.nbytes + y.nbytes + amap.offsets.nbytes
-                   + 2 * (block + step_scratch) + slack)
-    assert 2 * block + slack < 7 * 4 * 130 * 128 * 4  # whole, padded
+    assert peak < (x.nbytes + padded + y.nbytes + amap.offsets.nbytes
+                   + scratch + slack)
+    assert slack < padded  # a second padded copy would not fit
+
+
+@needs_blas_control
+@settings(max_examples=50, deadline=None)
+@given(_pool_cases())
+def test_pool_starts_no_thread_at_any_size(case):
+    # the size gate at zero: every pool is pooled whole on this thread
+    x, kernel = case
+    with _split_everything(0) as splits, mock.patch.object(
+            threading.Thread, "start",
+            lambda self: pytest.fail("started a thread")):
+        y, amap = maxpool3d(x, kernel)
+    assert not splits
+    y_ref, arg_ref, _ = _maxpool3d_oracle(x, kernel)
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(amap.offsets, arg_ref)
 
 
 @needs_blas_control
@@ -964,7 +973,7 @@ def test_a_split_leaves_no_thread_behind():
     with _split_everything() as splits:
         conv3d(x, k)
         maxpool3d(x, (2, 2, 2))
-    assert len(splits) == 2
+    assert len(splits) == 1  # the conv's: a pool never splits
     assert threading.active_count() == before
 
 

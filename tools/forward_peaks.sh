@@ -11,9 +11,11 @@
 # runs first. Each run checks every row's shape against its table and
 # prints the process's `ru_maxrss` in MB; the next lines give each side's
 # median. Then each forward runs once more on the working tree under
-# `tracemalloc`: it prints the forward's traced peak and the calls of
-# `conv3d`, `maxpool3d`, `toi_pool_forward` and `_fc_forward` with the
-# highest traced peak, each with the live traced memory at its entry.
+# `tracemalloc`: it prints the forward's traced peak, the calls of
+# `conv3d`, `maxpool3d`, `toi_pool_forward`, `_fc_forward` and
+# `subpixel_upsample3d` with the highest traced peak, each with the live
+# traced memory at its entry, and the highest peak between two calls
+# (outside every traced call), with the calls it fell between.
 # Everything is written to a temporary directory that is removed on exit.
 # Exits 1 if a shape differs from its table or a forward fails.
 set -euo pipefail
@@ -82,7 +84,8 @@ for forward in tcnn stcnn; do
 done
 
 # calls <source checkout> <tcnn|stcnn>: one traced forward in a fresh
-# process; prints its traced peak and the calls with the highest peaks
+# process; prints its traced peak, the calls with the highest peaks and
+# the highest peak between calls
 calls() {
   PYTHONPATH="$1/src" PYTHONDONTWRITEBYTECODE=1 python3 - "$2" <<'EOF'
 import sys
@@ -92,41 +95,68 @@ from tubenet import networks, tensor, toi, upsample
 
 MIB = 2**20
 records = []  # (peak, live at entry, call number, name, input shape)
-most = 0  # the highest peak between the traced calls
+open_calls = []  # the highest peak so far of each traced call in progress
+gap = (0, None, None)  # the highest peak between two calls, and the calls
+last = "the forward's start"  # the last call to end outside every other
+
+
+def fold():
+    """The traced peak since the last fold, added to the innermost call in
+    progress; resets the peak."""
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    if open_calls:
+        open_calls[-1] = max(open_calls[-1], peak)
+    return peak
 
 
 def traced(module, name):
     real = getattr(module, name)
 
     def wrapper(x, *args, **kwargs):
-        global most
-        live, peak = tracemalloc.get_traced_memory()
-        most = max(most, peak)
-        tracemalloc.reset_peak()
+        global gap, last
+        live = tracemalloc.get_traced_memory()[0]
+        n = len(records) + len(open_calls) + 1
+        label = f"call {n} {name} {tuple(x.shape)}"
+        peak = fold()
+        if not open_calls and peak > gap[0]:
+            gap = (peak, last, label)
+        open_calls.append(0)
         try:
             return real(x, *args, **kwargs)
         finally:
-            records.append((tracemalloc.get_traced_memory()[1], live,
-                            len(records) + 1, name, tuple(x.shape)))
+            fold()
+            peak = open_calls.pop()
+            if open_calls:  # a call inside another peaks inside it too
+                open_calls[-1] = max(open_calls[-1], peak)
+            else:
+                last = label
+            records.append((peak, live, n, name, tuple(x.shape)))
 
     setattr(module, name, wrapper)
 
 
-# the sub-pixel upsamplers call conv3d through the upsample module
+# the sub-pixel upsamplers call conv3d through the upsample module, and
+# the bottom-up forward calls the upsampler through networks
 for module, name in ((tensor, "conv3d"), (upsample, "conv3d"),
                      (tensor, "maxpool3d"), (toi, "toi_pool_forward"),
-                     (networks, "_fc_forward")):
+                     (networks, "_fc_forward"),
+                     (networks, "subpixel_upsample3d")):
     traced(module, name)
 tracemalloc.start()
 getattr(networks, f"run_{sys.argv[1]}_table_forward")()
-peak = max([most, tracemalloc.get_traced_memory()[1]]
-           + [r[0] for r in records])
+end = fold()
+if end > gap[0]:
+    gap = (end, last, "the forward's end")
 tracemalloc.stop()
+peak = max([gap[0]] + [r[0] for r in records])
 print(f"{sys.argv[1]} traced peak {peak / MIB:.1f} MiB over "
       f"{len(records)} traced calls; the highest:")
 for peak, live, n, name, shape in sorted(records, reverse=True)[:6]:
     print(f"  call {n} {name} {shape}: live at entry {live / MIB:.1f} MiB, "
           f"peak {peak / MIB:.1f} MiB")
+print(f"  highest between calls: {gap[0] / MIB:.1f} MiB, after {gap[1]} "
+      f"and before {gap[2]}")
 EOF
 }
 
