@@ -474,6 +474,26 @@ def test_fused_encoder_rows_keep_the_bytes(monkeypatch, threads, gate):
         assert conv1_calls == ([(8, 6, 1)] + [(1, 6, 1)] * 8) * 2
 
 
+@pytest.mark.parametrize("frames", [2, 4, 8])
+def test_conv_stage_groups_of_any_depth_keep_the_bytes(frames):
+    # a pool `frames` deep makes groups of `frames` frames; ToI bins of
+    # three frames make them lcm(frames, 3) deep: 6, 12 and all 24
+    rng = np.random.default_rng(frames)
+    x = rng.standard_normal((3, 24, 6, 8)).astype(np.float32)
+    kernels = tensor.make_kernels(4, 3, (3, 3, 3), rng)
+    y = tensor.relu(tensor.conv3d(x, kernels))
+    pool = (frames, 2, 2)
+    for toi_shape in ((24 // frames, 2, 2), (8, 2, 2)):
+        want = (y, tensor.maxpool3d(y, pool)[0], toi.toi_pool_forward(
+            y, toi.full_frame_tube(*y.shape[1:]), toi_shape)[0])
+        shape, *got = networks._conv_stage(x, kernels, pool, toi_shape,
+                                           keep=True)
+        assert shape == y.shape
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
 def test_conv_stage_groups_keep_the_bytes_at_depth_24():
     # at depth 24 a group is one frame for conv1 and six for conv2 (pool2's
     # depth 2 and a ToI bin's 3 frames), and conv3b's 12 frames and
