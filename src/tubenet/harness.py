@@ -119,6 +119,8 @@ class RunConfig:
                           f"largest actor")
         if self.num_videos < 1:
             bad("num_videos", "must be >= 1")
+        if self.seed < 0:
+            bad("seed", "must be >= 0")
         for name in ("lr", "lr_rec", "lr_seg"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 bad(name, "must be finite and > 0")

@@ -79,7 +79,7 @@ def test_config_type_coercion():
     ("alpha", "0"), ("epochs_tpn", "abc"), ("lr", "fast"),
     ("anchors_k", "0"), ("avg_top_k", "0"), ("height", "8"),
     ("height", "24"), ("width", "20"), ("num_videos", "0"), ("lr", "-1"),
-    ("lr", "0"), ("lr_rec", "inf"), ("lr_seg", "nan")])
+    ("lr", "0"), ("lr_rec", "inf"), ("lr_seg", "nan"), ("seed", "-1")])
 def test_config_rejects_bad_value_naming_the_field(key, value):
     with pytest.raises(ValueError, match=f"^config {key}="):
         RunConfig.load(overrides={key: value})
@@ -101,10 +101,10 @@ def test_config_accepts_boundary_values():
         "epochs_tpn": "0", "epochs_rec": "0", "epochs_refine": "0",
         "epochs_seg": "0", "upsampler": "unpool",
         "anchors_k": "1", "avg_top_k": "1", "height": "30", "width": "30",
-        "num_videos": "1"})
+        "num_videos": "1", "seed": "0"})
     assert (cfg.mask_threshold, cfg.num_frames) == (0.0, 8)
     assert (cfg.anchors_k, cfg.avg_top_k) == (1, 1)
-    assert (cfg.height, cfg.width, cfg.num_videos) == (30, 30, 1)
+    assert (cfg.height, cfg.width, cfg.num_videos, cfg.seed) == (30, 30, 1, 0)
     assert RunConfig.load(overrides={"mask_threshold": "1"}).mask_threshold \
         == 1.0
 

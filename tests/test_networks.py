@@ -4,6 +4,7 @@ and the names the benchmark's tracer wraps. The reference forwards, which
 build no trainable layer: the inputs they reject, their conv stage against
 whole-cube layers, what they hold, and the bytes of their fc helper."""
 
+import hashlib
 import importlib.util
 import sys
 import tracemalloc
@@ -18,6 +19,8 @@ from tubenet.networks import SubpixelUp, UnpoolUp
 from tubenet.proposals import Anchor
 from tubenet.tensor import finite_diff_grad
 from tubenet.upsample import UpscaleFactors, subpixel_upsample3d
+
+from forward_trace import TRACED, trace_forward
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -213,41 +216,34 @@ def test_relu_caches_its_output_and_masks_the_same_gradient():
                for i, (_, relu_out, _) in enumerate(cache))
 
 
-def test_reference_forwards_build_no_trainable_layer(monkeypatch):
-    def refuse(self, w, b):
-        raise AssertionError("a forward-only run built a trainable layer")
-
-    monkeypatch.setattr(networks._Trainable, "__init__", refuse)
+@pytest.fixture(scope="module")
+def top_down():
     # small frames whose tables still close: 48x64 pools to 3x4 by conv5
-    for run in (networks.run_tcnn_table_forward,
-                networks.run_stcnn_table_forward):
-        rows, shapes = run((3, 8, 48, 64), 0)
-        assert dict(shapes) == {r.name: r.out_shape for r in rows}
+    return trace_forward("tcnn", (3, 8, 48, 64), 0)
 
 
-def test_bottom_up_forward_frees_concat1_and_conv1c_before_fc6(monkeypatch):
+@pytest.fixture(scope="module")
+def bottom_up():
+    with tensor.blas_threads(2):  # its caller's, which the conv bytes ignore
+        return trace_forward("stcnn", (3, 8, 48, 64), 0)
+
+
+def test_reference_forwards_build_no_trainable_layer(top_down, bottom_up):
+    for record in (top_down, bottom_up):
+        assert record.trainables == 0, "a forward built a trainable layer"
+        assert dict(record.shapes) == {r.name: r.out_shape
+                                       for r in record.rows}
+
+
+def test_bottom_up_forward_frees_concat1_and_conv1c_before_fc6(bottom_up):
     # once toi-pool has read concat1, neither it nor conv1c's output (read
     # by nothing but its shape) is live when fc6's first row block is drawn
-    shape = (3, 8, 48, 64)
-    c1 = dict((r.name, r.out_shape)
-              for r in networks.stcnn_table_specs(shape))["toi-pool"][0]
-    pooled_n = c1 * 8 * 8 * 8
-    draw, live = tensor.glorot_uniform, []
-
-    def traced(w_shape, *args):
-        if w_shape == (networks._FC_ROWS, pooled_n) and not live:
-            live.append(tracemalloc.get_traced_memory()[0])
-        return draw(w_shape, *args)
-
-    monkeypatch.setattr(tensor, "glorot_uniform", traced)
-    tracemalloc.start()
-    try:
-        networks.run_stcnn_table_forward(shape, 0)
-    finally:
-        tracemalloc.stop()
+    c1 = dict((r.name, r.out_shape) for r in bottom_up.rows)["toi-pool"][0]
+    fc6 = [c for c in bottom_up.calls
+           if c.name == "_fc_forward" and c.args == ((c1 * 8 * 8 * 8,),)]
     concat1 = c1 * 8 * 48 * 64 * 4
     conv1c = 64 * 8 * 48 * 64 * 4
-    assert live and live[0] < concat1 + conv1c
+    assert len(fc6) == 1 and fc6[0].live < concat1 + conv1c
 
 
 def _conv_outputs(monkeypatch, gate, threads):
@@ -308,63 +304,60 @@ class _Stop(Exception):
     """Ends a forward once the convs a test reads have run."""
 
 
+def test_a_traced_forward_that_raises_puts_every_name_back(monkeypatch):
+    # a wrapper left in place would trace every later test of the session
+    def stop(*args):
+        raise _Stop
+
+    monkeypatch.setattr(tensor, "maxpool3d", stop)  # the first pool stops
+    before = [getattr(module, name) for module, name in TRACED]
+    init = networks._Trainable.__init__
+    with pytest.raises(_Stop):
+        trace_forward("tcnn", (3, 8, 48, 64), 0)
+    assert all(getattr(module, name) is fn
+               for (module, name), fn in zip(TRACED, before))
+    assert networks._Trainable.__init__ is init
+    assert not tracemalloc.is_tracing()
+
+
 @pytest.mark.skipif(tensor.blas_thread_count() is None,
                     reason="the loaded BLAS exposes no thread control")
 def test_bottom_up_conv_bytes_do_not_depend_on_the_callers_blas_threads(
-        monkeypatch):
+        monkeypatch, bottom_up):
     # the forward holds BLAS at one thread itself, so every conv, the
     # upsamplers' included, gives the same bytes whether its caller holds
-    # BLAS at one thread or at two; conv1c (112 -> 64 channels) once
-    # differed. The forward stops after conv1c, before the fc draws
-    conv3d = tensor.conv3d
+    # BLAS at one thread (here) or at two (the record's); conv1c (112 -> 64
+    # channels) once differed. The forward stops after conv1c
+    conv3d, one = tensor.conv3d, []
 
-    def outputs(threads):
-        outs = []
+    def recorded(x, kernels, **kwargs):
+        y = conv3d(x, kernels, **kwargs)
+        one.append(hashlib.sha1(y).hexdigest())
+        if kernels.weights.shape[:2] == (64, 112):
+            raise _Stop
+        return y
 
-        def recorded(x, kernels, **kwargs):
-            y = conv3d(x, kernels, **kwargs)
-            outs.append(y.tobytes())
-            if kernels.weights.shape[:2] == (64, 112):
-                raise _Stop
-            return y
-
-        with monkeypatch.context() as patch:
-            patch.setattr(tensor, "conv3d", recorded)
-            patch.setattr(upsample, "conv3d", recorded)
-            with tensor.blas_threads(threads), pytest.raises(_Stop):
-                networks.run_stcnn_table_forward((3, 8, 48, 64), 4)
-        return outs
-
-    one, two = outputs(1), outputs(2)
-    assert one == two
+    monkeypatch.setattr(tensor, "conv3d", recorded)
+    monkeypatch.setattr(upsample, "conv3d", recorded)
+    with tensor.blas_threads(1), pytest.raises(_Stop):
+        networks.run_stcnn_table_forward((3, 8, 48, 64), 0)
+    two = [c.digest for c in bottom_up.calls if c.name == "conv3d"]
     # conv1 and conv2 in groups, conv3a, conv3b in groups, conv4a, conv4b
     # in groups, conv5a, conv5b, then four upsamplers and their convs
     assert len(one) == 8 + 4 + 1 + 2 + 1 + 1 + 1 + 1 + 8
+    assert one == two[:len(one)]
 
 
-def test_top_down_forward_frees_conv2_before_conv3a(monkeypatch):
+def test_top_down_forward_frees_conv2_before_conv3a(top_down):
     # conv2 runs fused with its ReLU, toi-pool2 and pool2, so none of its
     # output is live when conv3a starts: besides conv3a's weights, only
     # its input, toi-pool2's output and small arrays are: 1.4 MB against
     # conv2's 3.1 MB output, and 4.3 MB while conv2 was kept whole
-    shape = (3, 8, 48, 64)
-    conv2 = dict((r.name, r.out_shape)
-                 for r in networks.tcnn_table_specs(shape))["conv2"]
-    conv3d, live = tensor.conv3d, []
-
-    def traced(x, kernels, **kwargs):
-        if kernels.weights.shape[:2] == (256, conv2[0]) and not live:
-            live.append(tracemalloc.get_traced_memory()[0]
-                        - kernels.weights.nbytes)
-        return conv3d(x, kernels, **kwargs)
-
-    monkeypatch.setattr(tensor, "conv3d", traced)
-    tracemalloc.start()
-    try:
-        networks.run_tcnn_table_forward(shape, 0)
-    finally:
-        tracemalloc.stop()
-    assert live and live[0] < int(np.prod(conv2)) * 4
+    conv2 = dict((r.name, r.out_shape) for r in top_down.rows)["conv2"]
+    conv3a = next(c for c in top_down.calls if c.name == "conv3d"
+                  and c.kernel[:2] == (256, conv2[0]))
+    weights = int(np.prod(conv3a.kernel)) * 4  # float32
+    assert conv3a.live - weights < int(np.prod(conv2)) * 4
 
 
 def _oracle_encoder(in_shape, rng, toi_rows):
@@ -529,29 +522,14 @@ def test_reference_forwards_reject_a_shape_before_drawing_a_weight(
 
 
 def test_bottom_up_decoder_holds_no_conv_output_while_concat1_is_built(
-        monkeypatch):
+        bottom_up):
     # while concat1 is built, upsample1's output, the conv1 skip and
     # concat1 itself are the only cubes live: no name still holds conv2c's
     # output (3.1 MB here). The forward's own peak is fc6's row block.
-    shape = (3, 8, 48, 64)
-    rows = dict((r.name, r.out_shape)
-                for r in networks.stcnn_table_specs(shape))
+    rows = dict((r.name, r.out_shape) for r in bottom_up.rows)
     concat1 = (rows["upsample1"][0] + rows["conv1"][0],) + rows["conv1"][1:]
-    concatenate, peaks = np.concatenate, []
-
-    def traced(*args, **kwargs):
-        tracemalloc.reset_peak()
-        out = concatenate(*args, **kwargs)
-        if out.shape == concat1:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        return out
-
-    monkeypatch.setattr(np, "concatenate", traced)
-    tracemalloc.start()
-    try:
-        networks.run_stcnn_table_forward(shape, 0)
-    finally:
-        tracemalloc.stop()
+    peaks = [c.peak for c in bottom_up.calls
+             if c.name == "concatenate" and c.out == concat1]
     cubes = sum(int(np.prod(s)) * 4
                 for s in (rows["upsample1"], rows["conv1"], concat1))
     assert len(peaks) == 1 and peaks[0] < cubes + 2**20

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -28,6 +27,8 @@ from tubenet.tensor import (ArgmaxMap, KernelSet, ShapeError,
                             maxpool3d, maxpool3d_backward, save_tensor,
                             sgd_step,
                             softmax_xent)
+
+from forward_trace import traced_peak
 
 
 def rel_err(a, b):
@@ -651,12 +652,7 @@ def test_full_scale_conv2_in_bands_matches_oracle_with_bounded_scratch():
     assert max(rows) * 200 * 64 * 27 * 4 <= tensor._SPLIT_MIN_BYTES // 2
     assert _band_mnk(128, 64, k.kdhw, min(rows), 200) > tensor._GEMM_MIN_MNK
     with _split_everything(tensor._SPLIT_MIN_BYTES) as splits:
-        tracemalloc.start()
-        try:
-            y = conv3d(x, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        y, peak = traced_peak(conv3d, x, k)
     assert len(splits) == 1
     assert peak < 128 * 2**20
     assert y.tobytes() == _conv3d_oracle(x, k).tobytes()
@@ -676,20 +672,14 @@ def test_banded_conv_holds_no_padded_copy_of_its_input():
     with _split_everything(2**20) as splits:
         rows = max(r1 - r0 for r0, r1 in _bands(src, k, workers=2))
         assert rows == 6
-        tracemalloc.start()
-        try:
-            x = src.copy()
-            y = conv3d(x, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        y, peak = traced_peak(lambda: conv3d(src.copy(), k))
     assert len(splits) == 1
     matrix = 16 * 27 * rows * 64 * 4
     padded_rows = 16 * (4 + 2) * (rows + 2) * (64 + 2) * 4
     product = 16 * rows * 64 * 4
     slack = 2**17
-    assert peak < x.nbytes + y.nbytes + 2 * (matrix + padded_rows
-                                             + product) + slack
+    assert peak < src.nbytes + y.nbytes + 2 * (matrix + padded_rows
+                                               + product) + slack
     assert 2 * padded_rows + slack < 16 * 6 * 66 * 66 * 4  # whole, padded
     assert y.tobytes() == _conv3d_oracle(src, k).tobytes()
 
@@ -707,19 +697,13 @@ def test_banded_conv_gemms_write_into_the_output():
     with _split_everything(2**17) as splits:
         rows = max(r1 - r0 for r0, r1 in _bands(src, k, workers=2))
         assert rows == 6
-        tracemalloc.start()
-        try:
-            x = src.copy()
-            y = conv3d(x, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        y, peak = traced_peak(lambda: conv3d(src.copy(), k))
     assert len(splits) == 1
     matrix = 2 * 27 * rows * 64 * 4
     padded_rows = 2 * (4 + 2) * (rows + 2) * (64 + 2) * 4
     product = 128 * rows * 64 * 4
     slack = 2**17
-    assert peak < x.nbytes + y.nbytes + 2 * (matrix + padded_rows) + slack
+    assert peak < src.nbytes + y.nbytes + 2 * (matrix + padded_rows) + slack
     assert 2 * product > slack
     assert y.tobytes() == _conv3d_oracle(src, k).tobytes()
 
@@ -810,16 +794,6 @@ def test_bands_on_two_workers_are_even_and_within_half_the_budget(
                for r0, r1 in bands)
 
 
-def _traced_peak(fn, *args):
-    """The traced memory peak of `fn(*args)`, its result included."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @needs_blas_control
 def test_a_split_call_holds_no_more_scratch_than_one_worker():
     # one scratch budget per call, the size gate at 1 MiB: on one worker
@@ -834,12 +808,12 @@ def test_a_split_call_holds_no_more_scratch_than_one_worker():
     src = rng.standard_normal((16, 3, 129, 128)).astype(np.float32)
     with _split_everything(2**20) as splits:
         assert len(_bands(x, k, workers=2)) == 2 * len(_bands(x, k)) == 16
-        conv_two = _traced_peak(conv3d, x, k)
-        pool_two = _traced_peak(maxpool3d, src, (2, 2, 2))
+        conv_two = traced_peak(conv3d, x, k)[1]
+        pool_two = traced_peak(maxpool3d, src, (2, 2, 2))[1]
         assert len(splits) == 1
         with mock.patch.object(tensor, "_usable_cpus", lambda: 1):
-            conv_one = _traced_peak(conv3d, x, k)
-            pool_one = _traced_peak(maxpool3d, src, (2, 2, 2))
+            conv_one = traced_peak(conv3d, x, k)[1]
+            pool_one = traced_peak(maxpool3d, src, (2, 2, 2))[1]
     assert len(splits) == 1
     halo = 16 * (4 + 2) * 2 * (64 + 2) * 4
     slack = 2**16
@@ -883,13 +857,8 @@ def test_pool_pads_its_input_once():
     src[3, 1, 2, 5] = np.nan
     src[5, 2, 128] = 0.0
     with _split_everything(0) as splits:
-        tracemalloc.start()
-        try:
-            x = src.copy()
-            y, amap = maxpool3d(x, (2, 2, 2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (y, amap), peak = traced_peak(
+            lambda: maxpool3d(src.copy(), (2, 2, 2)))
     assert not splits
     y_ref, arg_ref, _ = _maxpool3d_oracle(src, (2, 2, 2))
     assert y.tobytes() == y_ref.tobytes()
@@ -897,7 +866,7 @@ def test_pool_pads_its_input_once():
     padded = 7 * 4 * 130 * 128 * 4
     scratch = 7 * 2 * 65 * 64 * (1 + 4 + 1)  # better, flips, step
     slack = 2**17
-    assert peak < (x.nbytes + padded + y.nbytes + amap.offsets.nbytes
+    assert peak < (src.nbytes + padded + y.nbytes + amap.offsets.nbytes
                    + scratch + slack)
     assert slack < padded  # a second padded copy would not fit
 
@@ -1039,12 +1008,7 @@ def test_glorot_chunks_give_the_one_shot_bytes_and_stream(dtype, chunks,
 
 def test_glorot_fc6_draw_holds_no_float64_copy():
     rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        w = glorot_uniform((4096, 8192), rng, 8192, 4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    w, peak = traced_peak(glorot_uniform, (4096, 8192), rng, 8192, 4096)
     assert peak - w.nbytes < 2 * 2**20
 
 
