@@ -2,9 +2,9 @@
 
 Verbs: gen, train-tcnn, train-stcnn, detect, segment, eval. The
 benchmark is a separate program: ``python3 bench/run.py --workload <w>``.
-Every verb accepts ``--config FILE`` plus ``--set key=value`` overrides;
-``TUBENET_<KEY>`` environment variables sit between the file and the CLI
-overrides in priority.
+Every verb takes its configuration from the command line alone: the
+`RunConfig` defaults with each ``--set key=value`` applied. A bad key or
+value stops the command with one line that names it.
 """
 
 from __future__ import annotations
@@ -16,14 +16,6 @@ from .harness import (RunConfig, run_detect, run_eval, run_gen, run_segment,
                       train_stcnn, train_tcnn)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", default=None,
-                        help="key=value config file")
-    parser.add_argument("--set", dest="overrides", action="append",
-                        default=[], metavar="KEY=VALUE",
-                        help="override a single config value")
-
-
 def _config_from(args):
     overrides = {}
     for item in args.overrides:
@@ -31,7 +23,10 @@ def _config_from(args):
         if not _:
             raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = val.strip()
-    return RunConfig.load(args.config, overrides)
+    try:
+        return RunConfig.load(overrides)
+    except (KeyError, ValueError) as err:
+        raise SystemExit(err.args[0]) from None
 
 
 def main(argv=None):
@@ -46,7 +41,9 @@ def main(argv=None):
             ("detect", "run detection on the test split"),
             ("segment", "run segmentation on the test split"),
             ("eval", "score written detections/segmentations")):
-        _add_common(sub.add_parser(verb, help=help_text))
+        sub.add_parser(verb, help=help_text).add_argument(
+            "--set", dest="overrides", action="append", default=[],
+            metavar="KEY=VALUE", help="override a single config value")
 
     args = parser.parse_args(argv)
     cfg = _config_from(args)

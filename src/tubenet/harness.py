@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +21,13 @@ from . import metrics as mx
 from .linking import TubeProposal, link_top_k, save_sequences
 from .models import CLIP, STCNN, TCNN, UPSAMPLERS
 from .proposals import kmeans_anchors
-from .segmentation import mask_to_box
+from .segmentation import SegMask, load_mask, mask_to_box, save_mask
 from .synth import (ANNOTATIONS, SyntheticSpec, gen_dataset,
                     load_annotations, load_video_frames, load_video_masks,
                     read_csv)
 from .tensor import blas_threads, load_tensor, save_tensor, softmax
 from .toi import Box, Tube
 
-ENV_PREFIX = "TUBENET_"
 # the columns of detections/detections.csv and segmentations/labels.csv,
 # with the type of each
 DETECTION_FIELDS = {"video": int, "rank": int, "label": int,
@@ -42,9 +40,9 @@ LABEL_FIELDS = {"video": int, "label": int, "confidence": float}
 class RunConfig:
     """Flat run configuration.
 
-    Values resolve in increasing priority: defaults, config file
-    (``key=value`` lines, ``#`` comments), environment variables prefixed
-    ``TUBENET_`` (upper-cased key), then explicit CLI overrides.
+    A run's configuration is the defaults with its ``--set key=value``
+    overrides applied; nothing else (no file, no environment variable)
+    changes it.
     """
 
     seed: int = 0
@@ -68,24 +66,12 @@ class RunConfig:
     alpha: float = 0.5
 
     @classmethod
-    def load(cls, path=None, overrides=None):
-        values = {}
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
-        if path:
-            for line in Path(path).read_text().splitlines():
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-        for name in fields:
-            env = os.environ.get(ENV_PREFIX + name.upper())
-            if env is not None:
-                values[name] = env
-        for key, val in (overrides or {}).items():
-            values[key] = val
+    def load(cls, overrides=None):
+        """The defaults with `overrides` ({key: value}) applied and
+        validated; a KeyError or ValueError names a bad key or value."""
+        fields = {f.name for f in dataclasses.fields(cls)}
         cfg = cls()
-        for key, val in values.items():
+        for key, val in (overrides or {}).items():
             if key not in fields:
                 raise KeyError(f"unknown config key: {key}")
             kind = type(getattr(cfg, key))
@@ -417,8 +403,6 @@ def run_detect(cfg):
 
 @blas_threads(1)
 def run_segment(cfg):
-    from .segmentation import save_mask
-
     model, ann = load_stcnn(cfg)
     out = Path(cfg.out_dir) / "segmentations"
     rows = []
@@ -500,8 +484,6 @@ def eval_detections(cfg):
 def eval_segmentations(cfg):
     """Region (J), contour (F), and stability (T) statistics of the
     written masks."""
-    from .segmentation import SegMask, load_mask
-
     ann = load_annotations(cfg.data_dir)
     vids = _test_videos(cfg, ann)
     j_scores, f_scores, t_scores = {}, {}, []

@@ -10,6 +10,7 @@ oracle, and greedy NMS prunes near-duplicate sequences.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,6 @@ def brute_force_link(per_clip, k: int, limit: int = 10 ** 6):
     total = int(np.prod([len(c) for c in per_clip]))
     if total > limit:
         raise ValueError(f"{total} sequences exceeds brute-force limit {limit}")
-    import itertools
     scored = []
     for path in itertools.product(*[range(len(c)) for c in per_clip]):
         props = tuple(per_clip[i][j] for i, j in enumerate(path))

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import tensor as tz
 from . import toi
+from .proposals import PairedFeatureProjector
 from .tensor import KernelSet
 from .upsample import (UpscaleFactors, channel_to_spacedepth_backward,
                        subpixel_upsample3d, unpool3d, unpool3d_backward)
@@ -346,8 +347,6 @@ def run_tcnn_table_forward(in_shape=(3, 8, 300, 400), seed=0):
     output is kept: conv2 and conv5b are ToI-pooled in their stages. BLAS
     is held at one thread, as in the harness stages, so the bytes do not
     depend on the core count."""
-    from .proposals import PairedFeatureProjector
-
     _check_multiples(in_shape, 8)
     rng = np.random.default_rng(seed)
     rows = tcnn_table_specs(in_shape)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import glorot_uniform
 from .toi import Box
 
 
@@ -194,7 +195,6 @@ class PairedFeatureProjector:
     """
 
     def __init__(self, conv2_channels, conv5_channels, proj2, proj5, rng):
-        from .tensor import glorot_uniform
         self.w2, self.w5 = (
             glorot_uniform((p, c), rng, c, p, dtype=np.float64)
             .astype(np.float32) for p, c in ((proj2, conv2_channels),

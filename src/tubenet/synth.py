@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .segmentation import SegMask, save_mask
-from .tensor import save_tensor
+from .segmentation import SegMask, load_mask, save_mask
+from .tensor import load_tensor, save_tensor
 from .toi import Box
 
 NUM_CLASSES = 4
@@ -224,8 +224,6 @@ def _frame_files(vdir, suffix, num_frames):
 
 def load_video_frames(root, video, num_frames=None):
     """Stack frame tensors into (3, F, H, W); see `_frame_files` for F."""
-    from .tensor import load_tensor
-
     vdir = Path(root) / "videos" / f"{video:03d}"
     frames = [load_tensor(p)[:, 0]
               for p in _frame_files(vdir, "t4", num_frames)]
@@ -234,8 +232,6 @@ def load_video_frames(root, video, num_frames=None):
 
 def load_video_masks(root, video, num_frames=None):
     """The F masks of a video; see `_frame_files` for F."""
-    from .segmentation import SegMask, load_mask
-
     mdir = Path(root) / "masks" / f"{video:03d}"
     return [SegMask(load_mask(p))
             for p in _frame_files(mdir, "sm", num_frames)]

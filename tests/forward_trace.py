@@ -6,6 +6,9 @@ import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
+# numpy imports numpy.random lazily; imported here, its modules are never
+# charged to the first traced forward that draws a weight
+import numpy.random  # noqa: F401
 
 from tubenet import networks, tensor, toi, upsample
 

@@ -24,7 +24,7 @@ from tubenet.synth import NUM_CLASSES, load_annotations
 
 
 # ----------------------------------------------------------------------
-# configuration precedence
+# configuration
 
 def test_config_defaults():
     cfg = RunConfig.load()
@@ -33,27 +33,18 @@ def test_config_defaults():
     assert cfg.upsampler == "subpixel"
 
 
-def test_config_file_overrides_defaults(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("seed=3\nlr = 0.5  # comment\n\n# full-line comment\n")
-    cfg = RunConfig.load(p)
-    assert cfg.seed == 3
-    assert cfg.lr == 0.5
-    assert cfg.num_videos == 80
-
-
-def test_env_overrides_file(tmp_path, monkeypatch):
-    p = tmp_path / "run.cfg"
-    p.write_text("seed=3\n")
-    monkeypatch.setenv("TUBENET_SEED", "9")
-    cfg = RunConfig.load(p)
-    assert cfg.seed == 9
-
-
-def test_explicit_overrides_beat_env(monkeypatch):
-    monkeypatch.setenv("TUBENET_SEED", "9")
-    cfg = RunConfig.load(overrides={"seed": "11"})
-    assert cfg.seed == 11
+def test_explicit_overrides_beat_env(monkeypatch, capsys):
+    # the command line is the only source: no variable of the caller's
+    # environment, spelt right or wrong, and no config file reaches a run
+    for name, value in (("TUBENET_SEED", "9"), ("TUBENET_SEEDS", "3"),
+                        ("TUBENET_NUM_FRAMES", "4")):
+        monkeypatch.setenv(name, value)
+    assert RunConfig.load() == RunConfig()
+    assert RunConfig.load(overrides={"seed": "11"}) == RunConfig(seed=11)
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--config", "f"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --config f" in capsys.readouterr().err
 
 
 def test_unknown_key_rejected():
@@ -83,16 +74,6 @@ def test_config_type_coercion():
 def test_config_rejects_bad_value_naming_the_field(key, value):
     with pytest.raises(ValueError, match=f"^config {key}="):
         RunConfig.load(overrides={key: value})
-
-
-def test_config_rejects_bad_value_from_file_and_env(tmp_path, monkeypatch):
-    p = tmp_path / "run.cfg"
-    p.write_text("upsampler=subpixl\n")
-    with pytest.raises(ValueError, match="upsampler='subpixl'"):
-        RunConfig.load(p)
-    monkeypatch.setenv("TUBENET_NUM_FRAMES", "4")
-    with pytest.raises(ValueError, match="num_frames=4"):
-        RunConfig.load()
 
 
 def test_config_accepts_boundary_values():
@@ -206,12 +187,17 @@ def test_cli_gen_writes_dataset(tmp_path, capsys):
     assert "wrote dataset" in capsys.readouterr().out
 
 
-def test_cli_gen_respects_config_file(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"data_dir={tmp_path / 'd2'}\nnum_videos=1\n"
-                       "num_frames=8\nheight=48\nwidth=64\n")
-    main(["gen", "--config", str(cfgfile)])
-    assert (tmp_path / "d2" / "videos" / "000").exists()
+@pytest.mark.parametrize("item, message", [
+    ("bogus=1", "unknown config key: bogus"),
+    ("seed=-1", "config seed=-1: must be >= 0"),
+    ("num_frames=x", "config num_frames='x': not a valid int")],
+    ids=["unknown", "invalid", "unparsed"])
+def test_cli_bad_set_ends_in_one_line_naming_the_key(tmp_path, item,
+                                                     message):
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--set", f"data_dir={tmp_path / 'd'}", "--set", item])
+    assert err.value.code == message
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("fault", ["shape", "short", "missing",

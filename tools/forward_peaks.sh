@@ -10,7 +10,11 @@
 # `git archive <git-ref>` and on the working tree, alternating which side
 # runs first. Each run checks every row's shape against its table and
 # prints the process's `ru_maxrss` in MB; the next lines give each side's
-# median. Then each forward runs once more on the working tree, traced
+# median. Both sides run with glibc's mmap threshold pinned at 128 KiB
+# (`MALLOC_MMAP_THRESHOLD_=131072`): left dynamic, it moves with
+# allocation-order trivia such as the source path, and then keeps freed
+# large buffers on the heap, which read 7-22 MB apart on identical
+# forward code. Then each forward runs once more on the working tree, traced
 # by `tests/forward_trace.py` as the memory tests trace it: it prints the
 # forward's traced peak, the traced calls with the highest peaks, each
 # with the live traced memory at its entry, and the highest peak between
@@ -34,7 +38,8 @@ git -C "$repo" archive "$ref" | tar -x -C "$work/ref"
 # peak <source checkout> <tcnn|stcnn>: one forward in a fresh process;
 # prints its ru_maxrss in MB, exits 3 if a shape differs from the table
 peak() {
-  PYTHONPATH="$1/src" PYTHONDONTWRITEBYTECODE=1 python3 - "$2" <<'EOF'
+  MALLOC_MMAP_THRESHOLD_=131072 PYTHONPATH="$1/src" PYTHONDONTWRITEBYTECODE=1 \
+    python3 - "$2" <<'EOF'
 import resource
 import sys
 
@@ -75,7 +80,8 @@ for forward in tcnn stcnn; do
   for side in ref tree; do
     median=$(printf '%s\n' ${peaks[$forward.$side]:-} | sort -n | awk '
       NF {v[++n] = $1}
-      END {if (n) print (v[int((n + 1) / 2)] + v[int(n / 2) + 1]) / 2}')
+      END {if (n) printf "%.1f\n",
+                         (v[int((n + 1) / 2)] + v[int(n / 2) + 1]) / 2}')
     label=$ref
     [ "$side" = tree ] && label="working tree"
     echo "$forward median on $label: ${median:-no passing run}${median:+ MB}"
