@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics as mx
 from .linking import TubeProposal, link_top_k, save_sequences
-from .models import CLIP, STCNN, TCNN, UPSAMPLERS
+from .models import CLIP, FRAME_STRIDE, STCNN, TCNN, UPSAMPLERS
 from .proposals import kmeans_anchors
 from .segmentation import SegMask, load_mask, mask_to_box, save_mask
 from .synth import (ANNOTATIONS, SyntheticSpec, gen_dataset,
@@ -99,10 +99,13 @@ class RunConfig:
                 bad(f.name, "must be >= 0")
         if self.num_frames < CLIP:
             bad("num_frames", f"must be >= {CLIP}, the frames of one clip")
-        for name in ("height", "width"):
+        for name, stride in zip(("height", "width"), FRAME_STRIDE):
             if getattr(self, name) < SyntheticSpec.max_actor:
                 bad(name, f"must be >= {SyntheticSpec.max_actor}, the "
                           f"largest actor")
+            if getattr(self, name) % stride:
+                bad(name, f"must be a multiple of {stride}, the encoder's "
+                          f"spatial pool stride")
         if self.num_videos < 1:
             bad("num_videos", "must be >= 1")
         if self.seed < 0:
@@ -209,18 +212,10 @@ def run_gen(cfg):
     return spec
 
 
-def _write_loss_csv(path, rows, header):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
 def _write_csv(path, fields, rows):
-    """A header of the field names, then one line per row: ints by `str`,
-    floats by `repr`, so that each reads back as the same value."""
+    """A header of the field names, then one line per row: floats by
+    `repr`, so that each reads back as the same value, and the rest (ints,
+    strings such as a loss already rounded to six places) by `str`."""
     with open(path, "w") as fh:
         fh.write(",".join(fields) + "\n")
         for row in rows:
@@ -299,8 +294,8 @@ def train_tcnn(cfg, quiet=False):
             print(f"phase {phase} done, last loss {losses[-1][2]:.4f}")
     out = Path(cfg.out_dir)
     save_model(model, out / "tcnn_model")
-    _write_loss_csv(out / "tcnn_loss.csv", losses,
-                    ["step", "phase", "loss"])
+    _write_csv(out / "tcnn_loss.csv", ["step", "phase", "loss"],
+               [(s, p, f"{v:.6f}") for s, p, v in losses])
     return model
 
 
@@ -334,7 +329,8 @@ def train_stcnn(cfg, quiet=False):
                   f"rec {losses[-1][2]:.4f}")
     out = Path(cfg.out_dir)
     save_model(model, out / "stcnn_model")
-    _write_loss_csv(out / "stcnn_loss.csv", losses, ["step", "seg", "rec"])
+    _write_csv(out / "stcnn_loss.csv", ["step", "seg", "rec"],
+               [(s, f"{seg:.6f}", f"{rec:.6f}") for s, seg, rec in losses])
     return model
 
 

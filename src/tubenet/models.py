@@ -28,6 +28,9 @@ ENC_POOLS = ((1, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2))
 STAGES = ("conv1", "conv2", "conv3", "conv4", "conv5")
 # frames per clip: the encoder's temporal pools take them to one conv5 frame
 CLIP = math.prod(k[0] for k in ENC_POOLS)
+# the segmenter's frame height and width must be multiples of these, the
+# encoder's spatial pool strides, for its decoder to restore each skip's size
+FRAME_STRIDE = tuple(math.prod(k[i] for k in ENC_POOLS) for i in (1, 2))
 
 
 def _flatten_state(state, prefix=""):
@@ -448,6 +451,10 @@ class STCNN(_Recognizer):
         rng = np.random.default_rng(seed)
         self.num_classes = num_classes
         self.frame_hw = tuple(frame_hw)
+        if any(n % s for n, s in zip(self.frame_hw, FRAME_STRIDE)):
+            raise ShapeError(f"frame size {self.frame_hw}: height and width "
+                             f"must be multiples of {FRAME_STRIDE}, the "
+                             f"encoder's spatial pool strides")
         if upsampler not in UPSAMPLERS:
             raise ValueError(f"upsampler {upsampler!r} is not one of "
                              f"{', '.join(UPSAMPLERS)}")

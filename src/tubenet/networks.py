@@ -12,6 +12,12 @@ that cache back: layers keep no per-call state, so a caller can hold the
 caches of several forwards at once. ReLU and max-pooling hold nothing, so
 the models call `tensor.relu` and `tensor.maxpool3d` (and their backwards)
 directly.
+
+The bottom-up forward's conv6/conv7 head is the one conv left out of
+`_conv_stage`: it stays a hand loop over blocks of `_HEAD_COLS` of a
+frame's columns. `conv3d` returns whole outputs, and one 240x320 frame of
+conv6 is 4096x76800 float32 values, 1.26 GB; `_conv_stage` runs 3x3x3
+convs only.
 """
 
 from __future__ import annotations

@@ -18,12 +18,15 @@ dataset's bytes.
 Every GEMM goes through the BLAS that numpy loaded. How that BLAS splits a
 GEMM across threads changes the last bits of the result, so runs hold it at
 one thread with `blas_threads` to make output bytes independent of the
-core count. The second core then goes to whole units of work instead: a
-large `conv3d` hands half of its (band, frame) units to a second thread
-that the call starts and joins; it is the only call that does. Each
-worker has scratch of its own, sized from one budget per call
-(`_workers`): on two workers each band is half the size it would be on
-one, so a call's scratch does not grow with its worker count. No conv
+core count. `blas_threads` finds that BLAS's thread control through a
+handle to numpy's own `_multiarray_umath` extension, so it never reaches
+another OpenBLAS in the process, such as scipy's. The second core then
+goes to whole units of work instead: a large `conv3d` hands half of its
+(band, frame) units to a second thread that the call starts and joins;
+it is the only call that does. Each worker has scratch of its own, sized
+from one budget per call (`_workers`): on two workers each band is half
+the size it would be on one, so a call's scratch does not grow with its
+worker count. No conv
 makes a padded copy of its input: a worker copies the zero-padded input
 rows of one band at a time (`_Im2col`). A conv's GEMMs write into the
 output itself, so no worker holds a product buffer. A frame whose im2col
@@ -50,6 +53,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core import _multiarray_umath
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 T4_MAGIC = b"T4"
@@ -634,37 +638,6 @@ def finite_diff_grad(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 # BLAS thread control
 
 
-class _DlPhdrInfo(ctypes.Structure):
-    # leading fields of glibc's struct dl_phdr_info; the rest is not read
-    _fields_ = [("dlpi_addr", ctypes.c_void_p), ("dlpi_name", ctypes.c_char_p)]
-
-
-def _loaded_libraries() -> list:
-    """Paths of the shared libraries loaded into this process; empty where
-    the C library has no ``dl_iterate_phdr`` (it is on Linux and the BSDs).
-    """
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):  # TypeError: Windows has no global handle
-        return []
-    if not hasattr(libc, "dl_iterate_phdr"):
-        return []
-    paths = []
-
-    def collect(info, size, data):
-        if info.contents.dlpi_name:
-            paths.append(os.fsdecode(info.contents.dlpi_name))
-        return 0
-
-    callback_type = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_DlPhdrInfo),
-                                     ctypes.c_size_t, ctypes.c_void_p)
-    callback = callback_type(collect)
-    libc.dl_iterate_phdr.argtypes = [callback_type, ctypes.c_void_p]
-    libc.dl_iterate_phdr.restype = ctypes.c_int
-    libc.dl_iterate_phdr(callback, None)
-    return paths
-
-
 # numpy's and scipy's wheels each bundle their own scipy-openblas build,
 # whose exported names carry a ``scipy_`` prefix and, for the 64-bit integer
 # build, a ``64_`` suffix; a system OpenBLAS exports the bare names.
@@ -677,29 +650,24 @@ _OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
 @functools.lru_cache(maxsize=None)
 def _blas_thread_control():
     """(get, set) thread-count functions of numpy's OpenBLAS, which runs
-    every tubenet GEMM. It is the first OpenBLAS in load order: this module
-    imports numpy before anything else can load one. An OpenBLAS loaded
-    later, such as scipy's own (`metrics` imports scipy at the first
-    contour), runs no tubenet GEMM and is left alone.
+    every tubenet GEMM. They are looked up through a handle to numpy's
+    `_multiarray_umath`, the extension that calls the GEMMs: a lookup
+    through a library's handle searches that library and the libraries it
+    links, so it finds numpy's OpenBLAS and no other, such as scipy's own.
 
     None, after one warning naming numpy's BLAS, if that BLAS is not one
     whose thread count this module can control.
     """
-    config = getattr(np, "__config__", None)
-    blas = getattr(config, "CONFIG", {}).get(
-        "Build Dependencies", {}).get("blas", {}).get("name", "unknown")
-    if blas == "unknown" or "openblas" in blas.lower():
-        for path in _loaded_libraries():
-            if "openblas" not in os.path.basename(path).lower():
-                continue
-            lib = ctypes.CDLL(path)
-            for pattern in _OPENBLAS_THREAD_SYMBOLS:
-                get = getattr(lib, pattern.format("get"), None)
-                set_ = getattr(lib, pattern.format("set"), None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for pattern in _OPENBLAS_THREAD_SYMBOLS:
+        get = getattr(lib, pattern.format("get"), None)
+        set_ = getattr(lib, pattern.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {}).get("name", "unknown")
     warnings.warn(f"BLAS {blas!r} offers no thread control tubenet "
                   f"recognises; output bytes may depend on the core "
                   f"count", RuntimeWarning)

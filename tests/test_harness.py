@@ -21,6 +21,7 @@ from tubenet.harness import (RunConfig, _clips_of, _new_model, _split_videos,
 from tubenet.models import STCNN, TCNN
 from tubenet.proposals import Anchor
 from tubenet.synth import NUM_CLASSES, load_annotations
+from tubenet.tensor import ShapeError
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +71,8 @@ def test_config_type_coercion():
     ("alpha", "0"), ("epochs_tpn", "abc"), ("lr", "fast"),
     ("anchors_k", "0"), ("avg_top_k", "0"), ("height", "8"),
     ("height", "24"), ("width", "20"), ("num_videos", "0"), ("lr", "-1"),
-    ("lr", "0"), ("lr_rec", "inf"), ("lr_seg", "nan"), ("seed", "-1")])
+    ("lr", "0"), ("lr_rec", "inf"), ("lr_seg", "nan"), ("seed", "-1"),
+    ("height", "40"), ("width", "100")])
 def test_config_rejects_bad_value_naming_the_field(key, value):
     with pytest.raises(ValueError, match=f"^config {key}="):
         RunConfig.load(overrides={key: value})
@@ -81,11 +83,11 @@ def test_config_accepts_boundary_values():
         "mask_threshold": "0", "num_frames": "8",
         "epochs_tpn": "0", "epochs_rec": "0", "epochs_refine": "0",
         "epochs_seg": "0", "upsampler": "unpool",
-        "anchors_k": "1", "avg_top_k": "1", "height": "30", "width": "30",
+        "anchors_k": "1", "avg_top_k": "1", "height": "32", "width": "32",
         "num_videos": "1", "seed": "0"})
     assert (cfg.mask_threshold, cfg.num_frames) == (0.0, 8)
     assert (cfg.anchors_k, cfg.avg_top_k) == (1, 1)
-    assert (cfg.height, cfg.width, cfg.num_videos, cfg.seed) == (30, 30, 1, 0)
+    assert (cfg.height, cfg.width, cfg.num_videos, cfg.seed) == (32, 32, 1, 0)
     assert RunConfig.load(overrides={"mask_threshold": "1"}).mask_threshold \
         == 1.0
 
@@ -93,6 +95,13 @@ def test_config_accepts_boundary_values():
 def test_stcnn_rejects_unknown_upsampler():
     with pytest.raises(ValueError, match="upsampler 'subpixl'"):
         STCNN(2, (48, 64), upsampler="subpixl")
+
+
+def test_stcnn_rejects_a_frame_size_its_decoder_cannot_restore():
+    for hw in [(30, 30), (40, 56), (80, 100)]:
+        with pytest.raises(ShapeError, match=rf"^frame size \({hw[0]}, "
+                                             rf"{hw[1]}\): .* multiples of"):
+            STCNN(2, hw)
 
 
 # ----------------------------------------------------------------------
